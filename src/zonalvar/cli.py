@@ -216,6 +216,7 @@ def sweep(n, m, rho_min, rho_max, steps, fmt, rel_tol, min_terms, max_terms, out
     _check(rho_min > 0, "rho-min must be > 0")
     _check(rho_max > rho_min, "rho-max must exceed rho-min")
     _check(steps >= 2, "steps must be >= 2")
+    # validated and echoed in meta only: the S path sums no series
     trunc = _truncation(rel_tol, min_terms, max_terms)
     _, _, product_series = expand_variances(n, m)
     ratio = (rho_max / rho_min) ** (1.0 / (steps - 1))
@@ -226,11 +227,9 @@ def sweep(n, m, rho_min, rho_max, steps, fmt, rel_tol, min_terms, max_terms, out
         row = {"rho": rho, "var_space": None, "var_momentum": None, "product": None,
                "asymptotic_product": None, "residual": None, "status": "ok"}
         try:
-            res = poisson_uncertainty_via_s(poisson_wavelet_spec(n, m, rho), trunc)
+            res = poisson_uncertainty_via_s(poisson_wavelet_spec(n, m, rho))
         except DegenerateInputError:
             row["status"] = "degenerate"
-        except TruncationError:
-            row["status"] = "truncation-failure"
         else:
             asymptote = product_series.evaluate(rho)
             row.update(

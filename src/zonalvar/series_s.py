@@ -1,7 +1,20 @@
 """The radial sums S_m(rho) = sum_{l>=0} C(l+n-2, l) l^m exp(-2 rho l).
 
-For small rho the terms climb over many decades before peaking near
-l* = (n - 2 + m) / (2 rho), so the accumulator is compensated, term
+Every S_m is a finite rational function of x = exp(-2 rho).  Applying
+(x d/dx)^m = sum_j S(m, j) x^j D^j (Stirling numbers of the second kind)
+to sum_l C(l+n-2, l) x^l = (1-x)^-(n-1) gives, with w = x/(1-x) =
+1/(e^(2 rho) - 1),
+
+    S_m(rho) = (1 + w)^(n-1) P_m(w),   P_m(w) = sum_j S(m, j) (n-1)_j w^j,
+
+where (a)_j is the rising factorial.  P_m has non-negative integer
+coefficients, so Horner evaluation at w > 0 adds only non-negative terms
+and is accurate to a few ulps at every rho.  :func:`s_m_eval` uses this
+form for every m.
+
+:func:`s_m_sum` sums the series directly and is kept as the independent
+reference.  For small rho its terms climb over many decades before peaking
+near l* = (n - 2 + m) / (2 rho), so the accumulator is compensated, term
 magnitudes are built in log space, and the stop rule refuses to trust
 small terms until the envelope has passed its peak.
 """
@@ -10,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .errors import DomainError, TruncationError
 
@@ -189,6 +203,38 @@ def s_m_sum(
     )
 
 
+def _stirling2_row(k: int) -> tuple[int, ...]:
+    """Stirling numbers of the second kind S(k, j) for j = 0..k."""
+    row = (1,)
+    for i in range(1, k + 1):
+        prev = row + (0,)
+        row = tuple(j * prev[j] + (prev[j - 1] if j else 0) for j in range(i + 1))
+    return row
+
+
+@lru_cache(maxsize=None)
+def _s_m_polynomial(n: int, m: int) -> tuple[int, ...]:
+    """Coefficients of P_m(w) = sum_j S(m, j) (n-1)_j w^j, lowest degree first.
+
+    S_m(rho) = (1 + w)^(n-1) P_m(w) with w = 1/(e^(2 rho) - 1); every
+    coefficient is a non-negative integer.
+    """
+    coeffs = []
+    rising = 1  # (n-1)_j
+    for j, stirling in enumerate(_stirling2_row(m)):
+        coeffs.append(stirling * rising)
+        rising *= n - 1 + j
+    return tuple(coeffs)
+
+
+def _horner(coeffs, x: float) -> float:
+    """Evaluate the polynomial with coefficients ``coeffs`` (lowest degree first) at x."""
+    acc = 0.0
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
+
+
 def s_m_eval(
     n: int,
     m: int,
@@ -196,16 +242,16 @@ def s_m_eval(
     trunc: SeriesTruncation = DEFAULT_TRUNCATION,
     diagnostics: dict | None = None,
 ) -> float:
-    """S_m(rho), dispatching m = 0 to its closed form.
+    """S_m(rho) from the exact form (-expm1(-2 rho))^-(n-1) P_m(w).
 
-    S_0(rho) = (1 - exp(-2 rho))^-(n-1) is a geometric-series power and is
-    both faster and slightly more accurate than direct summation.
+    No series is summed, so ``trunc`` is accepted for signature
+    compatibility and not read.  For m = 0, P_0 = 1 and this is the
+    geometric-series power (1 - exp(-2 rho))^-(n-1).
     """
     _validate_smn(n, m, rho)
-    if m == 0:
-        base = -math.expm1(-2.0 * rho)
-        if diagnostics is not None:
-            diagnostics["terms"] = 0
-            diagnostics["closed_form"] = True
-        return base ** (-(n - 1))
-    return s_m_sum(n, m, rho, trunc, diagnostics)
+    base = -math.expm1(-2.0 * rho)
+    w = math.exp(-2.0 * rho) / base
+    if diagnostics is not None:
+        diagnostics["terms"] = 0
+        diagnostics["closed_form"] = True
+    return base ** (-(n - 1)) * _horner(_s_m_polynomial(n, m), w)

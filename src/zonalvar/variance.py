@@ -1,5 +1,5 @@
 """Space variance, momentum variance, and the uncertainty product of zonal
-functions, plus a fast S_m-series path specialized to Poisson wavelets.
+functions, plus a fast S_m path specialized to Poisson wavelets.
 
 For a zonal function with coefficient rule f_hat on S^n (lambda = (n-1)/2)
 the three coefficient-space sums are
@@ -12,16 +12,28 @@ and var_space = (N/D)^2 - 1, var_momentum = M/N.  The difference N - D is
 accumulated term by term (each term formed as a relative deviation from the
 N term), because at small scale rho the direct difference would cancel to
 the rounding floor and the squared ratio would lose most of its digits.
+
+The Poisson-wavelet path :func:`poisson_uncertainty_via_s` sums no series:
+both of its functionals are ratios of exact integer polynomials in
+w = 1/(e^(2 rho) - 1) with non-negative coefficients.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Mapping
 
 from .errors import BoundViolationError, DegenerateInputError, DomainError, TruncationError
-from .series_s import DEFAULT_TRUNCATION, CompensatedSum, SeriesTruncation, _TailStop, s_m_eval
+from .series_s import (
+    DEFAULT_TRUNCATION,
+    CompensatedSum,
+    SeriesTruncation,
+    _horner,
+    _s_m_polynomial,
+    _TailStop,
+)
 from .zonal import PoissonWaveletSpec, ZonalFunction
 
 __all__ = [
@@ -33,7 +45,6 @@ __all__ = [
 ]
 
 _DENOM_FLOOR = 1e-300
-_NEGATIVE_CLAMP = -1e-12
 _BOUND_SLACK = 1e-9
 
 
@@ -115,7 +126,7 @@ def _space_variance_from_sums(big_n: float, n_minus_d: float, diagnostics: dict)
     q_minus_1 = n_minus_d / d
     var_s = q_minus_1 * (q_minus_1 + 2.0)
     if var_s < 0.0:
-        if var_s < _NEGATIVE_CLAMP:
+        if var_s < -1e-12:
             raise DegenerateInputError(
                 f"space variance evaluated to {var_s}, beyond the negative "
                 "rounding band; the coefficient rule is numerically degenerate"
@@ -160,6 +171,101 @@ def uncertainty_product(f: ZonalFunction, trunc: SeriesTruncation = DEFAULT_TRUN
     return _assemble(f.dim.n, var_s, var_m, info)
 
 
+def _poly_sum(*terms: tuple[int, tuple[int, ...]]) -> tuple[int, ...]:
+    """Exact sum of scale * polynomial over ``terms``, lowest degree first."""
+    out = [0] * max(len(p) for _, p in terms)
+    for scale, p in terms:
+        for i, coeff in enumerate(p):
+            out[i] += scale * coeff
+    while len(out) > 1 and out[-1] == 0:
+        out.pop()
+    return tuple(out)
+
+
+def _poly_mul(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
+    out = [0] * (len(p) + len(q) - 1)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    return tuple(out)
+
+
+def _wavelet_polynomials(n: int, m: int) -> tuple[tuple[int, ...], ...]:
+    """Exact integer polynomials (N, D, a, c) in w for the S-path functionals.
+
+    With P_k from S_k = (1 + w)^(n-1) P_k(w), the common factor
+    (1 + w)^(n-1) cancels from every ratio below, leaving
+    a = (n-1) A, b = (n-1) B and c = (n-1) C as combinations of P_k, and
+    N = (1 + w) a^2 - 4 w b^2, D = 4 w b^2, so that var_space = N / D and
+    var_momentum = c / a.  The top-degree terms of N cancel exactly.
+
+    Raises ArithmeticError if any coefficient is negative: the float
+    evaluation is accurate only because every coefficient is >= 0.
+    """
+    n1 = n - 1
+    p = {k: _s_m_polynomial(n, k) for k in range(m, 2 * m + 4)}
+    a = _poly_sum((2, p[2 * m + 1]), (n1, p[2 * m]))
+    b_terms = []
+    for j in range(m + 1):
+        b_terms += [(math.comb(m, j), p[m + j + 1]), (n1 * math.comb(m, j), p[m + j])]
+    b = _poly_sum(*b_terms)
+    c = _poly_sum((2, p[2 * m + 3]), (3 * n1, p[2 * m + 2]), (n1 * n1, p[2 * m + 1]))
+    a2 = _poly_mul(a, a)
+    wb2 = (0,) + _poly_mul(b, b)  # w b^2
+    num = _poly_sum((1, a2), (1, (0,) + a2), (-4, wb2))
+    den = _poly_sum((4, wb2))
+    polys = (num, den, a, c)
+    if any(coeff < 0 for poly in polys for coeff in poly):
+        raise ArithmeticError(f"S-path polynomial for n={n}, m={m} has a negative coefficient")
+    return polys
+
+
+@dataclass(frozen=True)
+class _PositiveRatio:
+    """w^shift num(w) / den(w) for polynomials with non-negative coefficients.
+
+    Coefficients are stored lowest degree first, with the common powers of w
+    stripped and both polynomials scaled by one power of two, so the float
+    conversion neither overflows nor changes the ratio.  Horner runs in w
+    for w <= 1 and in 1/w on the reversed coefficients for w > 1, so no
+    power of w overflows at small rho; either way it adds only non-negative
+    terms, which keeps each pass accurate to a few ulps.
+    """
+
+    shift: int
+    num: tuple[float, ...]
+    den: tuple[float, ...]
+
+    @classmethod
+    def of(cls, num: tuple[int, ...], den: tuple[int, ...]) -> "_PositiveRatio":
+        def low(p: tuple[int, ...]) -> int:
+            return next(i for i, coeff in enumerate(p) if coeff)
+
+        scale = 1 << max(coeff.bit_length() for coeff in num + den)
+        return cls(
+            low(num) - low(den),
+            tuple(coeff / scale for coeff in num[low(num):]),
+            tuple(coeff / scale for coeff in den[low(den):]),
+        )
+
+    def __call__(self, w: float) -> float:
+        if w <= 1.0:
+            return w**self.shift * _horner(self.num, w) / _horner(self.den, w)
+        v = 1.0 / w
+        return (
+            v ** (len(self.den) - len(self.num) - self.shift)
+            * _horner(self.num[::-1], v)
+            / _horner(self.den[::-1], v)
+        )
+
+
+@lru_cache(maxsize=None)
+def _wavelet_ratios(n: int, m: int) -> tuple[_PositiveRatio, _PositiveRatio]:
+    """(var_space, var_momentum) as functions of w, built once per (n, m)."""
+    num, den, a, c = _wavelet_polynomials(n, m)
+    return _PositiveRatio.of(num, den), _PositiveRatio.of(c, a)
+
+
 def poisson_uncertainty_via_s(
     spec: PoissonWaveletSpec,
     trunc: SeriesTruncation = DEFAULT_TRUNCATION,
@@ -175,47 +281,27 @@ def poisson_uncertainty_via_s(
         var_space    = q^2 - 1,  q = e^rho A / (2 B)
         var_momentum = C / A
 
-    q - 1 is assembled as (expm1(rho) A + (A - 2B)) / (2B) where A - 2B is
-    computed from its explicit all-negative-term form, so the small-rho
-    cancellation between e^rho A and 2B never touches a rounded difference.
+    Nothing is summed: with w = 1/(e^(2 rho) - 1), e^(2 rho) = (1 + w)/w and
+    each S_k = (1 + w)^(n-1) P_k(w), so var_space = N(w)/D(w) and
+    var_momentum = c(w)/a(w) for exact integer polynomials with
+    non-negative coefficients (see :func:`_wavelet_polynomials`).  The
+    small-rho cancellation in q^2 - 1 is done once, in exact arithmetic,
+    when N is built.  ``trunc`` is accepted for signature compatibility and
+    not read.  Raises :class:`DegenerateInputError` once w underflows
+    (rho above about 345) or a functional overflows.
     """
     n = spec.dim.n
-    m = spec.m
     rho = spec.rho
-    diag_terms = 0
-    s_vals: dict[int, float] = {}
-    for k in range(m, 2 * m + 4):
-        d: dict = {}
-        s_vals[k] = s_m_eval(n, k, rho, trunc, d)
-        diag_terms += d.get("terms", 0)
-    inv = 1.0 / (n - 1.0)
-    a_val = math.fsum((2.0 * inv * s_vals[2 * m + 1], s_vals[2 * m]))
-    b_terms = [
-        math.comb(m, j) * (s_vals[m + j + 1] * inv + s_vals[m + j]) for j in range(m + 1)
-    ]
-    b_val = math.fsum(b_terms)
-    # A - 2B with the leading S_(2m+1) cancellation done in exact algebra:
-    a_minus_2b = -math.fsum(
-        [s_vals[2 * m]]
-        + [2.0 * math.comb(m, j) * (s_vals[m + j + 1] * inv + s_vals[m + j]) for j in range(m)]
-    )
-    if not (a_val > _DENOM_FLOOR and b_val > _DENOM_FLOOR):
+    w = math.exp(-2.0 * rho) / -math.expm1(-2.0 * rho)
+    if not w > _DENOM_FLOOR:
         raise DegenerateInputError(
-            "S_m sums underflowed to zero; the wavelet is numerically null at this rho"
+            "w = 1/(e^(2 rho) - 1) underflowed; the wavelet is numerically null at this rho"
         )
-    c_val = math.fsum(
-        (2.0 * inv * s_vals[2 * m + 3], 3.0 * s_vals[2 * m + 2], (n - 1.0) * s_vals[2 * m + 1])
-    )
-    q_minus_1 = (math.expm1(rho) * a_val + a_minus_2b) / (2.0 * b_val)
-    var_s = q_minus_1 * (q_minus_1 + 2.0)
-    diagnostics: dict = {"path": "s-series", "terms": diag_terms}
-    if var_s < 0.0:
-        if var_s < _NEGATIVE_CLAMP:
-            raise DegenerateInputError(
-                f"space variance evaluated to {var_s} on the S_m path; "
-                "the configuration is numerically degenerate"
-            )
-        diagnostics["var_space_clamped"] = var_s
-        var_s = 0.0
-    var_m = c_val / a_val
-    return _assemble(n, var_s, var_m, diagnostics)
+    space, momentum = _wavelet_ratios(n, spec.m)
+    var_s = space(w)
+    var_m = momentum(w)
+    if not math.isfinite(var_s * var_m):
+        raise DegenerateInputError(
+            f"S-path functionals overflowed at rho={rho}; the configuration is numerically degenerate"
+        )
+    return _assemble(n, var_s, var_m, {"path": "s-series", "terms": 0})
