@@ -9,8 +9,9 @@ to sum_l C(l+n-2, l) x^l = (1-x)^-(n-1) gives, with w = x/(1-x) =
 
 where (a)_j is the rising factorial.  P_m has non-negative integer
 coefficients, so Horner evaluation at w > 0 adds only non-negative terms
-and is accurate to a few ulps at every rho.  :func:`s_m_eval` uses this
-form for every m.
+and is accurate to a few ulps at every rho; :class:`_PositivePoly` falls
+back to exact integer evaluation when the coefficients span too many
+binades for one float scale.  :func:`s_m_eval` uses this form for every m.
 
 :func:`s_m_sum` sums the series directly and is kept as the independent
 reference.  For small rho its terms climb over many decades before peaking
@@ -25,7 +26,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import DomainError, TruncationError
+from .errors import DegenerateInputError, DomainError, TruncationError
 
 __all__ = [
     "DEFAULT_TRUNCATION",
@@ -227,12 +228,80 @@ def _s_m_polynomial(n: int, m: int) -> tuple[int, ...]:
     return tuple(coeffs)
 
 
+# Once scaled by 2^-scale, a coefficient within 2^960 of the largest is a
+# normal double, and so is w^k for the frexp mantissa of w and k < 960.
+_FLOAT_SPAN_BITS = 960
+
+
 def _horner(coeffs, x: float) -> float:
     """Evaluate the polynomial with coefficients ``coeffs`` (lowest degree first) at x."""
     acc = 0.0
     for c in reversed(coeffs):
         acc = acc * x + c
     return acc
+
+
+class _PositivePoly:
+    """A polynomial with non-negative integer coefficients, evaluated at w > 0.
+
+    p(w) = w^low 2^scale q(w), where q has a nonzero constant term and
+    coefficients at most 1.  When every nonzero coefficient lies within
+    2^960 of the largest, q is held in floats and evaluated by Horner in w
+    (w <= 1) or in 1/w on the reversed coefficients (w > 1): no power of w
+    overflows and every step adds non-negative terms, so the result is
+    accurate to a few ulps.  A wider span (high orders m) would turn the
+    small coefficients into subnormals, so there p is evaluated exactly in
+    integers at the float w and rounded once.  Results come back as a
+    mantissa and a binary exponent, so only the caller's final value can
+    overflow.
+    """
+
+    __slots__ = ("low", "scale", "exact", "floats", "reversed")
+
+    def __init__(self, coeffs: tuple[int, ...]):
+        if not any(coeffs) or any(coeff < 0 for coeff in coeffs):
+            raise ArithmeticError("expected non-negative coefficients, not all zero")
+        self.low = next(i for i, coeff in enumerate(coeffs) if coeff)
+        self.exact = tuple(coeffs[self.low:])
+        while not self.exact[-1]:
+            self.exact = self.exact[:-1]
+        bits = [coeff.bit_length() for coeff in self.exact if coeff]
+        self.scale = max(bits)
+        if self.scale - min(bits) < _FLOAT_SPAN_BITS and self.low + len(self.exact) < _FLOAT_SPAN_BITS:
+            self.floats = tuple(coeff / (1 << self.scale) for coeff in self.exact)
+            self.reversed = self.floats[::-1]
+        else:
+            self.floats = self.reversed = None
+
+    def frexp(self, w: float) -> tuple[float, int]:
+        """(r, e) with p(w) = r 2^e, for finite w > 0."""
+        if self.floats is None:
+            return self._exact_frexp(w)
+        if w <= 1.0:
+            h = _horner(self.floats, w)
+            k = self.low
+        else:
+            h = _horner(self.reversed, 1.0 / w)
+            k = self.low + len(self.floats) - 1
+        mh, eh = math.frexp(h)
+        mw, ew = math.frexp(w)
+        return mh * mw**k, eh + self.scale + ew * k
+
+    def _exact_frexp(self, w: float) -> tuple[float, int]:
+        num, den = w.as_integer_ratio()
+        e = den.bit_length() - 1  # den = 2^e
+        d = len(self.exact) - 1
+        acc = 0  # sum_j c_j num^j den^(d - j), by Horner from the top degree
+        for i, coeff in enumerate(reversed(self.exact)):
+            acc = acc * num + (coeff << (e * i))
+        acc *= num**self.low
+        bits = acc.bit_length()
+        return acc / (1 << bits), bits - e * (self.low + d)
+
+
+@lru_cache(maxsize=None)
+def _s_m_positive(n: int, m: int) -> _PositivePoly:
+    return _PositivePoly(_s_m_polynomial(n, m))
 
 
 def s_m_eval(
@@ -246,7 +315,8 @@ def s_m_eval(
 
     No series is summed, so ``trunc`` is accepted for signature
     compatibility and not read.  For m = 0, P_0 = 1 and this is the
-    geometric-series power (1 - exp(-2 rho))^-(n-1).
+    geometric-series power (1 - exp(-2 rho))^-(n-1).  Raises
+    :class:`DegenerateInputError` when S_m(rho) exceeds the double range.
     """
     _validate_smn(n, m, rho)
     base = -math.expm1(-2.0 * rho)
@@ -254,4 +324,8 @@ def s_m_eval(
     if diagnostics is not None:
         diagnostics["terms"] = 0
         diagnostics["closed_form"] = True
-    return base ** (-(n - 1)) * _horner(_s_m_polynomial(n, m), w)
+    r, e = _s_m_positive(n, m).frexp(w)
+    try:
+        return math.ldexp(base ** (-(n - 1)) * r, e)
+    except OverflowError:
+        raise DegenerateInputError(f"S_{m}(rho={rho}) for n={n} exceeds the double range") from None

@@ -30,7 +30,7 @@ from .series_s import (
     DEFAULT_TRUNCATION,
     CompensatedSum,
     SeriesTruncation,
-    _horner,
+    _PositivePoly,
     _s_m_polynomial,
     _TailStop,
 )
@@ -222,48 +222,26 @@ def _wavelet_polynomials(n: int, m: int) -> tuple[tuple[int, ...], ...]:
 
 @dataclass(frozen=True)
 class _PositiveRatio:
-    """w^shift num(w) / den(w) for polynomials with non-negative coefficients.
+    """num(w) / den(w) for two polynomials with non-negative coefficients.
 
-    Coefficients are stored lowest degree first, with the common powers of w
-    stripped and both polynomials scaled by one power of two, so the float
-    conversion neither overflows nor changes the ratio.  Horner runs in w
-    for w <= 1 and in 1/w on the reversed coefficients for w > 1, so no
-    power of w overflows at small rho; either way it adds only non-negative
-    terms, which keeps each pass accurate to a few ulps.
+    Each side is evaluated as a mantissa and a binary exponent, so the
+    ratio overflows only when its value does (then OverflowError).
     """
 
-    shift: int
-    num: tuple[float, ...]
-    den: tuple[float, ...]
-
-    @classmethod
-    def of(cls, num: tuple[int, ...], den: tuple[int, ...]) -> "_PositiveRatio":
-        def low(p: tuple[int, ...]) -> int:
-            return next(i for i, coeff in enumerate(p) if coeff)
-
-        scale = 1 << max(coeff.bit_length() for coeff in num + den)
-        return cls(
-            low(num) - low(den),
-            tuple(coeff / scale for coeff in num[low(num):]),
-            tuple(coeff / scale for coeff in den[low(den):]),
-        )
+    num: _PositivePoly
+    den: _PositivePoly
 
     def __call__(self, w: float) -> float:
-        if w <= 1.0:
-            return w**self.shift * _horner(self.num, w) / _horner(self.den, w)
-        v = 1.0 / w
-        return (
-            v ** (len(self.den) - len(self.num) - self.shift)
-            * _horner(self.num[::-1], v)
-            / _horner(self.den[::-1], v)
-        )
+        rn, en = self.num.frexp(w)
+        rd, ed = self.den.frexp(w)
+        return math.ldexp(rn / rd, en - ed)
 
 
 @lru_cache(maxsize=None)
 def _wavelet_ratios(n: int, m: int) -> tuple[_PositiveRatio, _PositiveRatio]:
     """(var_space, var_momentum) as functions of w, built once per (n, m)."""
-    num, den, a, c = _wavelet_polynomials(n, m)
-    return _PositiveRatio.of(num, den), _PositiveRatio.of(c, a)
+    num, den, a, c = (_PositivePoly(poly) for poly in _wavelet_polynomials(n, m))
+    return _PositiveRatio(num, den), _PositiveRatio(c, a)
 
 
 def poisson_uncertainty_via_s(
@@ -298,8 +276,11 @@ def poisson_uncertainty_via_s(
             "w = 1/(e^(2 rho) - 1) underflowed; the wavelet is numerically null at this rho"
         )
     space, momentum = _wavelet_ratios(n, spec.m)
-    var_s = space(w)
-    var_m = momentum(w)
+    try:
+        var_s = space(w)
+        var_m = momentum(w)
+    except OverflowError:
+        var_s = var_m = math.inf
     if not math.isfinite(var_s * var_m):
         raise DegenerateInputError(
             f"S-path functionals overflowed at rho={rho}; the configuration is numerically degenerate"

@@ -8,6 +8,7 @@ import pytest
 
 from zonalvar import BoundViolationError, poisson_uncertainty_via_s, poisson_wavelet_spec
 from zonalvar import variance
+from zonalvar.series_s import _PositivePoly
 from zonalvar.variance import _wavelet_polynomials
 
 GRID_N = (2, 3, 5, 8, 12, 40, 100, 250)
@@ -129,14 +130,34 @@ def test_bound_violation_still_checked(monkeypatch):
         poisson_uncertainty_via_s(spec)
 
 
-def test_high_order_coefficients_do_not_overflow_floats():
-    # coefficients of N reach ~1e480 here; the float forms are scaled exactly
-    n, m = 100, 50
-    assert max(_wavelet_polynomials(n, m)[0]).bit_length() > 1100
-    with mpmath.workdps(DIGITS):
-        for rho in (1.0, 1e-2):
-            s = {k: oracle_s(n, k, rho) for k in range(m, 2 * m + 4)}
-            res = poisson_uncertainty_via_s(poisson_wavelet_spec(n, m, rho))
-            expected = oracle_functionals(n, m, rho, s)
-            for got, e in zip((res.var_space, res.var_momentum, res.product), expected):
-                assert float(abs(got - e) / e) <= ORACLE_TOLERANCE
+def test_high_order_coefficients_are_evaluated_exactly():
+    # coefficients of N and D span more than 2^1000 here (D from ~5e38 to
+    # ~1e460), too wide for one float scale; both are evaluated exactly
+    for n, m in ((100, 50), (100, 49)):
+        num, den, _, _ = _wavelet_polynomials(n, m)
+        assert max(num).bit_length() > 1100
+        space, _ = variance._wavelet_ratios(n, m)
+        assert space.num.floats is None and space.den.floats is None
+        with mpmath.workdps(DIGITS):
+            for rho in (300.0, 50.0, 10.0, 5.0, 1.0, 1e-2):
+                s = {k: oracle_s(n, k, rho) for k in range(m, 2 * m + 4)}
+                res = poisson_uncertainty_via_s(poisson_wavelet_spec(n, m, rho))
+                expected = oracle_functionals(n, m, rho, s)
+                for got, e in zip((res.var_space, res.var_momentum, res.product), expected):
+                    assert float(abs(got - e) / e) <= ORACLE_TOLERANCE, (n, m, rho)
+
+
+def test_float_and_exact_evaluation_agree():
+    for n, m in ((2, 1), (5, 3), (40, 6), (250, 10)):
+        for poly in _wavelet_polynomials(n, m):
+            p = _PositivePoly(poly)
+            assert p.floats is not None
+            for w in (1e-300, 1e-30, 0.3, 1.0, 7.5, 1e8):
+                (got, e), (exact, e_exact) = p.frexp(w), p._exact_frexp(w)
+                got = math.ldexp(got, e - e_exact)  # both sides as r 2^e_exact
+                assert abs(got - exact) <= 8 * len(poly) * math.ulp(exact), (n, m, w)
+
+
+def test_positive_poly_rejects_negative_coefficients():
+    with pytest.raises(ArithmeticError):
+        _PositivePoly((1, -2, 3))

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from zonalvar import (
+    DegenerateInputError,
     DomainError,
     SeriesTruncation,
     TruncationError,
@@ -13,6 +14,7 @@ from zonalvar import (
     s_m_peak_index,
     s_m_sum,
 )
+from zonalvar.series_s import _s_m_positive
 
 
 # ---------------------------------------------------------------------------
@@ -176,3 +178,24 @@ def test_truncation_policy_validation():
         SeriesTruncation(min_terms=0)
     with pytest.raises(DomainError):
         SeriesTruncation(min_terms=10, max_terms=5)
+
+
+def test_high_orders_match_direct_sum():
+    # P_m's coefficients pass the double range here.  At m = 140 they
+    # span more than 2^960, so s_m_eval evaluates P_m exactly: at large rho
+    # the lowest coefficients dominate, and one float scale would flush
+    # them to zero.
+    assert _s_m_positive(100, 100).floats is not None
+    assert _s_m_positive(100, 140).floats is None
+    cases = ((100, 100, 1.0), (100, 140, 1.0), (100, 140, 5.0), (100, 140, 50.0),
+             (250, 130, 2.0), (250, 130, 300.0), (250, 200, 50.0))
+    for n, m, rho in cases:
+        # s_m_sum's exp(log term) carries |log term| * 2^-53, about 7e-14 at rho = 300
+        assert s_m_eval(n, m, rho) == pytest.approx(s_m_sum(n, m, rho), rel=1e-13, abs=0.0)
+
+
+def test_out_of_range_is_degenerate():
+    with pytest.raises(DegenerateInputError):
+        s_m_eval(100, 200, 1e-3)
+    with pytest.raises(DegenerateInputError):
+        s_m_eval(400, 0, 1e-3)
