@@ -20,7 +20,6 @@ import numpy as np
 
 from .errors import DomainError
 from .laurent import expand_variances
-from .series_s import DEFAULT_TRUNCATION, SeriesTruncation
 from .variance import poisson_uncertainty_via_s
 from .zonal import poisson_wavelet_spec
 
@@ -358,7 +357,6 @@ def residual_order_check(
     m: int,
     quantity: str,
     rho_grid: tuple[float, ...] = _DEFAULT_RESIDUAL_GRID,
-    trunc: SeriesTruncation = DEFAULT_TRUNCATION,
 ) -> ResidualFit:
     """Fit the decay order of the residual between the numeric variance
     functionals and the engine expansion truncated at its default window.
@@ -374,7 +372,7 @@ def residual_order_check(
     residuals = []
     vacuous = False
     for rho in rho_grid:
-        result = poisson_uncertainty_via_s(poisson_wavelet_spec(n, m, rho), trunc)
+        result = poisson_uncertainty_via_s(poisson_wavelet_spec(n, m, rho))
         if quantity == "varS":
             numeric = result.var_space
             predicted = var_space.evaluate(rho)

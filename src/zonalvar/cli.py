@@ -36,7 +36,6 @@ from .asymptotics import (
     EXPECTED_PROBE_SIGNS,
     compare_expansion,
     denominator_coefficient_table,
-    engine_expansion,
     f_sign_probes,
     limit_uncertainty,
     minimize_limit_over_order,
@@ -147,11 +146,12 @@ def cli() -> None:
     """Variance functionals of Poisson multipole wavelets on the n-sphere."""
 
 
+_output = click.option("--output", "-o", default=None, help="output file (stdout if omitted)")
 _common = [
     click.option("--rel-tol", type=float, default=None, help="series stop tolerance"),
     click.option("--min-terms", type=int, default=None, help="minimum series terms"),
     click.option("--max-terms", type=int, default=None, help="series term budget"),
-    click.option("--output", "-o", default=None, help="output file (stdout if omitted)"),
+    _output,
 ]
 
 
@@ -174,7 +174,7 @@ def compute(n, m, rho, fmt, rel_tol, min_terms, max_terms, output):
     _check(rho > 0, "rho must be > 0")
     trunc = _truncation(rel_tol, min_terms, max_terms)
     spec = poisson_wavelet_spec(n, m, rho)
-    fast = poisson_uncertainty_via_s(spec, trunc)
+    fast = poisson_uncertainty_via_s(spec)
     direct = uncertainty_product(poisson_wavelet_coefficients(spec), trunc)
     agreement = max(
         _relative_deviation(fast.var_space, direct.var_space),
@@ -208,16 +208,14 @@ def compute(n, m, rho, fmt, rel_tol, min_terms, max_terms, output):
 @click.option("--rho-max", type=float, required=True)
 @click.option("--steps", type=int, default=16, show_default=True)
 @click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="csv")
-@_with_common
-def sweep(n, m, rho_min, rho_max, steps, fmt, rel_tol, min_terms, max_terms, output):
+@_output
+def sweep(n, m, rho_min, rho_max, steps, fmt, output):
     """Functionals over a geometric grid of scales, with the engine asymptote."""
     _check(n >= 2, "n must be >= 2")
     _check(m >= 1, "m must be >= 1")
     _check(rho_min > 0, "rho-min must be > 0")
     _check(rho_max > rho_min, "rho-max must exceed rho-min")
     _check(steps >= 2, "steps must be >= 2")
-    # validated and echoed in meta only: the S path sums no series
-    trunc = _truncation(rel_tol, min_terms, max_terms)
     _, _, product_series = expand_variances(n, m)
     ratio = (rho_max / rho_min) ** (1.0 / (steps - 1))
     rhos = [rho_min * ratio**i for i in range(steps)]
@@ -243,8 +241,7 @@ def sweep(n, m, rho_min, rho_max, steps, fmt, rel_tol, min_terms, max_terms, out
     columns = ["rho", "var_space", "var_momentum", "product", "asymptotic_product",
                "residual", "status"]
     meta = _meta("sweep", {"n": n, "m": m, "rho_min": rho_min, "rho_max": rho_max,
-                           "steps": steps, "rel_tol": trunc.rel_tol,
-                           "min_terms": trunc.min_terms, "max_terms": trunc.max_terms})
+                           "steps": steps})
     if fmt == "csv":
         _emit(_csv_text(meta, columns, rows), output)
     else:
@@ -418,7 +415,7 @@ def _verify_path_and_bound(trunc: SeriesTruncation) -> tuple[dict, dict]:
         for m in PATH_GRID_M:
             for rho in PATH_GRID_RHO:
                 spec = poisson_wavelet_spec(n, m, rho)
-                fast = poisson_uncertainty_via_s(spec, trunc)
+                fast = poisson_uncertainty_via_s(spec)
                 direct = uncertainty_product(poisson_wavelet_coefficients(spec), trunc)
                 for quantity, a, b in (
                     ("var_space", fast.var_space, direct.var_space),
@@ -434,7 +431,7 @@ def _verify_path_and_bound(trunc: SeriesTruncation) -> tuple[dict, dict]:
                 points += 1
     for n in PATH_GRID_N:
         for m in PATH_GRID_M:
-            fast = poisson_uncertainty_via_s(poisson_wavelet_spec(n, m, 1e-3), trunc)
+            fast = poisson_uncertainty_via_s(poisson_wavelet_spec(n, m, 1e-3))
             excess = fast.product / (0.5 * n) - 1.0
             min_excess = min(min_excess, excess)
             points += 1
@@ -490,8 +487,7 @@ def _verify_minimization_section() -> dict:
     }
 
 
-def _verify_residual_section(flagged_pairs: list[tuple[int, int]],
-                             trunc: SeriesTruncation) -> dict:
+def _verify_residual_section(flagged_pairs: list[tuple[int, int]]) -> dict:
     pairs = list(RESIDUAL_GRID_NM)
     for pair in flagged_pairs:
         if pair not in pairs:
@@ -503,7 +499,7 @@ def _verify_residual_section(flagged_pairs: list[tuple[int, int]],
         entry_pass = True
         vacuous_any = False
         for quantity, threshold in RESIDUAL_THRESHOLDS.items():
-            fit = residual_order_check(n, m, quantity, trunc=trunc)
+            fit = residual_order_check(n, m, quantity)
             entry[f"{quantity}_slope"] = fit.slope
             vacuous_any = vacuous_any or fit.vacuous
             if not fit.vacuous and fit.slope < threshold:
@@ -526,7 +522,7 @@ def build_verify_report(trunc: SeriesTruncation = DEFAULT_TRUNCATION) -> tuple[d
     theorem, flagged_pairs = _verify_theorem_section()
     path_section, bound_section = _verify_path_and_bound(trunc)
     minimization = _verify_minimization_section()
-    residuals = _verify_residual_section(flagged_pairs, trunc)
+    residuals = _verify_residual_section(flagged_pairs)
     flagged_confirmed = True
     residual_by_pair = {(e["n"], e["m"]): e["pass"] for e in residuals["entries"]}
     for pair in flagged_pairs:

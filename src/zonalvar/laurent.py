@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Union
 
 from .errors import DomainError
 
@@ -29,7 +29,6 @@ __all__ = [
     "expand_sm",
     "expand_variances",
     "monomial",
-    "series_arith",
     "sqrt_normalized",
 ]
 
@@ -275,36 +274,6 @@ def sqrt_normalized(series: TruncatedLaurentSeries) -> NormalizedRadicalSeries:
     return NormalizedRadicalSeries(radicand=c0, shift=series.lo // 2, tail=tail)
 
 
-_ARITH_BINARY = {"add", "sub", "mul", "div"}
-
-
-def series_arith(op: str, a: TruncatedLaurentSeries, b=None):
-    """Dispatch arithmetic on truncated series.
-
-    op in {add, sub, mul, div} takes two series; "scale" takes a series and
-    a rational; "differentiate" and "sqrt_normalized" are unary.
-    """
-    if op in _ARITH_BINARY:
-        if not isinstance(b, TruncatedLaurentSeries):
-            raise DomainError(f"op {op!r} needs a second series")
-        if op == "add":
-            return a + b
-        if op == "sub":
-            return a - b
-        if op == "mul":
-            return a * b
-        return a / b
-    if op == "scale":
-        if not isinstance(b, (int, Fraction)):
-            raise DomainError("scale needs an exact rational factor")
-        return a.scale(b)
-    if op == "differentiate":
-        return a.differentiate()
-    if op == "sqrt_normalized":
-        return sqrt_normalized(a)
-    raise DomainError(f"unknown series operation {op!r}")
-
-
 def expand_F(order: int) -> TruncatedLaurentSeries:
     """F(rho) = 1 / (1 - exp(-2 rho)) with window [-1, order).
 
@@ -367,18 +336,23 @@ def derive_ABC(
     order_c = -ell if order is None else order
     inv = Fraction(1, n - 1)
 
-    s_ab = {k: expand_sm(n, k, order_ab) for k in range(m, 2 * m + 2)}
-    a_series = s_ab[2 * m + 1].scale(2 * inv) + s_ab[2 * m]
-    b_series = s_ab[m].scale(math.comb(m, 0)) + s_ab[m + 1].scale(inv)
+    # S_0 once, then S_k = (-1/2 d/drho) S_(k-1); each derivative lowers the
+    # order by one, so S_k carries order top - k.
+    top = max(order_ab + 2 * m + 1, order_c + 2 * m + 3)
+    s = [expand_s0(n, top)]
+    for _ in range(2 * m + 3):
+        s.append(s[-1].differentiate().scale(Fraction(-1, 2)))
+    a_series = (s[2 * m + 1].scale(2 * inv) + s[2 * m]).truncate(order_ab)
+    b_series = s[m].scale(math.comb(m, 0)) + s[m + 1].scale(inv)
     for j in range(1, m + 1):
         cmj = math.comb(m, j)
-        b_series = b_series + s_ab[m + j].scale(cmj) + s_ab[m + j + 1].scale(cmj * inv)
-    s_c = {k: expand_sm(n, k, order_c) for k in range(2 * m + 1, 2 * m + 4)}
+        b_series = b_series + s[m + j].scale(cmj) + s[m + j + 1].scale(cmj * inv)
+    b_series = b_series.truncate(order_ab)
     c_series = (
-        s_c[2 * m + 3].scale(2 * inv)
-        + s_c[2 * m + 2].scale(3)
-        + s_c[2 * m + 1].scale(n - 1)
-    )
+        s[2 * m + 3].scale(2 * inv)
+        + s[2 * m + 2].scale(3)
+        + s[2 * m + 1].scale(n - 1)
+    ).truncate(order_c)
     return a_series, b_series, c_series
 
 

@@ -304,26 +304,16 @@ def _s_m_positive(n: int, m: int) -> _PositivePoly:
     return _PositivePoly(_s_m_polynomial(n, m))
 
 
-def s_m_eval(
-    n: int,
-    m: int,
-    rho: float,
-    trunc: SeriesTruncation = DEFAULT_TRUNCATION,
-    diagnostics: dict | None = None,
-) -> float:
+def s_m_eval(n: int, m: int, rho: float) -> float:
     """S_m(rho) from the exact form (-expm1(-2 rho))^-(n-1) P_m(w).
 
-    No series is summed, so ``trunc`` is accepted for signature
-    compatibility and not read.  For m = 0, P_0 = 1 and this is the
+    No series is summed.  For m = 0, P_0 = 1 and this is the
     geometric-series power (1 - exp(-2 rho))^-(n-1).  Raises
     :class:`DegenerateInputError` when S_m(rho) exceeds the double range.
     """
     _validate_smn(n, m, rho)
     base = -math.expm1(-2.0 * rho)
     w = math.exp(-2.0 * rho) / base
-    if diagnostics is not None:
-        diagnostics["terms"] = 0
-        diagnostics["closed_form"] = True
     r, e = _s_m_positive(n, m).frexp(w)
     try:
         return math.ldexp(base ** (-(n - 1)) * r, e)

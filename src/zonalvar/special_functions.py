@@ -2,24 +2,24 @@
 
 The ultraspherical index lambda is carried as an exact ``Fraction`` wherever
 it originates from a sphere dimension, because lambda = (n-1)/2 is a half
-integer and exact recurrence coefficients keep the polynomial evaluation
-honest out to large degree.
+integer.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterator
 
-from .errors import DomainError
+from .errors import DegenerateInputError, DomainError
 
 __all__ = [
     "SphereDim",
     "binomial",
     "gamma_half_integer",
     "gegenbauer_eval",
-    "gegenbauer_eval_compensated",
     "sphere_dim",
     "sphere_surface",
     "surface_measure",
@@ -43,12 +43,15 @@ def gamma_half_integer(two_x: int) -> float:
     """
     if two_x <= 0:
         raise DomainError("gamma_half_integer needs a positive integer argument")
-    if two_x % 2 == 0:
-        return float(math.factorial(two_x // 2 - 1))
-    j = (two_x - 1) // 2
-    # Exact rational first, one correctly rounded conversion after.
-    ratio = Fraction(math.factorial(2 * j), 4**j * math.factorial(j))
-    return float(ratio) * math.sqrt(math.pi)
+    try:
+        if two_x % 2 == 0:
+            return float(math.factorial(two_x // 2 - 1))
+        j = (two_x - 1) // 2
+        # Exact rational first, one correctly rounded conversion after.
+        ratio = Fraction(math.factorial(2 * j), 4**j * math.factorial(j))
+        return float(ratio) * math.sqrt(math.pi)
+    except OverflowError:
+        raise DegenerateInputError(f"Gamma({two_x}/2) exceeds the double range") from None
 
 
 def sphere_surface(k: int) -> float:
@@ -59,9 +62,11 @@ def sphere_surface(k: int) -> float:
     """
     if k < 1:
         raise DomainError("sphere_surface needs k >= 1")
+    # Gamma first: it leaves the double range (k >= 343) long before pi^e does.
+    gamma = gamma_half_integer(k + 1)
     e, rem = divmod(k + 1, 2)
     pi_pow = math.pi**e * (math.sqrt(math.pi) if rem else 1.0)
-    return 2.0 * pi_pow / gamma_half_integer(k + 1)
+    return 2.0 * pi_pow / gamma
 
 
 def surface_measure(n: int) -> float:
@@ -73,18 +78,25 @@ def surface_measure(n: int) -> float:
 
 @dataclass(frozen=True)
 class SphereDim:
-    """Dimension bundle for S^n: n, lambda = (n-1)/2 kept exact, and sigma(S^n)."""
+    """Dimension bundle for S^n: n, lambda = (n-1)/2 kept exact, and sigma(S^n).
+
+    sigma(S^n) is derived on access: it leaves the double range from
+    n = 343, and only the kernel normalisation needs it.
+    """
 
     n: int
     lam: Fraction
-    surface: float
+
+    @property
+    def surface(self) -> float:
+        return surface_measure(self.n)
 
 
 def sphere_dim(n: int) -> SphereDim:
     """Build the dimension bundle for S^n, n >= 2."""
     if n < 2:
         raise DomainError("n must be >= 2")
-    return SphereDim(n=n, lam=Fraction(n - 1, 2), surface=surface_measure(n))
+    return SphereDim(n=n, lam=Fraction(n - 1, 2))
 
 
 def _check_gegenbauer_args(l: int, lam_f: float, t: float) -> None:
@@ -96,98 +108,26 @@ def _check_gegenbauer_args(l: int, lam_f: float, t: float) -> None:
         raise DomainError("t must lie in [-1, 1]")
 
 
+def _gegenbauer_recurrence(lam: float, t: float) -> Iterator[float]:
+    """Yield C_0^lambda(t), C_1^lambda(t), ... by the forward three-term recurrence
+    l C_l = 2 (l + lambda - 1) t C_(l-1) - (l + 2 lambda - 2) C_(l-2)."""
+    two_lam = 2.0 * lam
+    c_prev, c_curr = 1.0, two_lam * t
+    yield c_prev
+    yield c_curr
+    for l in itertools.count(2):
+        c_prev, c_curr = c_curr, (
+            2.0 * (l + lam - 1.0) * t * c_curr - (l + two_lam - 2.0) * c_prev
+        ) / l
+        yield c_curr
+
+
 def gegenbauer_eval(l: int, lam: Fraction | float | int, t: float) -> float:
     """Evaluate the Gegenbauer polynomial C_l^lambda(t) by forward recurrence.
 
-    The three-term recurrence
-    l C_l = 2 (l + lambda - 1) t C_(l-1) - (l + 2 lambda - 2) C_(l-2)
-    is stable enough in double precision for l up to a few hundred; use
-    :func:`gegenbauer_eval_compensated` beyond that.
+    The recurrence is stable enough in double precision for l up to a few
+    hundred.
     """
     lam_f = float(lam)
     _check_gegenbauer_args(l, lam_f, t)
-    if l == 0:
-        return 1.0
-    c_prev = 1.0
-    c_curr = 2.0 * lam_f * t
-    for k in range(2, l + 1):
-        c_prev, c_curr = c_curr, (
-            2.0 * (k + lam_f - 1.0) * t * c_curr - (k + 2.0 * lam_f - 2.0) * c_prev
-        ) / k
-    return c_curr
-
-
-# Double-double helpers (Dekker/Knuth error-free transforms).  Python 3.10 has
-# no math.fma, so products are split explicitly.
-
-_SPLITTER = 134217729.0  # 2**27 + 1
-
-
-def _two_sum(a: float, b: float) -> tuple[float, float]:
-    s = a + b
-    bv = s - a
-    return s, (a - (s - bv)) + (b - bv)
-
-
-def _fast_two_sum(a: float, b: float) -> tuple[float, float]:
-    # requires |a| >= |b| or a == 0
-    s = a + b
-    return s, b - (s - a)
-
-
-def _two_prod(a: float, b: float) -> tuple[float, float]:
-    p = a * b
-    c = _SPLITTER * a
-    ah = c - (c - a)
-    al = a - ah
-    c = _SPLITTER * b
-    bh = c - (c - b)
-    bl = b - bh
-    err = ((ah * bh - p) + ah * bl + al * bh) + al * bl
-    return p, err
-
-
-def _dd_add(x: tuple[float, float], y: tuple[float, float]) -> tuple[float, float]:
-    s, e = _two_sum(x[0], y[0])
-    e += x[1] + y[1]
-    return _fast_two_sum(s, e)
-
-
-def _dd_mul(x: tuple[float, float], y: tuple[float, float]) -> tuple[float, float]:
-    p, e = _two_prod(x[0], y[0])
-    e += x[0] * y[1] + x[1] * y[0]
-    return _fast_two_sum(p, e)
-
-
-def _dd_from_fraction(q: Fraction) -> tuple[float, float]:
-    hi = float(q)
-    lo = float(q - Fraction(hi))
-    return hi, lo
-
-
-def gegenbauer_eval_compensated(l: int, lam: Fraction | float | int, t: float) -> float:
-    """Like :func:`gegenbauer_eval` but with the recurrence carried in
-    double-double arithmetic and exact rational recurrence coefficients.
-
-    Intended for degrees beyond roughly 500 where the plain recurrence has
-    accumulated visible rounding drift.
-    """
-    lam_q = lam if isinstance(lam, Fraction) else Fraction(lam)
-    _check_gegenbauer_args(l, float(lam_q), t)
-    if l == 0:
-        return 1.0
-    t_dd = (t, 0.0)
-    c_prev = (1.0, 0.0)
-    c_curr = _dd_mul(_dd_from_fraction(2 * lam_q), t_dd)
-    if l == 1:
-        return c_curr[0] + c_curr[1]
-    two_lam = 2 * lam_q
-    for k in range(2, l + 1):
-        alpha = _dd_from_fraction(Fraction(2 * (k - 1)) + two_lam)
-        beta = _dd_from_fraction(Fraction(k - 2) + two_lam)
-        term1 = _dd_mul(_dd_mul(alpha, t_dd), c_curr)
-        term2 = _dd_mul(beta, c_prev)
-        num = _dd_add(term1, (-term2[0], -term2[1]))
-        inv_k = _dd_from_fraction(Fraction(1, k))
-        c_prev, c_curr = c_curr, _dd_mul(num, inv_k)
-    return c_curr[0] + c_curr[1]
+    return next(itertools.islice(_gegenbauer_recurrence(lam_f, t), l, None))

@@ -40,8 +40,6 @@ __all__ = [
     "UncertaintyResult",
     "poisson_uncertainty_via_s",
     "uncertainty_product",
-    "variance_momentum",
-    "variance_space",
 ]
 
 _DENOM_FLOOR = 1e-300
@@ -89,7 +87,13 @@ def _coefficient_sums(f: ZonalFunction, trunc: SeriesTruncation) -> tuple[float,
         f_next = f.coeff(l + 1)
         if not (math.isfinite(f_curr) and math.isfinite(f_next)):
             raise DomainError(f"coefficient rule returned a non-finite value near l={l}")
-        w1f = float(w1)
+        try:
+            w1f = float(w1)
+        except OverflowError:
+            raise DegenerateInputError(
+                f"binomial weight C({l + n - 2}, {l}) exceeds the double range; "
+                f"n={n} is too large for the coefficient sums at this rho"
+            ) from None
         t_n = (lam / (l + lam)) * w1f * f_curr * f_curr
         if f_curr == 0.0:
             d_term = 0.0
@@ -116,40 +120,6 @@ def _coefficient_sums(f: ZonalFunction, trunc: SeriesTruncation) -> tuple[float,
     return acc_n.value, acc_dd.value, acc_m.value, info
 
 
-def _space_variance_from_sums(big_n: float, n_minus_d: float, diagnostics: dict) -> float:
-    d = big_n - n_minus_d
-    if abs(d) < _DENOM_FLOOR:
-        raise DegenerateInputError(
-            "space-variance denominator vanishes (constant input, or no two "
-            "consecutive degrees carry weight)"
-        )
-    q_minus_1 = n_minus_d / d
-    var_s = q_minus_1 * (q_minus_1 + 2.0)
-    if var_s < 0.0:
-        if var_s < -1e-12:
-            raise DegenerateInputError(
-                f"space variance evaluated to {var_s}, beyond the negative "
-                "rounding band; the coefficient rule is numerically degenerate"
-            )
-        diagnostics["var_space_clamped"] = var_s
-        var_s = 0.0
-    return var_s
-
-
-def variance_space(f: ZonalFunction, trunc: SeriesTruncation = DEFAULT_TRUNCATION) -> float:
-    """Angular (space) variance of a zonal function about its center of mass."""
-    big_n, n_minus_d, _, info = _coefficient_sums(f, trunc)
-    return _space_variance_from_sums(big_n, n_minus_d, info)
-
-
-def variance_momentum(f: ZonalFunction, trunc: SeriesTruncation = DEFAULT_TRUNCATION) -> float:
-    """Momentum (Laplace-Beltrami) variance of a zonal function."""
-    big_n, _, big_m, _ = _coefficient_sums(f, trunc)
-    if abs(big_n) < _DENOM_FLOOR:
-        raise DegenerateInputError("weighted norm vanishes; all coefficients are zero")
-    return big_m / big_n
-
-
 def _assemble(n: int, var_s: float, var_m: float, diagnostics: dict) -> UncertaintyResult:
     product = math.sqrt(var_s * var_m)
     bound = 0.5 * n
@@ -166,9 +136,23 @@ def uncertainty_product(f: ZonalFunction, trunc: SeriesTruncation = DEFAULT_TRUN
     big_n, n_minus_d, big_m, info = _coefficient_sums(f, trunc)
     if abs(big_n) < _DENOM_FLOOR:
         raise DegenerateInputError("weighted norm vanishes; all coefficients are zero")
-    var_s = _space_variance_from_sums(big_n, n_minus_d, info)
-    var_m = big_m / big_n
-    return _assemble(f.dim.n, var_s, var_m, info)
+    d = big_n - n_minus_d
+    if abs(d) < _DENOM_FLOOR:
+        raise DegenerateInputError(
+            "space-variance denominator vanishes (constant input, or no two "
+            "consecutive degrees carry weight)"
+        )
+    q_minus_1 = n_minus_d / d
+    var_s = q_minus_1 * (q_minus_1 + 2.0)
+    if var_s < 0.0:
+        if var_s < -1e-12:
+            raise DegenerateInputError(
+                f"space variance evaluated to {var_s}, beyond the negative "
+                "rounding band; the coefficient rule is numerically degenerate"
+            )
+        info["var_space_clamped"] = var_s
+        var_s = 0.0
+    return _assemble(f.dim.n, var_s, big_m / big_n, info)
 
 
 def _poly_sum(*terms: tuple[int, tuple[int, ...]]) -> tuple[int, ...]:
@@ -244,10 +228,7 @@ def _wavelet_ratios(n: int, m: int) -> tuple[_PositiveRatio, _PositiveRatio]:
     return _PositiveRatio(num, den), _PositiveRatio(c, a)
 
 
-def poisson_uncertainty_via_s(
-    spec: PoissonWaveletSpec,
-    trunc: SeriesTruncation = DEFAULT_TRUNCATION,
-) -> UncertaintyResult:
+def poisson_uncertainty_via_s(spec: PoissonWaveletSpec) -> UncertaintyResult:
     """Uncertainty product of the Poisson wavelet through the S_m sums.
 
     With L = n + 2m and S_k = S_k(rho):
@@ -264,8 +245,7 @@ def poisson_uncertainty_via_s(
     var_momentum = c(w)/a(w) for exact integer polynomials with
     non-negative coefficients (see :func:`_wavelet_polynomials`).  The
     small-rho cancellation in q^2 - 1 is done once, in exact arithmetic,
-    when N is built.  ``trunc`` is accepted for signature compatibility and
-    not read.  Raises :class:`DegenerateInputError` once w underflows
+    when N is built.  Raises :class:`DegenerateInputError` once w underflows
     (rho above about 345) or a functional overflows.
     """
     n = spec.dim.n

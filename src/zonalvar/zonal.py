@@ -14,7 +14,7 @@ from typing import Callable
 
 from .errors import DomainError, TruncationError
 from .series_s import DEFAULT_TRUNCATION, CompensatedSum, SeriesTruncation, _TailStop
-from .special_functions import SphereDim, sphere_dim
+from .special_functions import SphereDim, _gegenbauer_recurrence, sphere_dim
 
 __all__ = [
     "PoissonWaveletSpec",
@@ -161,27 +161,21 @@ def zonal_eval(
     """
     lam = float(f.dim.lam)
     two_lam = 2.0 * lam
-    t = math.cos(theta)
     acc = CompensatedSum()
     env_acc = CompensatedSum()
     stop = _TailStop(trunc)
-    c_prev = 0.0
-    c_curr = 1.0
+    gegenbauer = _gegenbauer_recurrence(lam, math.cos(theta))
     w = 1.0  # C_l^lambda(1) = C(l + 2 lambda - 1, l), updated multiplicatively
     env_prev = 0.0
-    for l in range(0, trunc.max_terms + 1):
+    for l, c_l in zip(range(0, trunc.max_terms + 1), gegenbauer):
         if l == 1:
-            c_prev, c_curr = c_curr, two_lam * t
             w = two_lam
         elif l >= 2:
-            c_prev, c_curr = c_curr, (
-                2.0 * (l + lam - 1.0) * t * c_curr - (l + two_lam - 2.0) * c_prev
-            ) / l
             w *= (l + two_lam - 1.0) / l
         a = f.coeff(l)
         if not math.isfinite(a):
             raise DomainError(f"coefficient rule returned a non-finite value at l={l}")
-        acc.add(a * c_curr)
+        acc.add(a * c_l)
         env = abs(a) * w
         env_acc.add(env)
         # The coefficient rule is opaque, so the decay rate of the envelope

@@ -75,6 +75,23 @@ def test_compute_degenerate_scale_exit_code(capsys):
     assert "degenerate" in err.lower()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["compute", "--n", "120", "--m", "1", "--rho", "0.01"],
+        ["compute", "--n", "300", "--m", "1", "--rho", "0.1"],
+        ["compute", "--n", "400", "--m", "2", "--rho", "0.1"],
+    ],
+)
+def test_compute_beyond_double_range_is_degenerate(capsys, argv):
+    # the coefficient path's binomial weight or sigma(S^n) leaves the double range
+    code, out, err = run(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("degenerate input:")
+    assert "Traceback" not in err
+
+
 def test_compute_truncation_budget_exit_code(capsys):
     code, out, err = run(
         capsys,
@@ -159,6 +176,29 @@ def test_sweep_single_step_rejected(capsys):
          "--steps", "1"],
     )
     assert code == 64
+
+
+def test_sweep_has_no_series_options(capsys):
+    # sweep uses only the S path, which sums no series
+    code, _, err = run(
+        capsys,
+        ["sweep", "--n", "3", "--m", "1", "--rho-min", "0.1", "--rho-max", "0.2",
+         "--rel-tol", "1e-10"],
+    )
+    assert code == 64
+    assert "--rel-tol" in err
+
+
+def test_sweep_large_dimension(capsys):
+    code, out, err = run(
+        capsys,
+        ["sweep", "--n", "400", "--m", "1", "--rho-min", "0.01", "--rho-max", "1",
+         "--steps", "3"],
+    )
+    assert code == 0, err
+    _, rows = parse_csv(out)
+    assert [r["status"] for r in rows] == ["ok"] * 3
+    assert all(float(r["product"]) >= 200.0 for r in rows)
 
 
 def test_sweep_json_format(capsys):

@@ -11,7 +11,7 @@ from zonalvar import variance
 from zonalvar.series_s import _PositivePoly
 from zonalvar.variance import _wavelet_polynomials
 
-GRID_N = (2, 3, 5, 8, 12, 40, 100, 250)
+GRID_N = (2, 3, 5, 8, 12, 40, 100, 250, 300, 400)
 GRID_M = (1, 2, 3, 4, 6, 10)
 GRID_RHO = (300.0, 50.0, 5.0, 2.0, 1.0, 0.5, 0.3, 0.2, 0.1, 0.05, 1e-2, 1e-3, 1e-4, 1e-6, 1e-8)
 ORACLE_TOLERANCE = 1e-14

@@ -11,7 +11,6 @@ from zonalvar import (
     binomial,
     gamma_half_integer,
     gegenbauer_eval,
-    gegenbauer_eval_compensated,
     sphere_dim,
     sphere_surface,
     surface_measure,
@@ -193,23 +192,25 @@ def test_gegenbauer_domain_errors():
         gegenbauer_eval(2, 1.0, 1.5)
 
 
-def test_compensated_agrees_with_plain():
+def test_gegenbauer_matches_mpmath():
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 50
     for l in (0, 1, 5, 30, 120):
         for n in (2, 3, 6):
             lam = Fraction(n - 1, 2)
             for t in (-1.0, -0.77, 0.13, 0.99, 1.0):
-                a = gegenbauer_eval(l, lam, t)
-                b = gegenbauer_eval_compensated(l, lam, t)
-                scale = max(abs(a), abs(b), gegenbauer_eval(l, lam, 1.0) * 1e-8)
-                assert abs(a - b) <= 1e-12 * scale
+                exact = float(mp.gegenbauer(l, mp.mpf(lam.numerator) / lam.denominator, t))
+                got = gegenbauer_eval(l, lam, t)
+                scale = max(abs(exact), gegenbauer_eval(l, lam, 1.0) * 1e-8)
+                assert abs(got - exact) <= 1e-12 * scale
 
 
-def test_compensated_against_mpmath_near_cancellation():
+def test_gegenbauer_against_mpmath_near_cancellation():
     mp = pytest.importorskip("mpmath")
     mp.mp.dps = 50
     for l, n, t in ((150, 3, -0.9993), (200, 5, 0.99995), (120, 8, -0.5)):
         lam = Fraction(n - 1, 2)
         exact = float(mp.gegenbauer(l, mp.mpf(lam.numerator) / lam.denominator, t))
-        got = gegenbauer_eval_compensated(l, lam, t)
+        got = gegenbauer_eval(l, lam, t)
         envelope = gegenbauer_eval(l, lam, 1.0)
         assert abs(got - exact) <= 1e-13 * max(abs(exact), envelope * 1e-10)

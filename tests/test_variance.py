@@ -14,8 +14,6 @@ from zonalvar import (
     rescaled_wavelet_coefficients,
     sphere_dim,
     uncertainty_product,
-    variance_momentum,
-    variance_space,
 )
 
 
@@ -63,16 +61,18 @@ def test_two_mode_rule_n2():
     coeffs = [1.0, 0.5]
     f = finite_rule(2, coeffs)
     var_s_expected, var_m_expected = hand_n2(coeffs)
-    assert variance_space(f) == pytest.approx(var_s_expected, rel=1e-12)
-    assert variance_momentum(f) == pytest.approx(var_m_expected, rel=1e-12)
+    result = uncertainty_product(f)
+    assert result.var_space == pytest.approx(var_s_expected, rel=1e-12)
+    assert result.var_momentum == pytest.approx(var_m_expected, rel=1e-12)
 
 
 def test_four_mode_rule_n2():
     coeffs = [0.8, 1.3, 0.6, 0.2]
     f = finite_rule(2, coeffs)
     var_s_expected, var_m_expected = hand_n2(coeffs)
-    assert variance_space(f) == pytest.approx(var_s_expected, rel=1e-12)
-    assert variance_momentum(f) == pytest.approx(var_m_expected, rel=1e-12)
+    result = uncertainty_product(f)
+    assert result.var_space == pytest.approx(var_s_expected, rel=1e-12)
+    assert result.var_momentum == pytest.approx(var_m_expected, rel=1e-12)
 
 
 def test_three_mode_rule_n3():
@@ -146,8 +146,8 @@ def test_large_rho_is_degenerate_both_paths():
 def test_single_mode_rule_is_degenerate():
     # nearest-neighbor coupling vanishes, so var_S has no finite value
     f = finite_rule(3, [0.0, 0.0, 1.0])
-    with pytest.raises(DegenerateInputError):
-        variance_space(f)
+    with pytest.raises(DegenerateInputError, match="denominator vanishes"):
+        uncertainty_product(f)
 
 
 def test_zero_rule_is_degenerate():
