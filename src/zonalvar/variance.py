@@ -23,17 +23,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Mapping
+from typing import Callable, Mapping
+
+import numpy as np
 
 from .errors import BoundViolationError, DegenerateInputError, DomainError, TruncationError
-from .series_s import (
-    DEFAULT_TRUNCATION,
-    CompensatedSum,
-    SeriesTruncation,
-    _PositivePoly,
-    _s_m_polynomial,
-    _TailStop,
-)
+from .series_s import DEFAULT_TRUNCATION, SeriesTruncation, _PositivePoly, _s_m_polynomial
 from .zonal import PoissonWaveletSpec, ZonalFunction
 
 __all__ = [
@@ -59,69 +54,195 @@ class UncertaintyResult:
     diagnostics: Mapping[str, object]
 
 
+# Degree blocks start small, so that short large-rho series pay little
+# fixed cost, and grow geometrically up to a cap that bounds memory.
+_FIRST_BLOCK = 64
+_BLOCK_GROWTH = 4
+_MAX_BLOCK = 4096
+_ZERO_RUN = 1024  # exactly zero terms in a row that stop a series
+_WEIGHT_CHECK = 1.7e308  # float weights from here up are redone exactly
+
+
+def _block_form(coeff: Callable[[int], float]) -> Callable[[int, int], np.ndarray]:
+    """The rule's own ``block(l0, l1)``, or one built from scalar calls.
+
+    The block form is looked up on the rule object itself, so replacing
+    ``ZonalFunction.coeff`` can never pair a new scalar rule with a stale
+    block form.
+    """
+    block = getattr(coeff, "block", None)
+    if block is not None:
+        return block
+    return lambda l0, l1: np.fromiter(map(coeff, range(l0, l1)), float, l1 - l0)
+
+
+def _binomial_weights(n: int, ls: np.ndarray) -> tuple[np.ndarray, int | None]:
+    """C(l + n - 2, l) for the degrees ``ls`` (consecutive, ascending) as floats.
+
+    The weight is built as prod_j (l + j) / j, one multiplication and one
+    division per factor, so its rounding error is at most about 2 (n - 2)
+    ulps whatever l is, and zero while the products stay below 2^53.  The
+    values rise with l; those near the top of the double range are redone
+    from math.comb, so the first overflowing degree is exactly that of
+    float(C(l + n - 2, l)).  Its index is returned, or None.
+    """
+    w = np.ones_like(ls)
+    for j in range(1, n - 1):
+        w *= ls + j
+        w /= j
+    if w.size and not w[-1] < _WEIGHT_CHECK:
+        for i in np.flatnonzero(~(w < _WEIGHT_CHECK)).tolist():
+            l = int(ls[i])
+            try:
+                w[i] = float(math.comb(l + n - 2, l))
+            except OverflowError:
+                return w, i
+    return w, None
+
+
+def _run_lengths(flags: np.ndarray, carry: np.ndarray) -> np.ndarray:
+    """Length of the run of True ending at each column, row by row, where
+    ``carry`` is the run length each row brings into the block."""
+    idx = np.arange(flags.shape[1])
+    last_false = np.maximum.accumulate(np.where(flags, -1, idx), axis=1)
+    run = idx - last_false
+    return np.where(last_false < 0, run + carry[:, None], run)
+
+
 def _coefficient_sums(f: ZonalFunction, trunc: SeriesTruncation) -> tuple[float, float, float, dict]:
     """Accumulate (N, N - D, M) for the coefficient rule f.
 
-    Binomial weights are taken from math.comb and converted once per term,
-    so the only per-term rounding is the final float conversion.  The N - D
-    accumulator forms each term as tN * (1 - ratio) with
+    The three series are summed together over blocks of degrees, each block
+    one vector pass over a (3, B) array of terms.  The rule's values come
+    from its optional ``block(l0, l1)`` method (see :class:`ZonalFunction`),
+    else from scalar calls.  The N - D series forms each term as
+    tN * (1 - ratio) with
     ratio = (l + 2 lambda)/(l + lambda + 1) * f_hat(l+1)/f_hat(l), which keeps
     the difference accurate even when N and D agree to many digits.
+
+    Each block is added with math.fsum, exactly rounded, and the rounding
+    residual is carried into the next block, so each sum is accurate to
+    about one rounding of its terms whatever their number, and memory stays
+    one block.  Binomial weights come from :func:`_binomial_weights`.
+
+    A series stops once at least ``min_terms`` terms are in, its terms are
+    past their running peak, and the current term has stayed at most
+    ``rel_tol`` times the running sum for three terms in a row (or after
+    1024 exactly zero terms in a row); the sums stop at the degree where the
+    last of the three series stops.  Values fetched past that degree are
+    ignored.  Up to it, a non-finite rule value raises :class:`DomainError`,
+    and a binomial weight beyond the double range, a non-finite term or an
+    overflowing sum raises :class:`DegenerateInputError`.  No stop by
+    degree ``max_terms`` raises :class:`TruncationError`.
     """
     lam = float(f.dim.lam)
     two_lam = 2.0 * lam
     n = f.dim.n
-    acc_n = CompensatedSum()
-    acc_dd = CompensatedSum()  # N - D
-    acc_m = CompensatedSum()
-    stop_n = _TailStop(trunc)
-    stop_dd = _TailStop(trunc)
-    stop_m = _TailStop(trunc)
-    done_n = done_dd = done_m = False
-    f_curr = f.coeff(0)
-    w1 = 1  # C(l+n-2, l), exact integer
-    terms = 0
-    for l in range(0, trunc.max_terms + 1):
-        if l:
-            w1 = w1 * (l + n - 2) // l
-        f_next = f.coeff(l + 1)
-        if not (math.isfinite(f_curr) and math.isfinite(f_next)):
-            raise DomainError(f"coefficient rule returned a non-finite value near l={l}")
+    fetch = _block_form(f.coeff)
+    rel_tol = trunc.rel_tol
+    last = trunc.max_terms + 1  # degrees 0 .. max_terms are summed
+    hi = [0.0, 0.0, 0.0]  # exactly rounded sums so far ...
+    lo = [0.0, 0.0, 0.0]  # ... and their rounding residuals
+    peak = np.zeros((3, 1))  # largest |term| so far
+    recent = np.zeros((3, 2), dtype=bool)  # small-term flags of the last two degrees
+    zero_run = np.zeros(3, dtype=np.int64)
+    done = np.zeros(3, dtype=bool)
+    l0, size = 0, _FIRST_BLOCK
+    with np.errstate(all="ignore"):
+        while l0 < last:
+            l1 = min(l0 + size, last)
+            fv = np.asarray(fetch(l0, l1 + 1), dtype=float)  # f_hat(l0) .. f_hat(l1)
+            limit, error = l1 - l0, None
+            if not np.isfinite(fv).all():
+                limit = max(int(np.flatnonzero(~np.isfinite(fv))[0]) - 1, 0)
+                error = DomainError(f"coefficient rule returned a non-finite value near l={l0 + limit}")
+            ls = np.arange(l0, l0 + limit, dtype=float)
+            w, over = _binomial_weights(n, ls)
+            if over is not None:
+                limit, ls = over, ls[:over]
+                error = DegenerateInputError(
+                    f"binomial weight C({l0 + over + n - 2}, {l0 + over}) exceeds the double "
+                    f"range; n={n} is too large for the coefficient sums at this rho"
+                )
+            fc, fn = fv[:limit], fv[1 : limit + 1]
+            terms = np.empty((3, limit))
+            t_n = terms[0]
+            l_lam = ls + lam
+            l_two_lam = ls + two_lam
+            np.multiply((lam / l_lam) * w[:limit] * fc, fc, out=t_n)
+            ratio = (l_two_lam / (l_lam + 1.0)) * (fn / fc)
+            np.copyto(terms[1], np.where(fc == 0.0, 0.0, t_n * (1.0 - ratio)))
+            np.multiply(ls * l_two_lam, t_n, out=terms[2])
+            if not np.isfinite(terms).all():
+                limit = int(np.flatnonzero(~np.isfinite(terms).all(axis=0))[0])
+                terms = terms[:, :limit]
+                error = DegenerateInputError(
+                    f"coefficient-sum term at l={l0 + limit} is not finite; "
+                    "the coefficient rule leaves the double range"
+                )
+            if limit == 0:
+                raise error
+
+            size_abs = np.abs(terms)
+            partial = np.cumsum(terms, axis=1)
+            partial += np.add(hi, lo)[:, None]
+            running_peak = np.maximum.accumulate(size_abs, axis=1)
+            np.maximum(running_peak, peak, out=running_peak)
+            small = np.concatenate(
+                (recent, (size_abs < running_peak) & (size_abs <= rel_tol * np.abs(partial))), axis=1
+            )
+            stops = small[:, 2:] & small[:, 1:-1] & small[:, :-2]  # three in a row
+            zero = size_abs == 0.0
+            # Zero runs are counted only where one can reach the block end
+            # or the zero-run stop; otherwise every carried run is 0.
+            if zero.any() and (zero[:, -1].any() or zero_run.max() + limit >= _ZERO_RUN):
+                zero_runs = _run_lengths(zero, zero_run)
+                stops |= zero_runs >= _ZERO_RUN
+                zero_run = zero_runs[:, -1]
+            else:
+                zero_run[:] = 0
+            if trunc.min_terms - 1 > l0:
+                stops[:, : trunc.min_terms - 1 - l0] = False
+            stopped = stops.any(axis=1)
+            if (done | stopped).all():
+                end = int(np.where(done, 0, stops.argmax(axis=1)).max()) + 1
+                _add_blocks(hi, lo, terms[:, :end])
+                return hi[0], hi[1], hi[2], {"terms": l0 + end, "path": "coefficient-sum"}
+            if error is not None:
+                raise error
+            _add_blocks(hi, lo, terms)
+            peak = running_peak[:, -1:]
+            recent = small[:, -2:]
+            done |= stopped
+            l0, size = l1, min(size * _BLOCK_GROWTH, _MAX_BLOCK)
+    raise TruncationError(
+        f"coefficient sums for {f.label or 'coefficient rule'} did not settle "
+        f"within {trunc.max_terms} terms"
+    )
+
+
+def _add_blocks(hi: list[float], lo: list[float], terms: np.ndarray) -> None:
+    """Add each row of ``terms`` to the (hi, lo) sums with math.fsum.
+
+    hi becomes the exactly rounded total and lo its rounding residual; an
+    overflowing sum raises :class:`DegenerateInputError`.
+    """
+    for r, row in enumerate(terms.tolist()):
+        row += (hi[r], lo[r])
         try:
-            w1f = float(w1)
+            hi[r] = math.fsum(row)
+            row.append(-hi[r])
+            lo[r] = math.fsum(row)
         except OverflowError:
-            raise DegenerateInputError(
-                f"binomial weight C({l + n - 2}, {l}) exceeds the double range; "
-                f"n={n} is too large for the coefficient sums at this rho"
-            ) from None
-        t_n = (lam / (l + lam)) * w1f * f_curr * f_curr
-        if f_curr == 0.0:
-            d_term = 0.0
-        else:
-            ratio = ((l + two_lam) / (l + lam + 1.0)) * (f_next / f_curr)
-            d_term = t_n * (1.0 - ratio)
-        t_m = l * (l + two_lam) * t_n
-        acc_n.add(t_n)
-        acc_dd.add(d_term)
-        acc_m.add(t_m)
-        terms = l + 1
-        done_n = done_n or stop_n.done(l, abs(t_n), abs(acc_n.value))
-        done_dd = done_dd or stop_dd.done(l, abs(d_term), abs(acc_dd.value))
-        done_m = done_m or stop_m.done(l, abs(t_m), abs(acc_m.value))
-        if done_n and done_dd and done_m:
-            break
-        f_curr = f_next
-    else:
-        raise TruncationError(
-            f"coefficient sums for {f.label or 'coefficient rule'} did not settle "
-            f"within {trunc.max_terms} terms"
-        )
-    info = {"terms": terms, "path": "coefficient-sum"}
-    return acc_n.value, acc_dd.value, acc_m.value, info
+            raise DegenerateInputError("coefficient sums left the double range") from None
 
 
 def _assemble(n: int, var_s: float, var_m: float, diagnostics: dict) -> UncertaintyResult:
     product = math.sqrt(var_s * var_m)
+    if not math.isfinite(product):
+        raise DegenerateInputError(
+            f"uncertainty product evaluated to {product}; the input is numerically degenerate"
+        )
     bound = 0.5 * n
     if product < bound * (1.0 - _BOUND_SLACK):
         raise BoundViolationError(

@@ -12,6 +12,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable
 
+import numpy as np
+
 from .errors import DomainError, TruncationError
 from .series_s import DEFAULT_TRUNCATION, CompensatedSum, SeriesTruncation, _TailStop
 from .special_functions import SphereDim, _gegenbauer_recurrence, sphere_dim
@@ -32,8 +34,13 @@ __all__ = [
 class ZonalFunction:
     """A zonal function given by its Gegenbauer coefficient rule.
 
-    The rule must return a finite float for every queried degree; the
-    summation routines raise :class:`DomainError` on a non-finite value.
+    The rule must return a finite float for every degree a summation
+    routine uses; they raise :class:`DomainError` on a non-finite value.
+    The coefficient sums fetch degrees in blocks and may fetch some past
+    the degree where they stop; those values are ignored.  A rule may also
+    offer ``block(l0, l1)``, returning the values for l0 <= l < l1 as a
+    float64 array equal to the scalar calls; the coefficient sums then use
+    it instead of calling the rule once per degree.
     """
 
     dim: SphereDim
@@ -66,19 +73,50 @@ def poisson_wavelet_spec(n: int, m: int, rho: float) -> PoissonWaveletSpec:
     return PoissonWaveletSpec(sphere_dim(n), m, float(rho))
 
 
+@dataclass(frozen=True)
+class _PoissonRule:
+    """The coefficient rule l -> scale ((l + lam) / lam) exp(-rho l) (step l)^m.
+
+    The power is applied by repeated multiplication, so the value at l = 0
+    is exactly 0.0 for m >= 1 and the order recursion
+    rule_(m+1)(l) = (step l) rule_m(l) holds bitwise.  :meth:`block` returns
+    the values for l0 <= l < l1 as an array, with the same floating-point
+    operations in the same order as the scalar call (``math.exp``, not
+    ``np.exp``, whose results differ from libm in the last bit), so the
+    two forms agree bitwise.
+    """
+
+    lam: float
+    rho: float
+    m: int
+    scale: float = 1.0
+    step: float = 1.0
+
+    def __call__(self, l: int) -> float:
+        v = self.scale * ((l + self.lam) / self.lam) * math.exp(-self.rho * l)
+        x = self.step * l
+        for _ in range(self.m):
+            v *= x
+        return v
+
+    def block(self, l0: int, l1: int) -> np.ndarray:
+        ls = np.arange(l0, l1, dtype=float)
+        exps = np.fromiter(map(math.exp, (-self.rho * ls).tolist()), float, len(ls))
+        v = self.scale * ((ls + self.lam) / self.lam) * exps
+        x = self.step * ls
+        for _ in range(self.m):
+            v *= x
+        return v
+
+
 def poisson_kernel_coefficients(dim: SphereDim, rho: float) -> ZonalFunction:
     """Coefficient rule of the Poisson kernel p_rho on S^n:
     p_hat(l) = (1 / sigma(S^n)) ((l + lambda) / lambda) exp(-rho l).
     """
     if not (rho > 0.0 and math.isfinite(rho)):
         raise DomainError("rho must be positive and finite")
-    lam = float(dim.lam)
-    scale = 1.0 / dim.surface
-
-    def coeff(l: int) -> float:
-        return scale * ((l + lam) / lam) * math.exp(-rho * l)
-
-    return ZonalFunction(dim, coeff, label=f"poisson-kernel(n={dim.n}, rho={rho})")
+    rule = _PoissonRule(float(dim.lam), rho, 0, scale=1.0 / dim.surface)
+    return ZonalFunction(dim, rule, label=f"poisson-kernel(n={dim.n}, rho={rho})")
 
 
 def poisson_wavelet_coefficients(spec: PoissonWaveletSpec) -> ZonalFunction:
@@ -87,20 +125,9 @@ def poisson_wavelet_coefficients(spec: PoissonWaveletSpec) -> ZonalFunction:
     The power is applied by repeated multiplication so that the order
     recursion g_hat_(m+1)(l) = (rho l) g_hat_m(l) holds bitwise.
     """
-    base = poisson_kernel_coefficients(spec.dim, spec.rho).coeff
-    m = spec.m
-    rho = spec.rho
-
-    def coeff(l: int) -> float:
-        if l == 0:
-            return 0.0
-        v = base(l)
-        x = rho * l
-        for _ in range(m):
-            v *= x
-        return v
-
-    return ZonalFunction(spec.dim, coeff, label=f"poisson-wavelet(n={spec.dim.n}, m={m}, rho={rho})")
+    dim, m, rho = spec.dim, spec.m, spec.rho
+    rule = _PoissonRule(float(dim.lam), rho, m, scale=1.0 / dim.surface, step=rho)
+    return ZonalFunction(dim, rule, label=f"poisson-wavelet(n={dim.n}, m={m}, rho={rho})")
 
 
 def rescaled_wavelet_coefficients(spec: PoissonWaveletSpec) -> ZonalFunction:
@@ -111,19 +138,9 @@ def rescaled_wavelet_coefficients(spec: PoissonWaveletSpec) -> ZonalFunction:
     rule has the same variances and uncertainty product as the wavelet
     itself while avoiding the tiny common prefactor.
     """
-    lam = float(spec.dim.lam)
-    m = spec.m
-    rho = spec.rho
-
-    def coeff(l: int) -> float:
-        if l == 0:
-            return 0.0
-        v = ((l + lam) / lam) * math.exp(-rho * l)
-        for _ in range(m):
-            v *= l
-        return v
-
-    return ZonalFunction(spec.dim, coeff, label=f"rescaled-wavelet(n={spec.dim.n}, m={m}, rho={rho})")
+    dim, m, rho = spec.dim, spec.m, spec.rho
+    rule = _PoissonRule(float(dim.lam), rho, m)
+    return ZonalFunction(dim, rule, label=f"rescaled-wavelet(n={dim.n}, m={m}, rho={rho})")
 
 
 def poisson_kernel_eval(dim: SphereDim, rho: float, theta: float) -> float:

@@ -81,10 +81,13 @@ def test_compute_degenerate_scale_exit_code(capsys):
         ["compute", "--n", "120", "--m", "1", "--rho", "0.01"],
         ["compute", "--n", "300", "--m", "1", "--rho", "0.1"],
         ["compute", "--n", "400", "--m", "2", "--rho", "0.1"],
+        ["compute", "--n", "2", "--m", "100", "--rho", "1"],
+        ["compute", "--n", "2", "--m", "150", "--rho", "1"],
     ],
 )
 def test_compute_beyond_double_range_is_degenerate(capsys, argv):
-    # the coefficient path's binomial weight or sigma(S^n) leaves the double range
+    # a coefficient-path term, the binomial weight or sigma(S^n) leaves the
+    # double range
     code, out, err = run(capsys, argv)
     assert code == 2
     assert out == ""

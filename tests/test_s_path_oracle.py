@@ -1,12 +1,18 @@
-"""The S-series wavelet path against a 60-digit mpmath oracle, and the
-conditioning guarantee its float evaluation rests on."""
+"""Both float wavelet paths against a 60-digit mpmath oracle, and the
+conditioning guarantee the S path's float evaluation rests on."""
 
 import math
 
 import mpmath
 import pytest
 
-from zonalvar import BoundViolationError, poisson_uncertainty_via_s, poisson_wavelet_spec
+from zonalvar import (
+    BoundViolationError,
+    poisson_uncertainty_via_s,
+    poisson_wavelet_coefficients,
+    poisson_wavelet_spec,
+    uncertainty_product,
+)
 from zonalvar import variance
 from zonalvar.series_s import _PositivePoly
 from zonalvar.variance import _wavelet_polynomials
@@ -16,6 +22,12 @@ GRID_M = (1, 2, 3, 4, 6, 10)
 GRID_RHO = (300.0, 50.0, 5.0, 2.0, 1.0, 0.5, 0.3, 0.2, 0.1, 0.05, 1e-2, 1e-3, 1e-4, 1e-6, 1e-8)
 ORACLE_TOLERANCE = 1e-14
 DIGITS = 60
+# The coefficient-sum path sums up to ~40k terms at rho = 1e-3 and stops at
+# a relative tail of 1e-14, so it is held to a looser tolerance.
+COEF_GRID_N = (2, 3, 5, 8, 12)
+COEF_GRID_M = (1, 2, 4)
+COEF_GRID_RHO = (5.0, 2.0, 1.0, 0.3, 0.1, 1e-2, 3e-3, 1e-3)
+COEF_ORACLE_TOLERANCE = 5e-11
 
 
 # ---------------------------------------------------------------------------
@@ -91,6 +103,24 @@ def test_s_path_matches_oracle_on_fixed_grid():
                         if err > worst[0]:
                             worst = (err, (n, m, rho, name))
     assert worst[0] <= ORACLE_TOLERANCE, worst
+
+
+def test_coefficient_path_matches_oracle_on_fixed_grid():
+    worst = (0.0, None)
+    with mpmath.workdps(DIGITS):
+        for n in COEF_GRID_N:
+            for rho in COEF_GRID_RHO:
+                s = {k: oracle_s(n, k, rho) for k in range(1, 2 * max(COEF_GRID_M) + 4)}
+                for m in COEF_GRID_M:
+                    spec = poisson_wavelet_spec(n, m, rho)
+                    res = uncertainty_product(poisson_wavelet_coefficients(spec))
+                    expected = oracle_functionals(n, m, rho, s)
+                    got = (res.var_space, res.var_momentum, res.product)
+                    for name, g, e in zip(("var_space", "var_momentum", "product"), got, expected):
+                        err = float(abs(g - e) / e)
+                        if err > worst[0]:
+                            worst = (err, (n, m, rho, name))
+    assert worst[0] <= COEF_ORACLE_TOLERANCE, worst
 
 
 # ---------------------------------------------------------------------------

@@ -2,11 +2,15 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from zonalvar import (
     DegenerateInputError,
+    DomainError,
+    SeriesTruncation,
+    TruncationError,
     ZonalFunction,
     poisson_uncertainty_via_s,
     poisson_wavelet_coefficients,
@@ -15,6 +19,8 @@ from zonalvar import (
     sphere_dim,
     uncertainty_product,
 )
+from zonalvar import variance
+from zonalvar.series_s import CompensatedSum, _TailStop
 
 
 # ---------------------------------------------------------------------------
@@ -154,6 +160,149 @@ def test_zero_rule_is_degenerate():
     f = finite_rule(2, [0.0])
     with pytest.raises(DegenerateInputError):
         uncertainty_product(f)
+
+
+def test_out_of_range_wavelet_terms_are_degenerate():
+    # f_hat^2 overflows at these orders; the sums used to come back as NaN
+    for m in (100, 150):
+        f = poisson_wavelet_coefficients(poisson_wavelet_spec(2, m, 1.0))
+        with pytest.raises(DegenerateInputError, match="not finite"):
+            uncertainty_product(f)
+
+
+def test_non_finite_product_is_rejected():
+    for var_s, var_m in ((math.nan, 1.0), (math.inf, 1.0), (1.0, math.inf)):
+        with pytest.raises(DegenerateInputError):
+            variance._assemble(3, var_s, var_m, {})
+
+
+def test_overflowing_sum_is_degenerate():
+    # every term is finite, but their sum exceeds the double range
+    f = ZonalFunction(sphere_dim(3), lambda l: 1e154 if l < 200 else 0.0)
+    with pytest.raises(DegenerateInputError, match="double range"):
+        uncertainty_product(f)
+
+
+# ---------------------------------------------------------------------------
+# the block engine of the coefficient sums
+
+
+def test_scalar_rule_non_finite_past_the_stop_is_ignored():
+    # the first block fetches degrees past the stop; their values are unused
+    f = ZonalFunction(sphere_dim(3), lambda l: math.nan if l >= 50 else 0.5**l)
+    result = uncertainty_product(f)
+    assert result.diagnostics["terms"] < 50
+    assert math.isfinite(result.product)
+
+
+def test_max_terms_below_first_block_raises_truncation():
+    f = ZonalFunction(sphere_dim(3), lambda l: 0.99**l, label="slow")
+    with pytest.raises(TruncationError, match=r"^coefficient sums for slow did not settle within 5 terms$"):
+        uncertainty_product(f, SeriesTruncation(min_terms=1, max_terms=5))
+
+
+@pytest.mark.parametrize("bad, named", [(0, 0), (1, 0), (7, 6), (70, 69), (400, 399)])
+def test_non_finite_value_names_the_degree(bad, named):
+    f = ZonalFunction(sphere_dim(3), lambda l: math.inf if l == bad else 0.995**l)
+    with pytest.raises(DomainError, match=rf"non-finite value near l={named}$"):
+        uncertainty_product(f)
+
+
+def test_weight_overflow_names_the_degree():
+    f = rescaled_wavelet_coefficients(poisson_wavelet_spec(300, 1, 0.1))
+    with pytest.raises(DegenerateInputError, match=r"C\(1354, 1056\) exceeds the double range"):
+        uncertainty_product(f)
+
+
+def test_binomial_weights_error_does_not_grow_with_degree():
+    for n in (2, 3, 5, 12, 40):
+        for l0 in (0, 1000, 10**6, 10**9):
+            ls = np.arange(l0, l0 + 300, dtype=float)
+            w, over = variance._binomial_weights(n, ls)
+            assert over is None
+            for l, got in zip(range(l0, l0 + 300), w.tolist()):
+                exact = math.comb(l + n - 2, l)
+                assert abs(got - exact) <= 2 * max(n - 2, 1) * math.ulp(exact), (n, l)
+
+
+def test_binomial_weight_overflow_is_exact():
+    # the first overflowing degree is that of float(math.comb(...))
+    n = 300
+
+    def overflows(l):
+        try:
+            float(math.comb(l + n - 2, l))
+        except OverflowError:
+            return True
+        return False
+
+    first = next(l for l in range(2000) if overflows(l))
+    ls = np.arange(first - 40, first + 40, dtype=float)
+    with np.errstate(over="ignore"):
+        w, over = variance._binomial_weights(n, ls)
+    assert over == 40
+    exact = math.comb(first - 1 + n - 2, first - 1)
+    assert abs(w[over - 1] - exact) <= 2 * (n - 2) * math.ulp(exact)
+
+
+def loop_sums(f, trunc=SeriesTruncation()):
+    """Reference: the coefficient sums one degree at a time, with exact
+    binomial weights and the shared series stop rule.  Returns the exactly
+    rounded sums, the sums of |term| and the number of terms."""
+    lam = float(f.dim.lam)
+    n = f.dim.n
+    accs = [CompensatedSum() for _ in range(3)]  # running sums for the stop rule
+    stops = [_TailStop(trunc) for _ in range(3)]
+    series = ([], [], [])
+    done = [False] * 3
+    for l in range(trunc.max_terms + 1):
+        f_curr, f_next = f.coeff(l), f.coeff(l + 1)
+        t_n = (lam / (l + lam)) * float(math.comb(l + n - 2, l)) * f_curr * f_curr
+        ratio = ((l + 2 * lam) / (l + lam + 1.0)) * (f_next / f_curr) if f_curr else 0.0
+        terms = (t_n, t_n * (1.0 - ratio) if f_curr else 0.0, l * (l + 2 * lam) * t_n)
+        for i, t in enumerate(terms):
+            accs[i].add(t)
+            series[i].append(t)
+            done[i] = done[i] or stops[i].done(l, abs(t), abs(accs[i].value))
+        if all(done):
+            return [math.fsum(s) for s in series], [math.fsum(map(abs, s)) for s in series], l + 1
+    raise TruncationError("reference did not settle")
+
+
+@pytest.mark.parametrize(
+    "rule, trunc",
+    [
+        (lambda n: poisson_wavelet_coefficients(poisson_wavelet_spec(n, 2, 0.02)), SeriesTruncation()),
+        (lambda n: rescaled_wavelet_coefficients(poisson_wavelet_spec(n, 1, 0.3)), SeriesTruncation()),
+        (lambda n: ZonalFunction(sphere_dim(n), lambda l: (-0.999) ** l), SeriesTruncation()),
+        (lambda n: ZonalFunction(sphere_dim(n), lambda l: 0.9**l if l % 3 else 0.0), SeriesTruncation()),
+        (lambda n: ZonalFunction(sphere_dim(n), lambda l: 1e-3**l), SeriesTruncation(min_terms=100)),
+        (lambda n: ZonalFunction(sphere_dim(n), lambda l: 1e-3**l), SeriesTruncation(min_terms=30)),
+    ],
+)
+def test_block_sums_match_loop_reference(rule, trunc):
+    for n in (2, 3, 7):
+        f = rule(n)
+        expected, scale, terms = loop_sums(f, trunc)
+        *got, info = variance._coefficient_sums(f, trunc)
+        assert info["terms"] == terms
+        if n <= 3:
+            # the weights are exact here, so the terms are the reference's
+            # and each sum is their exactly rounded total
+            assert got == expected
+        else:
+            for g, e, sc in zip(got, expected, scale):
+                assert abs(g - e) <= 1e-13 * sc
+
+
+def test_stop_degree_does_not_depend_on_block_form():
+    # a scalar-only copy of a rule takes the fallback path and stops at the
+    # same degree with the same sums
+    for n, m, rho in ((2, 1, 0.3), (5, 2, 0.01), (12, 4, 1.0)):
+        f = poisson_wavelet_coefficients(poisson_wavelet_spec(n, m, rho))
+        scalar = ZonalFunction(f.dim, lambda l, rule=f.coeff: rule(l))
+        a, b = uncertainty_product(f), uncertainty_product(scalar)
+        assert a == b
 
 
 # ---------------------------------------------------------------------------

@@ -150,6 +150,22 @@ def test_rescaling_relates_wavelet_and_rescaled_rules():
         assert scale * g(l) == pytest.approx(f(l), rel=1e-13)
 
 
+@pytest.mark.parametrize("n, m, rho", [(2, 1, 1e-3), (3, 2, 0.1), (5, 4, 1.0), (8, 3, 5.0), (12, 1, 0.37)])
+def test_block_form_matches_scalar_rule_bitwise(n, m, rho):
+    spec = poisson_wavelet_spec(n, m, rho)
+    rules = (
+        poisson_kernel_coefficients(spec.dim, rho).coeff,
+        poisson_wavelet_coefficients(spec).coeff,
+        rescaled_wavelet_coefficients(spec).coeff,
+    )
+    for rule in rules:
+        for l0, l1 in ((0, 1), (0, 64), (1, 2), (17, 300), (999, 5000)):
+            block = rule.block(l0, l1)
+            assert block.dtype == np.float64 and block.shape == (l1 - l0,)
+            expected = [rule(l) for l in range(l0, l1)]
+            assert [float(v).hex() for v in block] == [v.hex() for v in expected]
+
+
 def test_spec_constructor_guards():
     with pytest.raises(DomainError):
         poisson_wavelet_spec(3, 0, 1.0)
