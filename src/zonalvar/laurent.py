@@ -54,7 +54,7 @@ class TruncatedLaurentSeries:
         coeffs: Iterable[RationalLike],
         order: int | None = None,
     ) -> "TruncatedLaurentSeries":
-        cs = [Fraction(c) for c in coeffs]
+        cs = [c if type(c) is Fraction else Fraction(c) for c in coeffs]
         if order is None:
             order = lo + len(cs)
         if order < lo + len(cs):
@@ -102,10 +102,9 @@ class TruncatedLaurentSeries:
         return self + other.scale(-1)
 
     def __mul__(self, other: "TruncatedLaurentSeries") -> "TruncatedLaurentSeries":
-        if self.is_zero or other.is_zero:
-            order = min(self.lo + other.order, other.lo + self.order)
-            return TruncatedLaurentSeries.make(order, [], order)
         order = min(self.lo + other.order, other.lo + self.order)
+        if self.is_zero or other.is_zero:
+            return TruncatedLaurentSeries.make(order, [], order)
         lo = self.lo + other.lo
         length = order - lo
         cs = [Fraction(0)] * length
@@ -290,26 +289,43 @@ def expand_F(order: int) -> TruncatedLaurentSeries:
 
 
 def expand_s0(n: int, order: int) -> TruncatedLaurentSeries:
-    """S_0(rho) = F(rho)^(n-1) with window [-(n-1), order)."""
+    """S_0(rho) = F(rho)^(n-1) = g / (2 rho)^a, a = n - 1, window [-a, order).
+
+    g = f^a with f = 2 rho F = 1 + f_1 rho + ... follows J.C.P. Miller's power
+    recurrence (Knuth, TAOCP vol. 2, 4.7), g_0 = 1 and g_k = (1/k) sum_{j=1..k}
+    ((a+1) j - k) f_j g_(k-j): O(len^2) in the window length order + a, whatever n.
+    """
     if n < 2:
         raise DomainError("n must be >= 2")
-    if order <= -(n - 1):
+    a = n - 1
+    if order <= -a:
         return TruncatedLaurentSeries.make(order, [], order)
-    f = expand_F(order + n - 2)
-    result = f
-    for _ in range(n - 2):
-        result = result * f
-    return result
+    f = [2 * c for c in expand_F(order + a - 1).coeffs]
+    g = [Fraction(1)]
+    for k in range(1, order + a):
+        g.append(sum(((a + 1) * j - k) * f[j] * g[k - j] for j in range(1, k + 1) if f[j]) / k)
+    return TruncatedLaurentSeries.make(-a, [gk / 2**a for gk in g], order)
+
+
+def _s_combination(s0: TruncatedLaurentSeries, terms, order: int) -> TruncatedLaurentSeries:
+    """sum of w S_k over (k, w) in terms through O(rho^order), built from the
+    coefficients of S_0 by the formula in derive_ABC; no derivative series is
+    formed.  s0 must be known to order + k for every k."""
+    lo = min(s0.lo - max(k for k, _ in terms), order)
+    cs = [Fraction(0)] * (order - lo)
+    for k, w in terms:
+        w = Fraction(w, (-2) ** k)
+        for e in range(max(lo, s0.lo - k), order):
+            cs[e - lo] += w * math.prod(range(e + 1, e + k + 1)) * s0.coeffs[e + k - s0.lo]
+    return TruncatedLaurentSeries.make(lo, cs, order)
 
 
 def expand_sm(n: int, m: int, order: int) -> TruncatedLaurentSeries:
-    """S_m(rho) = (-1/2 d/d rho)^m S_0(rho) with window [-(n-1+m), order)."""
+    """S_m(rho) = (-1/2 d/d rho)^m S_0(rho) with window [-(n-1+m), order); its
+    rho^e coefficient is (-1/2)^m (e+1)...(e+m) times that of S_0 at rho^(e+m)."""
     if m < 0:
         raise DomainError("m must be >= 0")
-    s = expand_s0(n, order + m)
-    for _ in range(m):
-        s = s.differentiate().scale(Fraction(-1, 2))
-    return s
+    return _s_combination(expand_s0(n, order + m), [(m, 1)], order)
 
 
 def derive_ABC(
@@ -326,6 +342,8 @@ def derive_ABC(
     With L = n + 2m, the default windows keep exactly the four leading
     coefficients of A and B (orders 4 - L) and the two leading coefficients
     of C (order -L); pass `order` to widen or narrow all three uniformly.
+    Each is built from one S_0: the rho^e coefficient of S_k is
+    (-1/2)^k (e+1)(e+2)...(e+k) times that of S_0 at rho^(e+k).
     """
     if n < 2:
         raise DomainError("n must be >= 2")
@@ -335,25 +353,14 @@ def derive_ABC(
     order_ab = 4 - ell if order is None else order
     order_c = -ell if order is None else order
     inv = Fraction(1, n - 1)
-
-    # S_0 once, then S_k = (-1/2 d/drho) S_(k-1); each derivative lowers the
-    # order by one, so S_k carries order top - k.
-    top = max(order_ab + 2 * m + 1, order_c + 2 * m + 3)
-    s = [expand_s0(n, top)]
-    for _ in range(2 * m + 3):
-        s.append(s[-1].differentiate().scale(Fraction(-1, 2)))
-    a_series = (s[2 * m + 1].scale(2 * inv) + s[2 * m]).truncate(order_ab)
-    b_series = s[m].scale(math.comb(m, 0)) + s[m + 1].scale(inv)
-    for j in range(1, m + 1):
-        cmj = math.comb(m, j)
-        b_series = b_series + s[m + j].scale(cmj) + s[m + j + 1].scale(cmj * inv)
-    b_series = b_series.truncate(order_ab)
-    c_series = (
-        s[2 * m + 3].scale(2 * inv)
-        + s[2 * m + 2].scale(3)
-        + s[2 * m + 1].scale(n - 1)
-    ).truncate(order_c)
-    return a_series, b_series, c_series
+    # S_k needs S_0 through order + k: k <= 2m+1 in A and B, k <= 2m+3 in C.
+    s0 = expand_s0(n, max(order_ab + 2 * m + 1, order_c + 2 * m + 3))
+    b_terms = [(m + j + d, math.comb(m, j) * inv**d) for j in range(m + 1) for d in (0, 1)]
+    return (
+        _s_combination(s0, [(2 * m + 1, 2 * inv), (2 * m, 1)], order_ab),
+        _s_combination(s0, b_terms, order_ab),
+        _s_combination(s0, [(2 * m + 3, 2 * inv), (2 * m + 2, 3), (2 * m + 1, n - 1)], order_c),
+    )
 
 
 def expand_variances(

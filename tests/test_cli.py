@@ -273,6 +273,17 @@ def test_expand_s0_and_sm(capsys):
     assert payload["coefficients"]["0"] == "-1/12"
 
 
+@pytest.mark.parametrize(
+    "argv, length",
+    [(["--target", "S0", "--n", "200"], 201), (["--target", "Sm", "--n", "200", "--m", "3"], 204)],
+)
+def test_expand_large_dimension_is_quick(capsys, argv, length):
+    # S_0 = F^(n-1) costs O(window^2) whatever n is, so n = 200 runs in about a second
+    code, out, _ = run(capsys, ["expand", *argv])
+    assert code == 0
+    assert len(json.loads(out)["coefficients"]) == length
+
+
 def test_expand_variance_targets(capsys):
     code, out, _ = run(capsys, ["expand", "--target", "varS", "--n", "3", "--m", "1"])
     payload = json.loads(out)

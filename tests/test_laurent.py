@@ -1,7 +1,9 @@
 """Exact truncated Laurent arithmetic and the small-scale expansion pipeline."""
 
 import math
+import operator
 from fractions import Fraction
+from functools import reduce
 
 import pytest
 from hypothesis import given, strategies as st
@@ -305,6 +307,69 @@ def test_derive_ABC_matches_defining_combinations():
                 + expand_sm(n, 2 * m + 1, order_c).scale(n - 1)
             )
             assert c_series == c_direct
+
+
+# Test-local references: S_0 as the repeated product F * ... * F and S_k by
+# the (-1/2 d/drho) chain, independent of the power recurrence and of the
+# direct S_k coefficient formula in the engine.
+
+
+def _product_s0(n, order):
+    if order <= -(n - 1):
+        return S(order, [], order)
+    f = expand_F(order + n - 2)
+    return reduce(operator.mul, [f] * (n - 1))
+
+
+def _chain_sk(n, top, kmax):
+    """[S_0, ..., S_kmax], S_k known through top - k."""
+    s = [_product_s0(n, top)]
+    for _ in range(kmax):
+        s.append(s[-1].differentiate().scale(Fraction(-1, 2)))
+    return s
+
+
+def _reference_ABC(n, m, order=None):
+    ell = n + 2 * m
+    order_ab = 4 - ell if order is None else order
+    order_c = -ell if order is None else order
+    s = _chain_sk(n, max(order_ab + 2 * m + 1, order_c + 2 * m + 3), 2 * m + 3)
+    inv = Fraction(1, n - 1)
+    a = (s[2 * m + 1].scale(2 * inv) + s[2 * m]).truncate(order_ab)
+    b = s[m].scale(math.comb(m, 0)) + s[m + 1].scale(inv)
+    for j in range(1, m + 1):
+        cmj = math.comb(m, j)
+        b = b + s[m + j].scale(cmj) + s[m + j + 1].scale(cmj * inv)
+    c = s[2 * m + 3].scale(2 * inv) + s[2 * m + 2].scale(3) + s[2 * m + 1].scale(n - 1)
+    return a, b.truncate(order_ab), c.truncate(order_c)
+
+
+def test_expand_s0_matches_repeated_product():
+    # == compares lo, coefficients and order; orders from -n give empty windows.
+    # One product per n, narrowed by truncate, keeps this to about a second.
+    for n in (2, 3, 4, 5, 8, 13, 21, 34, 48):
+        widest = _product_s0(n, 3)
+        for order in range(-n, 4):
+            assert expand_s0(n, order) == widest.truncate(order)
+
+
+def test_expand_sm_and_derive_ABC_match_derivative_chain():
+    for n in range(2, 9):
+        for m in range(1, 5):
+            ell = n + 2 * m
+            for order in (None, 0, -ell - 2, 5):
+                assert derive_ABC(n, m, order) == _reference_ABC(n, m, order)
+                if order is not None:
+                    chain = _chain_sk(n, order + 2 * m + 3, 2 * m + 3)
+                    for k, sk in enumerate(chain):
+                        assert expand_sm(n, k, order) == sk.truncate(order)
+
+
+def test_derive_ABC_matches_derivative_chain_on_benchmark_grid():
+    # every (n, m) of the exact-expansions benchmark workload, default windows
+    for n in range(2, 49):
+        for m in range(1, 11):
+            assert derive_ABC(n, m) == _reference_ABC(n, m)
 
 
 def test_derive_ABC_numeric_agreement():
