@@ -35,6 +35,22 @@ __all__ = [
 RationalLike = Union[int, Fraction]
 
 
+def _numerators(coeffs: tuple[Fraction, ...]) -> tuple[list[int], int]:
+    """(numerators, D): the coefficients as integers over their least common denominator D."""
+    den = math.lcm(*[c.denominator for c in coeffs])
+    return [c.numerator * (den // c.denominator) for c in coeffs], den
+
+
+def _convolve(a: list[int], b: list[int], length: int) -> list[int]:
+    """The first `length` coefficients of the product of two integer polynomials."""
+    out = [0] * length
+    for i, ai in enumerate(a[:length]):
+        if ai:
+            for j, bj in enumerate(b[: length - i]):
+                out[i + j] += ai * bj
+    return out
+
+
 @dataclass(frozen=True)
 class TruncatedLaurentSeries:
     """sum_{e=lo}^{order-1} coeffs[e - lo] rho^e + O(rho^order).
@@ -102,21 +118,18 @@ class TruncatedLaurentSeries:
         return self + other.scale(-1)
 
     def __mul__(self, other: "TruncatedLaurentSeries") -> "TruncatedLaurentSeries":
+        """Integer convolution of the numerators; one reduction per coefficient."""
         order = min(self.lo + other.order, other.lo + self.order)
         if self.is_zero or other.is_zero:
             return TruncatedLaurentSeries.make(order, [], order)
         lo = self.lo + other.lo
         length = order - lo
-        cs = [Fraction(0)] * length
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            jmax = min(len(other.coeffs), length - i)
-            for j in range(jmax):
-                cs[i + j] += a * other.coeffs[j]
-        return TruncatedLaurentSeries.make(lo, cs, order)
+        (a, da), (b, db) = _numerators(self.coeffs[:length]), _numerators(other.coeffs[:length])
+        return TruncatedLaurentSeries.make(lo, [Fraction(c, da * db) for c in _convolve(a, b, length)], order)
 
     def __truediv__(self, other: "TruncatedLaurentSeries") -> "TruncatedLaurentSeries":
+        """Long division on integer numerators a, b: the integers r_k = a_k b_0^k
+        - sum_{i<k} r_i b_0^(k-1-i) b_(k-i) are the quotient's numerators over b_0^(k+1)."""
         if other.is_zero:
             raise DomainError("division by a series with no known nonzero coefficient")
         order = min(self.order - other.lo, self.lo + other.order - 2 * other.lo)
@@ -124,17 +137,14 @@ class TruncatedLaurentSeries:
         length = order - lo
         if length <= 0:
             return TruncatedLaurentSeries.make(order, [], order)
-        b0 = other.coeffs[0]
-        cs: list[Fraction] = []
+        (a, da), (b, db) = _numerators(self.coeffs[:length]), _numerators(other.coeffs[:length])
+        powers = [b[0] ** k for k in range(length + 1)]
+        r: list[int] = []
         for k in range(length):
-            a_k = self._get(self.lo + k)
-            acc = a_k
-            for i in range(k):
-                j = k - i
-                if j < len(other.coeffs):
-                    acc -= cs[i] * other.coeffs[j]
-            cs.append(acc / b0)
-        return TruncatedLaurentSeries.make(lo, cs, order)
+            r.append(a[k] * powers[k] - sum(r[i] * powers[k - 1 - i] * b[k - i] for i in range(k)))
+        return TruncatedLaurentSeries.make(
+            lo, [Fraction(rk * db, powers[k + 1] * da) for k, rk in enumerate(r)], order
+        )
 
     def _get(self, exponent: int) -> Fraction:
         if self.lo <= exponent < self.order:
@@ -150,18 +160,6 @@ class TruncatedLaurentSeries:
     def shift(self, k: int) -> "TruncatedLaurentSeries":
         """Multiply by rho^k (window shifts rigidly)."""
         return TruncatedLaurentSeries(self.lo + k, self.coeffs, self.order + k)
-
-    def differentiate(self) -> "TruncatedLaurentSeries":
-        """d/d rho; the window drops by one exponent on both ends."""
-        cs = [Fraction(self.lo + i) * c for i, c in enumerate(self.coeffs)]
-        return TruncatedLaurentSeries.make(self.lo - 1, cs, self.order - 1)
-
-    def truncate(self, new_order: int) -> "TruncatedLaurentSeries":
-        """Forget coefficients at and beyond new_order."""
-        if new_order > self.order:
-            raise DomainError("cannot extend a truncated series")
-        keep = max(0, new_order - self.lo)
-        return TruncatedLaurentSeries.make(min(self.lo, new_order), self.coeffs[:keep], new_order)
 
     def agrees_with(self, other: "TruncatedLaurentSeries") -> bool:
         """Equality of all coefficients on the common known window."""
@@ -273,10 +271,34 @@ def sqrt_normalized(series: TruncatedLaurentSeries) -> NormalizedRadicalSeries:
     return NormalizedRadicalSeries(radicand=c0, shift=series.lo // 2, tail=tail)
 
 
+_BERNOULLI: list[Fraction] = []  # B_0, B_1^+, B_2, ..., filled on first use
+
+
+def _bernoulli(count: int) -> list[Fraction]:
+    """B_0 .. B_(count-1) with B_1^+ = 1/2, from a table rebuilt twice as long
+    when too short.  B_2i = (-1)^(i-1) 2i T_i / (4^i (4^i - 1)) with the tangent
+    numbers T_i from the Knuth-Buckholtz integer recurrence (Brent and Harvey,
+    2011); B_3, B_5, ... vanish.
+    """
+    if len(_BERNOULLI) < count:
+        half = max(count, 2 * len(_BERNOULLI)) // 2
+        t = [0] + [math.factorial(k - 1) for k in range(1, half + 1)]
+        for k in range(2, half + 1):
+            for j in range(k, half + 1):
+                t[j] = (j - k) * t[j - 1] + (j - k + 2) * t[j]
+        table = [Fraction(1), Fraction(1, 2)]
+        for i in range(1, half + 1):
+            table += [Fraction((-1) ** (i - 1) * 2 * i * t[i], 4**i * (4**i - 1)), Fraction(0)]
+        _BERNOULLI[:] = table
+    return _BERNOULLI[:count]
+
+
 def expand_F(order: int) -> TruncatedLaurentSeries:
     """F(rho) = 1 / (1 - exp(-2 rho)) with window [-1, order).
 
-    F has a simple pole of residue 1/2 at rho = 0; the expansion starts
+    f = 2 rho F = 2 rho / (1 - exp(-2 rho)) = sum_k 2^k B_k^+ rho^k / k! (Graham,
+    Knuth and Patashnik, Concrete Mathematics, 6.5), so the rho^(k-1)
+    coefficient of F is 2^(k-1) B_k^+ / k!, and the expansion starts
     1/(2 rho) + 1/2 + rho/6 + 0 rho^2 - rho^3/90 + ...
 
     For order <= -1 the requested window is empty and the all-unknown
@@ -284,48 +306,88 @@ def expand_F(order: int) -> TruncatedLaurentSeries:
     """
     if order <= -1:
         return TruncatedLaurentSeries.make(order, [], order)
-    g = constant_series(1, order + 2) - exp_series(-2, order + 2)
-    return constant_series(1, order + 1) / g
+    return TruncatedLaurentSeries.make(-1, [
+        Fraction(b.numerator * 2**k, 2 * b.denominator * math.factorial(k))
+        for k, b in enumerate(_bernoulli(order + 1))
+    ])
 
 
 def expand_s0(n: int, order: int) -> TruncatedLaurentSeries:
     """S_0(rho) = F(rho)^(n-1) = g / (2 rho)^a, a = n - 1, window [-a, order).
 
-    g = f^a with f = 2 rho F = 1 + f_1 rho + ... follows J.C.P. Miller's power
-    recurrence (Knuth, TAOCP vol. 2, 4.7), g_0 = 1 and g_k = (1/k) sum_{j=1..k}
-    ((a+1) j - k) f_j g_(k-j): O(len^2) in the window length order + a, whatever n.
+    With f = 2 rho F = sum_j b_j rho^j / j!, b_j = 2^j B_j^+ (see expand_F),
+    g = f^a = sum_k c_k rho^k / k! follows J.C.P. Miller's power recurrence
+    (Knuth, TAOCP vol. 2, 4.7) in exponential form: c_0 = 1 and
+    c_k = sum_{j=1..k} ((a+1) C(k-1, j-1) - C(k, j)) b_j c_(k-j).  Each c_k is
+    summed in integers over the common denominators of the b_j and of the
+    earlier c, and reduced once: O(len^2) in the window length order + a, whatever n.
     """
     if n < 2:
         raise DomainError("n must be >= 2")
     a = n - 1
-    if order <= -a:
+    length = order + a
+    if length <= 0:
         return TruncatedLaurentSeries.make(order, [], order)
-    f = [2 * c for c in expand_F(order + a - 1).coeffs]
-    g = [Fraction(1)]
-    for k in range(1, order + a):
-        g.append(sum(((a + 1) * j - k) * f[j] * g[k - j] for j in range(1, k + 1) if f[j]) / k)
-    return TruncatedLaurentSeries.make(-a, [gk / 2**a for gk in g], order)
+    b, b_den = _numerators(tuple(bk * 2**k for k, bk in enumerate(_bernoulli(length))))
+    c = [Fraction(1)]
+    c_den = 1  # lcm of the denominators in c
+    for k in range(1, length):
+        acc = sum(
+            ((a + 1) * math.comb(k - 1, j - 1) - math.comb(k, j)) * b[j]
+            * c[k - j].numerator * (c_den // c[k - j].denominator)
+            for j in range(1, k + 1) if b[j]
+        )
+        c.append(Fraction(acc, b_den * c_den))
+        c_den = math.lcm(c_den, c[-1].denominator)
+    g = [Fraction(ck.numerator, ck.denominator * math.factorial(k) * 2**a) for k, ck in enumerate(c)]
+    return TruncatedLaurentSeries.make(-a, g, order)
 
 
-def _s_combination(s0: TruncatedLaurentSeries, terms, order: int) -> TruncatedLaurentSeries:
-    """sum of w S_k over (k, w) in terms through O(rho^order), built from the
-    coefficients of S_0 by the formula in derive_ABC; no derivative series is
-    formed.  s0 must be known to order + k for every k."""
-    lo = min(s0.lo - max(k for k, _ in terms), order)
-    cs = [Fraction(0)] * (order - lo)
-    for k, w in terms:
-        w = Fraction(w, (-2) ** k)
-        for e in range(max(lo, s0.lo - k), order):
-            cs[e - lo] += w * math.prod(range(e + 1, e + k + 1)) * s0.coeffs[e + k - s0.lo]
-    return TruncatedLaurentSeries.make(lo, cs, order)
+def _abc_weights(n: int, m: int) -> tuple[list[tuple[int, int]], ...]:
+    """The (k, w) tables of (n-1) A, (n-1) B and (n-1) C as sums of w S_k, for
+
+        A = 2/(n-1) S_(2m+1) + S_(2m)
+        B = sum_{j=0..m} C(m, j) (S_(m+j+1)/(n-1) + S_(m+j))
+        C = 2/(n-1) S_(2m+3) + 3 S_(2m+2) + (n-1) S_(2m+1)
+
+    the three S_m combinations behind the variances of the Poisson wavelet
+    of order m on S^n.  By Pascal's rule (n-1) B weighs S_(m+j) with
+    C(m+1, j) + (n-2) C(m, j).  The weights are integers, so the Laurent
+    engine and the S path's polynomials (variance._wavelet_polynomials) stay exact.
+    """
+    n1 = n - 1
+    return (
+        [(2 * m + 1, 2), (2 * m, n1)],
+        [(m + j, math.comb(m + 1, j) + (n - 2) * math.comb(m, j)) for j in range(m + 2)],
+        [(2 * m + 3, 2), (2 * m + 2, 3 * n1), (2 * m + 1, n1 * n1)],
+    )
+
+
+def _s_combination(s0: TruncatedLaurentSeries, terms, divisor: int, order: int) -> TruncatedLaurentSeries:
+    """(1/divisor) sum of w S_k over the integer (k, w) in terms, through
+    O(rho^order); s0 must be known to order + k for every k.
+
+    The rho^e coefficient of S_k is (-1/2)^k (e+1)(e+2)...(e+k) c_(e+k), c the
+    S_0 coefficients, so no derivative series is formed.  With c_j = num_j / D,
+    each output coefficient is the integer sum of (-1)^k 2^(kmax-k)
+    (e+1)...(e+k) w num_(e+k), reduced once by D divisor 2^kmax.
+    """
+    kmax = max(k for k, _ in terms)
+    nums, den = _numerators(s0.coeffs)
+    scaled = [(k, (-1) ** k * 2 ** (kmax - k) * w) for k, w in terms]
+    lo = min(s0.lo - kmax, order)
+    cs = []
+    for e in range(lo, order):
+        j = e - s0.lo
+        cs.append(sum(v * math.prod(range(e + 1, e + k + 1)) * nums[j + k] for k, v in scaled if j + k >= 0))
+    return TruncatedLaurentSeries.make(lo, [Fraction(c, den * divisor * 2**kmax) for c in cs], order)
 
 
 def expand_sm(n: int, m: int, order: int) -> TruncatedLaurentSeries:
-    """S_m(rho) = (-1/2 d/d rho)^m S_0(rho) with window [-(n-1+m), order); its
-    rho^e coefficient is (-1/2)^m (e+1)...(e+m) times that of S_0 at rho^(e+m)."""
+    """S_m(rho) = (-1/2 d/d rho)^m S_0(rho) with window [-(n-1+m), order)."""
     if m < 0:
         raise DomainError("m must be >= 0")
-    return _s_combination(expand_s0(n, order + m), [(m, 1)], order)
+    return _s_combination(expand_s0(n, order + m), [(m, 1)], 1, order)
 
 
 def derive_ABC(
@@ -333,17 +395,13 @@ def derive_ABC(
     m: int,
     order: int | None = None,
 ) -> tuple[TruncatedLaurentSeries, TruncatedLaurentSeries, TruncatedLaurentSeries]:
-    """Exact expansions of the three S_m combinations behind the variances:
-
-        A = 2/(n-1) S_(2m+1) + S_(2m)
-        B = sum_{j=0..m} C(m, j) (S_(m+j+1)/(n-1) + S_(m+j))
-        C = 2/(n-1) S_(2m+3) + 3 S_(2m+2) + (n-1) S_(2m+1)
+    """Exact expansions of the three S_m combinations A, B, C behind the
+    variances, as defined on the weight table :func:`_abc_weights`.
 
     With L = n + 2m, the default windows keep exactly the four leading
     coefficients of A and B (orders 4 - L) and the two leading coefficients
     of C (order -L); pass `order` to widen or narrow all three uniformly.
-    Each is built from one S_0: the rho^e coefficient of S_k is
-    (-1/2)^k (e+1)(e+2)...(e+k) times that of S_0 at rho^(e+k).
+    All three are read off one S_0 by :func:`_s_combination`.
     """
     if n < 2:
         raise DomainError("n must be >= 2")
@@ -352,14 +410,13 @@ def derive_ABC(
     ell = n + 2 * m
     order_ab = 4 - ell if order is None else order
     order_c = -ell if order is None else order
-    inv = Fraction(1, n - 1)
     # S_k needs S_0 through order + k: k <= 2m+1 in A and B, k <= 2m+3 in C.
     s0 = expand_s0(n, max(order_ab + 2 * m + 1, order_c + 2 * m + 3))
-    b_terms = [(m + j + d, math.comb(m, j) * inv**d) for j in range(m + 1) for d in (0, 1)]
+    a_terms, b_terms, c_terms = _abc_weights(n, m)
     return (
-        _s_combination(s0, [(2 * m + 1, 2 * inv), (2 * m, 1)], order_ab),
-        _s_combination(s0, b_terms, order_ab),
-        _s_combination(s0, [(2 * m + 3, 2 * inv), (2 * m + 2, 3), (2 * m + 1, n - 1)], order_c),
+        _s_combination(s0, a_terms, n - 1, order_ab),
+        _s_combination(s0, b_terms, n - 1, order_ab),
+        _s_combination(s0, c_terms, n - 1, order_c),
     )
 
 

@@ -28,6 +28,7 @@ from typing import Callable, Mapping
 import numpy as np
 
 from .errors import BoundViolationError, DegenerateInputError, DomainError, TruncationError
+from .laurent import _abc_weights, _convolve
 from .series_s import DEFAULT_TRUNCATION, SeriesTruncation, _PositivePoly, _s_m_polynomial
 from .zonal import PoissonWaveletSpec, ZonalFunction
 
@@ -287,36 +288,23 @@ def _poly_sum(*terms: tuple[int, tuple[int, ...]]) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _poly_mul(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
-    out = [0] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        for j, b in enumerate(q):
-            out[i + j] += a * b
-    return tuple(out)
-
-
 def _wavelet_polynomials(n: int, m: int) -> tuple[tuple[int, ...], ...]:
     """Exact integer polynomials (N, D, a, c) in w for the S-path functionals.
 
     With P_k from S_k = (1 + w)^(n-1) P_k(w), the common factor
     (1 + w)^(n-1) cancels from every ratio below, leaving
-    a = (n-1) A, b = (n-1) B and c = (n-1) C as combinations of P_k, and
+    a = (n-1) A, b = (n-1) B and c = (n-1) C as the sums of w P_k on the
+    weight table :func:`zonalvar.laurent._abc_weights`, and
     N = (1 + w) a^2 - 4 w b^2, D = 4 w b^2, so that var_space = N / D and
     var_momentum = c / a.  The top-degree terms of N cancel exactly.
 
     Raises ArithmeticError if any coefficient is negative: the float
     evaluation is accurate only because every coefficient is >= 0.
     """
-    n1 = n - 1
     p = {k: _s_m_polynomial(n, k) for k in range(m, 2 * m + 4)}
-    a = _poly_sum((2, p[2 * m + 1]), (n1, p[2 * m]))
-    b_terms = []
-    for j in range(m + 1):
-        b_terms += [(math.comb(m, j), p[m + j + 1]), (n1 * math.comb(m, j), p[m + j])]
-    b = _poly_sum(*b_terms)
-    c = _poly_sum((2, p[2 * m + 3]), (3 * n1, p[2 * m + 2]), (n1 * n1, p[2 * m + 1]))
-    a2 = _poly_mul(a, a)
-    wb2 = (0,) + _poly_mul(b, b)  # w b^2
+    a, b, c = (_poly_sum(*[(w, p[k]) for k, w in terms]) for terms in _abc_weights(n, m))
+    a2 = tuple(_convolve(a, a, 2 * len(a) - 1))
+    wb2 = (0, *_convolve(b, b, 2 * len(b) - 1))  # w b^2
     num = _poly_sum((1, a2), (1, (0,) + a2), (-4, wb2))
     den = _poly_sum((4, wb2))
     polys = (num, den, a, c)
@@ -352,11 +340,8 @@ def _wavelet_ratios(n: int, m: int) -> tuple[_PositiveRatio, _PositiveRatio]:
 def poisson_uncertainty_via_s(spec: PoissonWaveletSpec) -> UncertaintyResult:
     """Uncertainty product of the Poisson wavelet through the S_m sums.
 
-    With L = n + 2m and S_k = S_k(rho):
-
-        A = 2/(n-1) S_(2m+1) + S_(2m)
-        B = sum_{j=0..m} C(m, j) (S_(m+j+1)/(n-1) + S_(m+j))
-        C = 2/(n-1) S_(2m+3) + 3 S_(2m+2) + (n-1) S_(2m+1)
+    With A, B, C the S_k(rho) combinations of the weight table
+    :func:`zonalvar.laurent._abc_weights`:
 
         var_space    = q^2 - 1,  q = e^rho A / (2 B)
         var_momentum = C / A

@@ -1,6 +1,7 @@
 """Command-line contract: formats, determinism, exit codes."""
 
 import csv
+import hashlib
 import io
 import json
 import math
@@ -282,6 +283,42 @@ def test_expand_large_dimension_is_quick(capsys, argv, length):
     code, out, _ = run(capsys, ["expand", *argv])
     assert code == 0
     assert len(json.loads(out)["coefficients"]) == length
+
+
+# sha256 of the exact `zonalvar expand` output, recorded with the Fraction-based
+# engine that preceded the integer-numerator one, so an engine rewrite cannot
+# change the output bytes silently.  The output carries meta.version, so a
+# version bump needs new digests.
+EXPAND_DIGESTS = {
+    **{
+        ("--target", target, "--n", "5", "--m", "2"): digest
+        for target, digest in (
+            ("F", "e632414c0edd62ca2d75a38ec58272c88c3c56ad46f847cd8892defd3e30fdef"),
+            ("S0", "e5ac880dd8422d32b267df2633c96416e30ef62032ed6f32f8b144df5b889c84"),
+            ("Sm", "30d118296e139938b2b007235b205baf320214f94476d00f857fa373412a3729"),
+            ("A", "bd8e7425b9d99557d4d0e581103f5ab38436b3300d96a242671cc5a418930bef"),
+            ("B", "3c35b12c5a98bb13d25dc0c767192bf4e1786d9ea91f508d1ce44f9e8dabb470"),
+            ("C", "277e5898c24fa56fda64eeabb58b64cc6855242d045a8e830ab089375126946b"),
+            ("varS", "ddd22cd0c308bb3099bb6620f5f79ba1c3c40db921c6a3eae35e7f78436bc545"),
+            ("varM", "e12d683d40f5910cf199f9218e0db09618e155bed2c70690b1f2bb6762810e9a"),
+            ("U", "f6c4eb51e601f5529fcbf1d8c4a56059bd32d80a7be7dcbf3e77d68fa3781b68"),
+        )
+    },
+    ("--target", "A", "--n", "12", "--m", "2", "--order", "3"):
+        "140984126f0d2bef4c00a77bccec409e4f5ccdaf35f8aa0c2431bd76f33a2f2d",
+    ("--target", "F", "--order", "12"):
+        "7daf5510999828a30a91ebd80de4eae5e3653348adcd6851b67fe24593b15615",
+}
+
+
+def test_expand_output_bytes_are_pinned(capsys):
+    changed = []
+    for argv, digest in EXPAND_DIGESTS.items():
+        code, out, _ = run(capsys, ["expand", *argv])
+        assert code == 0, argv
+        if hashlib.sha256(out.encode()).hexdigest() != digest:
+            changed.append(" ".join(argv))
+    assert not changed, changed
 
 
 def test_expand_variance_targets(capsys):

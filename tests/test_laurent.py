@@ -6,8 +6,9 @@ from fractions import Fraction
 from functools import reduce
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
+from zonalvar import laurent
 from zonalvar import (
     DomainError,
     TruncatedLaurentSeries,
@@ -29,6 +30,48 @@ S = TruncatedLaurentSeries.make
 
 
 # ---------------------------------------------------------------------------
+# test-local references: window bookkeeping and schoolbook Fraction arithmetic
+
+
+def _differentiate(s):
+    """d/d rho; the window drops by one exponent on both ends."""
+    cs = [Fraction(s.lo + i) * c for i, c in enumerate(s.coeffs)]
+    return S(s.lo - 1, cs, s.order - 1)
+
+
+def _truncate(s, new_order):
+    """Forget coefficients at and beyond new_order."""
+    if new_order > s.order:
+        raise DomainError("cannot extend a truncated series")
+    return S(min(s.lo, new_order), s.coeffs[: max(0, new_order - s.lo)], new_order)
+
+
+def _schoolbook_mul(a, b):
+    order = min(a.lo + b.order, b.lo + a.order)
+    if a.is_zero or b.is_zero:
+        return S(order, [], order)
+    lo = a.lo + b.lo
+    cs = [Fraction(0)] * (order - lo)
+    for i, x in enumerate(a.coeffs):
+        for j, y in enumerate(b.coeffs):
+            if i + j < order - lo:
+                cs[i + j] += x * y
+    return S(lo, cs, order)
+
+
+def _schoolbook_div(a, b):
+    if b.is_zero:
+        raise DomainError("division by a series with no known nonzero coefficient")
+    order = min(a.order - b.lo, a.lo + b.order - 2 * b.lo)
+    lo = a.lo - b.lo
+    cs = []
+    for k in range(order - lo):
+        acc = a.coefficient(a.lo + k) - sum(cs[i] * b.coefficient(b.lo + k - i) for i in range(k))
+        cs.append(acc / b.coeffs[0])
+    return S(lo, cs, order) if cs else S(order, [], order)
+
+
+# ---------------------------------------------------------------------------
 # hypothesis material
 
 rationals = st.fractions(
@@ -42,6 +85,15 @@ def series(draw, min_lo=-3, max_lo=3, min_len=1, max_len=5):
     length = draw(st.integers(min_value=min_len, max_value=max_len))
     coeffs = draw(st.lists(rationals, min_size=length, max_size=length))
     return S(lo, coeffs)
+
+
+@st.composite
+def raw_series(draw):
+    """Negative or positive lo, zero to six coefficients, zeros frequent, so
+    leading zeros, empty (all-unknown) series and empty products occur."""
+    lo = draw(st.integers(min_value=-4, max_value=3))
+    coeffs = draw(st.lists(st.one_of(st.just(Fraction(0)), rationals), max_size=6))
+    return S(lo, coeffs, lo + len(coeffs))
 
 
 @st.composite
@@ -130,9 +182,9 @@ def test_division_by_higher_pole_shifts_window():
 
 
 def test_differentiate_monomial_and_constant():
-    s = monomial(Fraction(3, 2), 4, order=6).differentiate()
+    s = _differentiate(monomial(Fraction(3, 2), 4, order=6))
     assert s.coefficient(3) == 6
-    c = constant_series(5, 3).differentiate()
+    c = _differentiate(constant_series(5, 3))
     assert c.is_zero
     assert c.order == 2
 
@@ -141,12 +193,12 @@ def test_shift_and_scale_and_truncate():
     s = S(0, [1, 2, 3])
     assert s.shift(2).coefficient(2) == 1
     assert s.scale(Fraction(1, 3)).coefficient(1) == Fraction(2, 3)
-    t = s.truncate(2)
+    t = _truncate(s, 2)
     assert t.order == 2
     with pytest.raises(DomainError):
         t.coefficient(2)
     with pytest.raises(DomainError):
-        s.truncate(5)
+        _truncate(s, 5)
 
 
 def test_evaluate_is_plain_polynomial_value():
@@ -180,9 +232,29 @@ def test_div_mul_roundtrip(a, b):
 
 @given(a=series(), b=series())
 def test_product_rule(a, b):
-    lhs = (a * b).differentiate()
-    rhs = a.differentiate() * b + a * b.differentiate()
+    lhs = _differentiate(a * b)
+    rhs = _differentiate(a) * b + a * _differentiate(b)
     assert lhs.agrees_with(rhs)
+
+
+@given(a=raw_series(), b=raw_series())
+@example(a=S(-2, [1, 2]), b=S(3, [], 3))
+@example(a=S(1, [], 1), b=S(-1, [Fraction(2, 3), 5]))
+def test_mul_matches_schoolbook(a, b):
+    # == compares lo, coefficients and order
+    assert a * b == _schoolbook_mul(a, b)
+
+
+@given(a=raw_series(), b=raw_series())
+@example(a=S(-2, [1, 2]), b=S(3, [], 3))
+@example(a=S(1, [], 1), b=S(-1, [Fraction(2, 3), 5]))
+@example(a=S(0, [1, 0, 0, 5]), b=S(-3, [Fraction(-5, 3), 0, Fraction(1, 4), 2]))
+def test_div_matches_schoolbook(a, b):
+    if b.is_zero:
+        with pytest.raises(DomainError, match="no known nonzero coefficient"):
+            a / b
+    else:
+        assert a / b == _schoolbook_div(a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -240,6 +312,21 @@ def test_expand_F_known_window():
         assert f.coefficient(e) == c
 
 
+def test_expand_F_matches_exp_division(monkeypatch):
+    # the Bernoulli closed form against 1 / (1 - exp(-2 rho)) by schoolbook
+    # division, every order; orders <= -1 give the empty window.  The
+    # Bernoulli table is emptied first, then filled once in one step (orders
+    # falling) and once in many (orders rising).
+    expected = {order: S(order, [], order) for order in (-2, -1)}
+    for order in range(0, 61):
+        g = constant_series(1, order + 2) - exp_series(-2, order + 2)
+        expected[order] = _schoolbook_div(constant_series(1, order + 1), g)
+    for orders in (range(60, -3, -1), range(-2, 61)):
+        monkeypatch.setattr(laurent, "_BERNOULLI", [])
+        for order in orders:
+            assert expand_F(order) == expected[order]
+
+
 def test_expand_F_empty_window_below_pole():
     f = expand_F(-2)
     assert f.is_zero
@@ -269,7 +356,7 @@ def test_expand_s0_power_consistency():
 def test_expand_sm_is_derivative_recursion():
     for n in (2, 3, 5):
         for m in (0, 1, 2, 3):
-            step = expand_sm(n, m, 2).differentiate().scale(Fraction(-1, 2))
+            step = _differentiate(expand_sm(n, m, 2)).scale(Fraction(-1, 2))
             assert expand_sm(n, m + 1, 1).agrees_with(step)
 
 
@@ -325,23 +412,28 @@ def _chain_sk(n, top, kmax):
     """[S_0, ..., S_kmax], S_k known through top - k."""
     s = [_product_s0(n, top)]
     for _ in range(kmax):
-        s.append(s[-1].differentiate().scale(Fraction(-1, 2)))
+        s.append(_differentiate(s[-1]).scale(Fraction(-1, 2)))
     return s
 
 
-def _reference_ABC(n, m, order=None):
+def _reference_ABC(n, m, order=None, s=None):
+    """A, B, C from the defining combinations of S_k; s, if given, is a
+    _chain_sk of this n known far enough."""
     ell = n + 2 * m
     order_ab = 4 - ell if order is None else order
     order_c = -ell if order is None else order
-    s = _chain_sk(n, max(order_ab + 2 * m + 1, order_c + 2 * m + 3), 2 * m + 3)
+    if s is None:
+        s = _chain_sk(n, max(order_ab + 2 * m + 1, order_c + 2 * m + 3), 2 * m + 3)
+    s_ab = [_truncate(sk, order_ab) for sk in s[: 2 * m + 2]]
+    s_c = {k: _truncate(s[k], order_c) for k in range(2 * m + 1, 2 * m + 4)}
     inv = Fraction(1, n - 1)
-    a = (s[2 * m + 1].scale(2 * inv) + s[2 * m]).truncate(order_ab)
-    b = s[m].scale(math.comb(m, 0)) + s[m + 1].scale(inv)
+    a = s_ab[2 * m + 1].scale(2 * inv) + s_ab[2 * m]
+    b = s_ab[m].scale(math.comb(m, 0)) + s_ab[m + 1].scale(inv)
     for j in range(1, m + 1):
         cmj = math.comb(m, j)
-        b = b + s[m + j].scale(cmj) + s[m + j + 1].scale(cmj * inv)
-    c = s[2 * m + 3].scale(2 * inv) + s[2 * m + 2].scale(3) + s[2 * m + 1].scale(n - 1)
-    return a, b.truncate(order_ab), c.truncate(order_c)
+        b = b + s_ab[m + j].scale(cmj) + s_ab[m + j + 1].scale(cmj * inv)
+    c = s_c[2 * m + 3].scale(2 * inv) + s_c[2 * m + 2].scale(3) + s_c[2 * m + 1].scale(n - 1)
+    return a, b, c
 
 
 def test_expand_s0_matches_repeated_product():
@@ -350,7 +442,7 @@ def test_expand_s0_matches_repeated_product():
     for n in (2, 3, 4, 5, 8, 13, 21, 34, 48):
         widest = _product_s0(n, 3)
         for order in range(-n, 4):
-            assert expand_s0(n, order) == widest.truncate(order)
+            assert expand_s0(n, order) == _truncate(widest, order)
 
 
 def test_expand_sm_and_derive_ABC_match_derivative_chain():
@@ -362,14 +454,17 @@ def test_expand_sm_and_derive_ABC_match_derivative_chain():
                 if order is not None:
                     chain = _chain_sk(n, order + 2 * m + 3, 2 * m + 3)
                     for k, sk in enumerate(chain):
-                        assert expand_sm(n, k, order) == sk.truncate(order)
+                        assert expand_sm(n, k, order) == _truncate(sk, order)
 
 
 def test_derive_ABC_matches_derivative_chain_on_benchmark_grid():
     # every (n, m) of the exact-expansions benchmark workload, default windows
+    # and order 5; one chain per n, known through order 5 for every m, serves both
     for n in range(2, 49):
+        chain = _chain_sk(n, 5 + 23, 23)
         for m in range(1, 11):
-            assert derive_ABC(n, m) == _reference_ABC(n, m)
+            for order in (None, 5):
+                assert derive_ABC(n, m, order) == _reference_ABC(n, m, order, chain)
 
 
 def test_derive_ABC_numeric_agreement():
