@@ -60,6 +60,7 @@ class UncertaintyResult:
 _FIRST_BLOCK = 64
 _BLOCK_GROWTH = 4
 _MAX_BLOCK = 4096
+_FSUM_WIDTH = 256  # wider blocks are folded to this many columns before math.fsum
 _ZERO_RUN = 1024  # exactly zero terms in a row that stop a series
 _WEIGHT_CHECK = 1.7e308  # float weights from here up are redone exactly
 
@@ -121,10 +122,11 @@ def _coefficient_sums(f: ZonalFunction, trunc: SeriesTruncation) -> tuple[float,
     ratio = (l + 2 lambda)/(l + lambda + 1) * f_hat(l+1)/f_hat(l), which keeps
     the difference accurate even when N and D agree to many digits.
 
-    Each block is added with math.fsum, exactly rounded, and the rounding
-    residual is carried into the next block, so each sum is accurate to
-    about one rounding of its terms whatever their number, and memory stays
-    one block.  Binomial weights come from :func:`_binomial_weights`.
+    Each block is added to a carried (hi, lo) pair by :func:`_add_blocks`:
+    exactly rounded with math.fsum, after an error-free TwoSum fold for
+    blocks wider than ``_FSUM_WIDTH``, so each sum is accurate to about one
+    rounding of its terms whatever their number, and memory stays one
+    block.  Binomial weights come from :func:`_binomial_weights`.
 
     A series stops once at least ``min_terms`` terms are in, its terms are
     past their running peak, and the current term has stayed at most
@@ -135,6 +137,12 @@ def _coefficient_sums(f: ZonalFunction, trunc: SeriesTruncation) -> tuple[float,
     and a binomial weight beyond the double range, a non-finite term or an
     overflowing sum raises :class:`DegenerateInputError`.  No stop by
     degree ``max_terms`` raises :class:`TruncationError`.
+
+    A block wider than ``_FSUM_WIDTH`` in which every series still running
+    has min|t| > 2 rel_tol (|hi + lo| + sum|t|) cannot pass the small-term
+    test at any degree (the factor 2 covers the rounding of the running
+    sums), so its degree-by-degree scan is skipped; the stop degrees are
+    those of the full scan.
     """
     lam = float(f.dim.lam)
     two_lam = 2.0 * lam
@@ -185,36 +193,43 @@ def _coefficient_sums(f: ZonalFunction, trunc: SeriesTruncation) -> tuple[float,
                 raise error
 
             size_abs = np.abs(terms)
-            partial = np.cumsum(terms, axis=1)
-            partial += np.add(hi, lo)[:, None]
-            running_peak = np.maximum.accumulate(size_abs, axis=1)
-            np.maximum(running_peak, peak, out=running_peak)
-            small = np.concatenate(
-                (recent, (size_abs < running_peak) & (size_abs <= rel_tol * np.abs(partial))), axis=1
-            )
-            stops = small[:, 2:] & small[:, 1:-1] & small[:, :-2]  # three in a row
-            zero = size_abs == 0.0
-            # Zero runs are counted only where one can reach the block end
-            # or the zero-run stop; otherwise every carried run is 0.
-            if zero.any() and (zero[:, -1].any() or zero_run.max() + limit >= _ZERO_RUN):
-                zero_runs = _run_lengths(zero, zero_run)
-                stops |= zero_runs >= _ZERO_RUN
-                zero_run = zero_runs[:, -1]
-            else:
+            sums = np.add(hi, lo)
+            if limit > _FSUM_WIDTH and (done | _cannot_stop(size_abs, sums, rel_tol)).all():
+                # no series still running can stop in this block
+                peak = np.maximum(peak, size_abs.max(axis=1, keepdims=True))
+                recent[:] = False
                 zero_run[:] = 0
-            if trunc.min_terms - 1 > l0:
-                stops[:, : trunc.min_terms - 1 - l0] = False
-            stopped = stops.any(axis=1)
-            if (done | stopped).all():
-                end = int(np.where(done, 0, stops.argmax(axis=1)).max()) + 1
-                _add_blocks(hi, lo, terms[:, :end])
-                return hi[0], hi[1], hi[2], {"terms": l0 + end, "path": "coefficient-sum"}
+            else:
+                partial = np.cumsum(terms, axis=1)
+                partial += sums[:, None]
+                running_peak = np.maximum.accumulate(size_abs, axis=1)
+                np.maximum(running_peak, peak, out=running_peak)
+                small = np.concatenate(
+                    (recent, (size_abs < running_peak) & (size_abs <= rel_tol * np.abs(partial))), axis=1
+                )
+                stops = small[:, 2:] & small[:, 1:-1] & small[:, :-2]  # three in a row
+                zero = size_abs == 0.0
+                # Zero runs are counted only where one can reach the block end
+                # or the zero-run stop; otherwise every carried run is 0.
+                if zero.any() and (zero[:, -1].any() or zero_run.max() + limit >= _ZERO_RUN):
+                    zero_runs = _run_lengths(zero, zero_run)
+                    stops |= zero_runs >= _ZERO_RUN
+                    zero_run = zero_runs[:, -1]
+                else:
+                    zero_run[:] = 0
+                if trunc.min_terms - 1 > l0:
+                    stops[:, : trunc.min_terms - 1 - l0] = False
+                stopped = stops.any(axis=1)
+                if (done | stopped).all():
+                    end = int(np.where(done, 0, stops.argmax(axis=1)).max()) + 1
+                    _add_blocks(hi, lo, terms[:, :end])
+                    return hi[0], hi[1], hi[2], {"terms": l0 + end, "path": "coefficient-sum"}
+                peak = running_peak[:, -1:]
+                recent = small[:, -2:]
+                done |= stopped
             if error is not None:
                 raise error
             _add_blocks(hi, lo, terms)
-            peak = running_peak[:, -1:]
-            recent = small[:, -2:]
-            done |= stopped
             l0, size = l1, min(size * _BLOCK_GROWTH, _MAX_BLOCK)
     raise TruncationError(
         f"coefficient sums for {f.label or 'coefficient rule'} did not settle "
@@ -222,12 +237,45 @@ def _coefficient_sums(f: ZonalFunction, trunc: SeriesTruncation) -> tuple[float,
     )
 
 
+def _cannot_stop(size_abs: np.ndarray, sums: np.ndarray, rel_tol: float) -> np.ndarray:
+    """Rows of a block none of whose terms can pass the small-term test.
+
+    A term is small when |t| <= rel_tol |partial sum|, and every running
+    partial sum in the block is at most |sums| + sum|t| up to the rounding
+    of the cumulative sum, which the factor 2 covers.
+    """
+    return size_abs.min(axis=1) > 2.0 * rel_tol * (np.abs(sums) + size_abs.sum(axis=1))
+
+
 def _add_blocks(hi: list[float], lo: list[float], terms: np.ndarray) -> None:
     """Add each row of ``terms`` to the (hi, lo) sums with math.fsum.
 
-    hi becomes the exactly rounded total and lo its rounding residual; an
+    hi becomes the exactly rounded total and lo its rounding residual.  A
+    block wider than ``_FSUM_WIDTH`` is first folded column-pairwise with
+    TwoSum, which splits a + b exactly into its rounded sum s and error e,
+    until at most ``_FSUM_WIDTH`` columns remain; an odd last column is set
+    aside, and the errors of every fold are summed per row into one extra
+    column.  The folded row has the same exact total apart from the
+    rounding of that error column, of order log2(B) eps^2 sum|t| for B
+    columns, the order of the residual lo itself.  A non-finite fold or an
     overflowing sum raises :class:`DegenerateInputError`.
     """
+    width = terms.shape[1]
+    if width > _FSUM_WIDTH:
+        aside, err = [], np.zeros((len(terms), 1))
+        with np.errstate(over="ignore", invalid="ignore"):
+            while width > _FSUM_WIDTH:
+                half = width // 2
+                if width % 2:
+                    aside.append(terms[:, -1:])
+                a, b = terms[:, :half], terms[:, half : 2 * half]
+                terms = a + b
+                b_virtual = terms - a
+                err += ((a - (terms - b_virtual)) + (b - b_virtual)).sum(axis=1, keepdims=True)
+                width = half
+            terms = np.concatenate((terms, *aside, err), axis=1)
+            if not np.isfinite(terms).all():
+                raise DegenerateInputError("coefficient sums left the double range")
     for r, row in enumerate(terms.tolist()):
         row += (hi[r], lo[r])
         try:

@@ -9,6 +9,7 @@ from fractions import Fraction
 
 import pytest
 
+from zonalvar import poisson_uncertainty_via_s, poisson_wavelet_spec
 from zonalvar.cli import main
 
 
@@ -76,10 +77,21 @@ def test_compute_degenerate_scale_exit_code(capsys):
     assert "degenerate" in err.lower()
 
 
+def test_compute_large_dimension_sums_the_rescaled_rule(capsys):
+    # the coefficient path sums sigma(S^n) rho^-m times the wavelet's
+    # coefficients, so f_hat^2 stays in range where 1/sigma(S^n) rho^m
+    # would overflow it
+    code, out, err = run(capsys, ["compute", "--n", "120", "--m", "1", "--rho", "0.01"])
+    assert code == 0, err
+    record = json.loads(out)
+    assert record["path_agreement"] <= 1e-9
+    fast = poisson_uncertainty_via_s(poisson_wavelet_spec(120, 1, 0.01))
+    assert abs(record["product"] - fast.product) <= 1e-9 * fast.product
+
+
 @pytest.mark.parametrize(
     "argv",
     [
-        ["compute", "--n", "120", "--m", "1", "--rho", "0.01"],
         ["compute", "--n", "300", "--m", "1", "--rho", "0.1"],
         ["compute", "--n", "400", "--m", "2", "--rho", "0.1"],
         ["compute", "--n", "2", "--m", "100", "--rho", "1"],

@@ -1,6 +1,7 @@
 """Variance functionals: hand-sum oracles, path equivalence, bound, degeneracies."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -278,6 +279,9 @@ def loop_sums(f, trunc=SeriesTruncation()):
         (lambda n: ZonalFunction(sphere_dim(n), lambda l: 0.9**l if l % 3 else 0.0), SeriesTruncation()),
         (lambda n: ZonalFunction(sphere_dim(n), lambda l: 1e-3**l), SeriesTruncation(min_terms=100)),
         (lambda n: ZonalFunction(sphere_dim(n), lambda l: 1e-3**l), SeriesTruncation(min_terms=30)),
+        # stops past several 4096-wide blocks, so the fold and the scan skip run
+        (lambda n: poisson_wavelet_coefficients(poisson_wavelet_spec(n, 1, 2e-3)), SeriesTruncation()),
+        (lambda n: rescaled_wavelet_coefficients(poisson_wavelet_spec(n, 2, 1e-3)), SeriesTruncation()),
     ],
 )
 def test_block_sums_match_loop_reference(rule, trunc):
@@ -305,8 +309,69 @@ def test_stop_degree_does_not_depend_on_block_form():
         assert a == b
 
 
+def exact_sum(values) -> Fraction:
+    """Exact sum of floats; every float is a multiple of 2^-1074."""
+    total = 0
+    for v in values:
+        num, den = v.as_integer_ratio()
+        total += num << (1075 - den.bit_length())
+    return Fraction(total, 1 << 1074)
+
+
+def test_folded_block_overflow_is_degenerate():
+    terms = np.full((3, variance._FSUM_WIDTH + 1), 1e308)
+    with pytest.raises(DegenerateInputError, match="double range"):
+        variance._add_blocks([0.0] * 3, [0.0] * 3, terms)
+    # every term is finite, but the M terms (about 1e308 each) overflow
+    # once added in pairs; the first block wider than _FSUM_WIDTH starts at
+    # `start`, so the overflow happens in a fold
+    start = variance._FIRST_BLOCK * (1 + variance._BLOCK_GROWTH)
+    f = ZonalFunction(sphere_dim(3), lambda l: 1e154 / l if l >= start else 0.0)
+    with pytest.raises(DegenerateInputError, match="double range"):
+        uncertainty_product(f)
+
+
+def test_scan_skip_allows_for_rounding_of_running_sums():
+    # Every running sum 1 + k v rounds up by almost v, so the running sums
+    # outgrow the exact total 1 + (B - 1) v by about (B - 1) v.  The last
+    # terms are then small against them, and the skip test must not rule
+    # that out.
+    v = 2.0**-53 * (1.0 + 2.0**-10)
+    terms = np.full((3, variance._MAX_BLOCK), v)
+    terms[:, 0] = 1.0
+    rel_tol = v / (1.0 + 3000 * 2.0**-52)
+    sums = np.zeros(3)
+    partial = np.cumsum(terms, axis=1) + sums[:, None]
+    assert (terms <= rel_tol * np.abs(partial)).any(axis=1).all()
+    assert not variance._cannot_stop(np.abs(terms), sums, rel_tol).any()
+
+
 # ---------------------------------------------------------------------------
 # properties
+
+
+@given(
+    width=st.sampled_from(
+        [variance._FSUM_WIDTH - 1, variance._FSUM_WIDTH, variance._FSUM_WIDTH + 1,
+         2 * variance._FSUM_WIDTH + 1, 4096]
+    ),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    zeros=st.floats(min_value=0.0, max_value=0.5),
+    hi0=st.floats(min_value=-(2.0**110), max_value=2.0**110).filter(bool),
+    lo0=st.floats(min_value=-(2.0**110), max_value=2.0**110).filter(bool),
+)
+def test_add_blocks_is_accurate_at_every_width(width, seed, zeros, hi0, lo0):
+    rng = np.random.default_rng(seed)
+    terms = np.ldexp(rng.uniform(-1.0, 1.0, (3, width)), rng.integers(-100, 101, (3, width)))
+    terms[rng.random((3, width)) < zeros] = 0.0
+    hi, lo = [hi0] * 3, [lo0] * 3
+    variance._add_blocks(hi, lo, terms)
+    for r, row in enumerate(terms.tolist()):
+        exact = exact_sum(row + [hi0, lo0])
+        scale = exact_sum([abs(x) for x in row] + [abs(hi0), abs(lo0)])
+        assert abs(Fraction(hi[r]) + Fraction(lo[r]) - exact) <= scale / 2**96
+
+
 
 
 @given(
