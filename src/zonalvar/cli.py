@@ -47,7 +47,7 @@ from .errors import DegenerateInputError, DomainError, TruncationError
 from .laurent import derive_ABC, expand_F, expand_s0, expand_sm, expand_variances
 from .series_s import DEFAULT_TRUNCATION, SeriesTruncation
 from .variance import poisson_uncertainty_via_s, uncertainty_product
-from .zonal import poisson_wavelet_spec, rescaled_wavelet_coefficients
+from .zonal import capped_wavelet_coefficients, poisson_wavelet_spec
 
 ENV_OUTPUT_DIR = "ZONALVAR_OUTPUT_DIR"
 
@@ -175,7 +175,7 @@ def compute(n, m, rho, fmt, rel_tol, min_terms, max_terms, output):
     trunc = _truncation(rel_tol, min_terms, max_terms)
     spec = poisson_wavelet_spec(n, m, rho)
     fast = poisson_uncertainty_via_s(spec)
-    direct = uncertainty_product(rescaled_wavelet_coefficients(spec), trunc)
+    direct = uncertainty_product(capped_wavelet_coefficients(spec), trunc)
     agreement = max(
         _relative_deviation(fast.var_space, direct.var_space),
         _relative_deviation(fast.var_momentum, direct.var_momentum),
@@ -416,7 +416,7 @@ def _verify_path_and_bound(trunc: SeriesTruncation) -> tuple[dict, dict]:
             for rho in PATH_GRID_RHO:
                 spec = poisson_wavelet_spec(n, m, rho)
                 fast = poisson_uncertainty_via_s(spec)
-                direct = uncertainty_product(rescaled_wavelet_coefficients(spec), trunc)
+                direct = uncertainty_product(capped_wavelet_coefficients(spec), trunc)
                 for quantity, a, b in (
                     ("var_space", fast.var_space, direct.var_space),
                     ("var_momentum", fast.var_momentum, direct.var_momentum),

@@ -122,11 +122,11 @@ def _coefficient_sums(f: ZonalFunction, trunc: SeriesTruncation) -> tuple[float,
     ratio = (l + 2 lambda)/(l + lambda + 1) * f_hat(l+1)/f_hat(l), which keeps
     the difference accurate even when N and D agree to many digits.
 
-    Each block is added to a carried (hi, lo) pair by :func:`_add_blocks`:
-    exactly rounded with math.fsum, after an error-free TwoSum fold for
-    blocks wider than ``_FSUM_WIDTH``, so each sum is accurate to about one
-    rounding of its terms whatever their number, and memory stays one
-    block.  Binomial weights come from :func:`_binomial_weights`.
+    Each block is added to a carried (hi, lo) pair by :func:`_add_blocks`
+    with math.fsum, after a TwoSum fold for blocks wider than
+    ``_FSUM_WIDTH``, so each sum is accurate to about one rounding of its
+    terms whatever their number, and memory stays one block.  Binomial
+    weights come from :func:`_binomial_weights`.
 
     A series stops once at least ``min_terms`` terms are in, its terms are
     past their running peak, and the current term has stayed at most
@@ -250,15 +250,18 @@ def _cannot_stop(size_abs: np.ndarray, sums: np.ndarray, rel_tol: float) -> np.n
 def _add_blocks(hi: list[float], lo: list[float], terms: np.ndarray) -> None:
     """Add each row of ``terms`` to the (hi, lo) sums with math.fsum.
 
-    hi becomes the exactly rounded total and lo its rounding residual.  A
-    block wider than ``_FSUM_WIDTH`` is first folded column-pairwise with
-    TwoSum, which splits a + b exactly into its rounded sum s and error e,
-    until at most ``_FSUM_WIDTH`` columns remain; an odd last column is set
-    aside, and the errors of every fold are summed per row into one extra
-    column.  The folded row has the same exact total apart from the
-    rounding of that error column, of order log2(B) eps^2 sum|t| for B
-    columns, the order of the residual lo itself.  A non-finite fold or an
-    overflowing sum raises :class:`DegenerateInputError`.
+    For a block of at most ``_FSUM_WIDTH`` columns hi becomes the exactly
+    rounded total and lo its rounding residual.  A wider block is first
+    folded column-pairwise with TwoSum, which splits a + b exactly into its
+    rounded sum s and error e, until at most ``_FSUM_WIDTH`` columns
+    remain; an odd last column is set aside, and the errors of every fold
+    are summed per row into one extra column.  The folded row has the same
+    exact total apart from the rounding of that error column, of order
+    log2(B) eps^2 sum|t| for B columns, the order of the residual lo
+    itself; hi + lo is then within that of the exact total, and hi is the
+    exactly rounded total unless that total lies so close to a rounding
+    boundary.  A non-finite fold or an overflowing sum raises
+    :class:`DegenerateInputError`.
     """
     width = terms.shape[1]
     if width > _FSUM_WIDTH:

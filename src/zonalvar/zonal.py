@@ -14,13 +14,14 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DomainError, TruncationError
+from .errors import DegenerateInputError, DomainError, TruncationError
 from .series_s import DEFAULT_TRUNCATION, CompensatedSum, SeriesTruncation, _TailStop
 from .special_functions import SphereDim, _gegenbauer_recurrence, sphere_dim
 
 __all__ = [
     "PoissonWaveletSpec",
     "ZonalFunction",
+    "capped_wavelet_coefficients",
     "poisson_kernel_coefficients",
     "poisson_kernel_eval",
     "poisson_wavelet_coefficients",
@@ -141,6 +142,26 @@ def rescaled_wavelet_coefficients(spec: PoissonWaveletSpec) -> ZonalFunction:
     dim, m, rho = spec.dim, spec.m, spec.rho
     rule = _PoissonRule(float(dim.lam), rho, m)
     return ZonalFunction(dim, rule, label=f"rescaled-wavelet(n={dim.n}, m={m}, rho={rho})")
+
+
+def capped_wavelet_coefficients(spec: PoissonWaveletSpec) -> ZonalFunction:
+    """The wavelet's coefficient rule with its factor 1/sigma(S^n) capped at 1:
+    f_hat(l) = min(1, 1/sigma(S^n)) ((l + lambda) / lambda) (rho l)^m exp(-rho l).
+
+    It has the wavelet's variances and uncertainty product.  While
+    sigma(S^n) >= 1 (n <= 17) it is bitwise the rule of
+    :func:`poisson_wavelet_coefficients`; beyond, it drops 1/sigma(S^n),
+    which grows without bound in n and would overflow f_hat^2.  Unlike
+    :func:`rescaled_wavelet_coefficients` it keeps rho^m, so its peak, about
+    m^m e^-m times the degree weight, does not grow as rho falls.
+    """
+    dim, m, rho = spec.dim, spec.m, spec.rho
+    try:
+        scale = min(1.0, 1.0 / dim.surface)
+    except DegenerateInputError:  # sigma(S^n) is far below 1 where Gamma((n+1)/2) overflows
+        scale = 1.0
+    rule = _PoissonRule(float(dim.lam), rho, m, scale=scale, step=rho)
+    return ZonalFunction(dim, rule, label=f"capped-wavelet(n={dim.n}, m={m}, rho={rho})")
 
 
 def poisson_kernel_eval(dim: SphereDim, rho: float, theta: float) -> float:

@@ -77,16 +77,26 @@ def test_compute_degenerate_scale_exit_code(capsys):
     assert "degenerate" in err.lower()
 
 
-def test_compute_large_dimension_sums_the_rescaled_rule(capsys):
-    # the coefficient path sums sigma(S^n) rho^-m times the wavelet's
-    # coefficients, so f_hat^2 stays in range where 1/sigma(S^n) rho^m
-    # would overflow it
-    code, out, err = run(capsys, ["compute", "--n", "120", "--m", "1", "--rho", "0.01"])
+def test_compute_large_dimension_sums_the_capped_rule(capsys):
+    # the coefficient path caps the wavelet's factor 1/sigma(S^n) at 1, so
+    # f_hat^2 stays in range where 1/sigma(S^n) would overflow it, also
+    # where sigma(S^n) itself leaves the double range (n = 400)
+    for n, m, rho in ((120, 1, 0.01), (400, 1, 1.0)):
+        code, out, err = run(capsys, ["compute", "--n", str(n), "--m", str(m), "--rho", str(rho)])
+        assert code == 0, err
+        record = json.loads(out)
+        assert record["path_agreement"] <= 1e-9
+        fast = poisson_uncertainty_via_s(poisson_wavelet_spec(n, m, rho))
+        assert abs(record["product"] - fast.product) <= 1e-9 * fast.product
+
+
+@pytest.mark.parametrize("n, m, rho", [(2, 50, 0.01), (3, 40, 1e-3)])
+def test_compute_small_rho_high_order_stays_in_range(capsys, n, m, rho):
+    # the summed rule keeps rho^m, so its peak m^m e^-m does not grow as rho
+    # falls; dropping rho^m would overflow f_hat^2 here
+    code, out, err = run(capsys, ["compute", "--n", str(n), "--m", str(m), "--rho", str(rho)])
     assert code == 0, err
-    record = json.loads(out)
-    assert record["path_agreement"] <= 1e-9
-    fast = poisson_uncertainty_via_s(poisson_wavelet_spec(120, 1, 0.01))
-    assert abs(record["product"] - fast.product) <= 1e-9 * fast.product
+    assert json.loads(out)["path_agreement"] <= 1e-9
 
 
 @pytest.mark.parametrize(

@@ -10,6 +10,7 @@ from zonalvar import (
     DomainError,
     SeriesTruncation,
     ZonalFunction,
+    capped_wavelet_coefficients,
     poisson_kernel_coefficients,
     poisson_kernel_eval,
     poisson_wavelet_coefficients,
@@ -150,6 +151,20 @@ def test_rescaling_relates_wavelet_and_rescaled_rules():
         assert scale * g(l) == pytest.approx(f(l), rel=1e-13)
 
 
+def test_capped_rule_is_the_wavelet_while_sigma_is_at_least_one():
+    for n in (2, 6, 17):
+        spec = poisson_wavelet_spec(n, 3, 0.2)
+        g = poisson_wavelet_coefficients(spec).coeff
+        f = capped_wavelet_coefficients(spec).coeff
+        assert [f(l) for l in range(200)] == [g(l) for l in range(200)]
+    for n in (18, 120, 400):  # sigma(S^n) < 1; it leaves the double range at n = 400
+        spec = poisson_wavelet_spec(n, 3, 0.2)
+        f = capped_wavelet_coefficients(spec).coeff
+        r = rescaled_wavelet_coefficients(spec).coeff
+        for l in range(1, 200):
+            assert f(l) == pytest.approx(0.2**3 * r(l), rel=1e-13)
+
+
 @pytest.mark.parametrize("n, m, rho", [(2, 1, 1e-3), (3, 2, 0.1), (5, 4, 1.0), (8, 3, 5.0), (12, 1, 0.37)])
 def test_block_form_matches_scalar_rule_bitwise(n, m, rho):
     spec = poisson_wavelet_spec(n, m, rho)
@@ -157,6 +172,7 @@ def test_block_form_matches_scalar_rule_bitwise(n, m, rho):
         poisson_kernel_coefficients(spec.dim, rho).coeff,
         poisson_wavelet_coefficients(spec).coeff,
         rescaled_wavelet_coefficients(spec).coeff,
+        capped_wavelet_coefficients(spec).coeff,
     )
     for rule in rules:
         for l0, l1 in ((0, 1), (0, 64), (1, 2), (17, 300), (999, 5000)):
