@@ -297,11 +297,13 @@ class MinimizationResult:
     m_star: int
     radicand: Fraction
     value: float
-    scanned_up_to: int
 
 
-def minimize_limit_over_order(n: int, m_cap: int | None = None) -> MinimizationResult:
-    """Scan integer orders m = 1..m_cap for the smallest limit U_inf(n, m).
+def minimize_limit_over_order(n: int) -> MinimizationResult:
+    """Scan integer orders m = 1..4n for the smallest limit U_inf(n, m).
+
+    4n is past the last critical point of the limit in m, so the scanned
+    window provably contains the global integer minimizer.
 
     The scan checks that the sequence is decreasing up to the minimizer and
     increasing after it, and for n >= 5 verifies the closed-form identities
@@ -309,11 +311,7 @@ def minimize_limit_over_order(n: int, m_cap: int | None = None) -> MinimizationR
     """
     if n < 2:
         raise DomainError("n must be >= 2")
-    if m_cap is None:
-        # 4n is past the last critical point of the limit in m, so the
-        # scanned window provably contains the global integer minimizer.
-        m_cap = 4 * n
-    rads = [limit_uncertainty(n, m)[0] for m in range(1, m_cap + 1)]
+    rads = [limit_uncertainty(n, m)[0] for m in range(1, 4 * n + 1)]
     m_star = 1 + min(range(len(rads)), key=rads.__getitem__)
     for i in range(len(rads) - 1):
         m = i + 1
@@ -327,10 +325,10 @@ def minimize_limit_over_order(n: int, m_cap: int | None = None) -> MinimizationR
             raise RuntimeError(f"minimizer mismatch at n={n}: scan found {m_star}")
         if 4 * radicand != Fraction(n * (n - 1) * (2 * n - 1), 2 * n - 3):
             raise RuntimeError(f"minimal limit identity failed at n={n}")
-    return MinimizationResult(n, m_star, radicand, math.sqrt(radicand), m_cap)
+    return MinimizationResult(n, m_star, radicand, math.sqrt(radicand))
 
 
-_DEFAULT_RESIDUAL_GRID = (0.1, 0.05, 0.025, 0.0125, 0.00625)
+_RESIDUAL_GRID = (0.1, 0.05, 0.025, 0.0125, 0.00625)
 
 _RESIDUAL_FLOOR_ULPS = 32.0
 
@@ -352,14 +350,10 @@ class ResidualFit:
     residuals: tuple[float, ...]
 
 
-def residual_order_check(
-    n: int,
-    m: int,
-    quantity: str,
-    rho_grid: tuple[float, ...] = _DEFAULT_RESIDUAL_GRID,
-) -> ResidualFit:
+def residual_order_check(n: int, m: int, quantity: str) -> ResidualFit:
     """Fit the decay order of the residual between the numeric variance
-    functionals and the engine expansion truncated at its default window.
+    functionals and the engine expansion truncated at its default window,
+    over rho in ``_RESIDUAL_GRID``.
 
     quantity is one of "varS" (expected slope near 4), "varM" (the expansion
     ends at O(1), slope near 0), or "U" (expected slope near 2).
@@ -371,7 +365,7 @@ def residual_order_check(
     rhos = []
     residuals = []
     vacuous = False
-    for rho in rho_grid:
+    for rho in _RESIDUAL_GRID:
         result = poisson_uncertainty_via_s(poisson_wavelet_spec(n, m, rho))
         if quantity == "varS":
             numeric = result.var_space

@@ -46,8 +46,8 @@ from .asymptotics import (
 from .errors import DegenerateInputError, DomainError, TruncationError
 from .laurent import derive_ABC, expand_F, expand_s0, expand_sm, expand_variances
 from .series_s import DEFAULT_TRUNCATION, SeriesTruncation
-from .variance import poisson_uncertainty_via_s, uncertainty_product
-from .zonal import capped_wavelet_coefficients, poisson_wavelet_spec
+from .variance import UncertaintyResult, poisson_uncertainty_via_s, uncertainty_product
+from .zonal import PoissonWaveletSpec, capped_wavelet_coefficients, poisson_wavelet_spec
 
 ENV_OUTPUT_DIR = "ZONALVAR_OUTPUT_DIR"
 
@@ -104,8 +104,6 @@ def _cell(value) -> str:
         return "true" if value else "false"
     if isinstance(value, float):
         return format(value, ".17g")
-    if isinstance(value, Fraction):
-        return str(value)
     return str(value)
 
 
@@ -138,6 +136,21 @@ def _emit(text: str, output: str | None) -> None:
 
 def _relative_deviation(a: float, b: float) -> float:
     return abs(a - b) / max(abs(a), abs(b), 1e-300)
+
+
+def _compare_paths(spec: PoissonWaveletSpec, trunc: SeriesTruncation) -> tuple[UncertaintyResult, dict]:
+    """The S-path result, and its relative deviation from the coefficient-sum
+    path for each of var_space, var_momentum and product.
+
+    The coefficient path sums the wavelet's rule with 1/sigma(S^n) capped at
+    1, which has the same variances and keeps f_hat^2 in range for large n.
+    """
+    fast = poisson_uncertainty_via_s(spec)
+    direct = uncertainty_product(capped_wavelet_coefficients(spec), trunc)
+    return fast, {
+        quantity: _relative_deviation(getattr(fast, quantity), getattr(direct, quantity))
+        for quantity in ("var_space", "var_momentum", "product")
+    }
 
 
 @click.group()
@@ -173,14 +186,8 @@ def compute(n, m, rho, fmt, rel_tol, min_terms, max_terms, output):
     _check(m >= 1, "m must be >= 1")
     _check(rho > 0, "rho must be > 0")
     trunc = _truncation(rel_tol, min_terms, max_terms)
-    spec = poisson_wavelet_spec(n, m, rho)
-    fast = poisson_uncertainty_via_s(spec)
-    direct = uncertainty_product(capped_wavelet_coefficients(spec), trunc)
-    agreement = max(
-        _relative_deviation(fast.var_space, direct.var_space),
-        _relative_deviation(fast.var_momentum, direct.var_momentum),
-        _relative_deviation(fast.product, direct.product),
-    )
+    fast, deviations = _compare_paths(poisson_wavelet_spec(n, m, rho), trunc)
+    agreement = max(deviations.values())
     _, limit_value = limit_uncertainty(n, m)
     record = {
         "n": n,
@@ -345,25 +352,19 @@ def _verify_appendix_section() -> dict:
             ell = n + 2 * m
             a_series, b_series, c_series = derive_ABC(n, m)
             entry: dict = {"n": n, "m": m}
-            if n >= 5:
-                engine_a = [a_series.coefficient(-ell + i) * 2**ell for i in range(4)]
-                engine_b = [b_series.coefficient(-ell + i) * 2**ell for i in range(4)]
-                stated_a = numerator_coefficient_table(n, m)
-                stated_b = denominator_coefficient_table(n, m)
-                entry["A"] = engine_a == stated_a
-                entry["B"] = engine_b == stated_b
-                if not entry["A"]:
-                    mismatches.append({"n": n, "m": m, "target": "A",
-                                       "engine": engine_a, "stated": stated_a})
-                if not entry["B"]:
-                    mismatches.append({"n": n, "m": m, "target": "B",
-                                       "engine": engine_b, "stated": stated_b})
-            engine_c = [c_series.coefficient(-(ell + 2) + i) * 2 ** (ell + 2) for i in range(2)]
-            stated_c = momentum_numerator_coefficient_table(n, m)
-            entry["C"] = engine_c == stated_c
-            if not entry["C"]:
-                mismatches.append({"n": n, "m": m, "target": "C",
-                                   "engine": engine_c, "stated": stated_c})
+            for target, series, lead, count, table in (
+                ("A", a_series, ell, 4, numerator_coefficient_table),
+                ("B", b_series, ell, 4, denominator_coefficient_table),
+                ("C", c_series, ell + 2, 2, momentum_numerator_coefficient_table),
+            ):
+                if n < 5 and target != "C":  # the stated A and B tables start at n = 5
+                    continue
+                engine = [series.coefficient(-lead + i) * 2**lead for i in range(count)]
+                stated = table(n, m)
+                entry[target] = engine == stated
+                if not entry[target]:
+                    mismatches.append({"n": n, "m": m, "target": target,
+                                       "engine": engine, "stated": stated})
             entries.append(entry)
     all_match = not mismatches
     return {
@@ -414,15 +415,8 @@ def _verify_path_and_bound(trunc: SeriesTruncation) -> tuple[dict, dict]:
     for n in PATH_GRID_N:
         for m in PATH_GRID_M:
             for rho in PATH_GRID_RHO:
-                spec = poisson_wavelet_spec(n, m, rho)
-                fast = poisson_uncertainty_via_s(spec)
-                direct = uncertainty_product(capped_wavelet_coefficients(spec), trunc)
-                for quantity, a, b in (
-                    ("var_space", fast.var_space, direct.var_space),
-                    ("var_momentum", fast.var_momentum, direct.var_momentum),
-                    ("product", fast.product, direct.product),
-                ):
-                    dev = _relative_deviation(a, b)
+                fast, deviations = _compare_paths(poisson_wavelet_spec(n, m, rho), trunc)
+                for quantity, dev in deviations.items():
                     if dev > worst["deviation"]:
                         worst = {"deviation": dev, "n": n, "m": m, "rho": rho,
                                  "quantity": quantity}

@@ -93,8 +93,8 @@ class _TailStop:
     order.  It reports True when at least ``min_terms`` terms are in, the
     envelope is past its peak (the index exceeds ``peak_hint`` or the
     running maximum strictly dominates the current term), and
-    term_abs <= rel_tol * sum_abs held for ``consecutive`` terms in a row.
-    A long run of exactly zero terms also stops the sum: the tail is then
+    term_abs <= rel_tol * sum_abs held for three terms in a row.  A run of
+    ``ZERO_RUN`` exactly zero terms also stops the sum: the tail is then
     identically zero in double precision and the accumulated value, possibly
     0.0, is the answer; the caller decides whether that is degenerate.
     """
@@ -104,7 +104,6 @@ class _TailStop:
     __slots__ = (
         "_trunc",
         "_peak_hint",
-        "_consecutive",
         "_tail_weight",
         "_peak_seen",
         "_small_run",
@@ -115,12 +114,10 @@ class _TailStop:
         self,
         trunc: SeriesTruncation,
         peak_hint: int | None = None,
-        consecutive: int = 3,
         tail_weight: float = 1.0,
     ):
         self._trunc = trunc
         self._peak_hint = peak_hint
-        self._consecutive = consecutive
         # Estimated ratio of the whole remaining tail to the current term;
         # for a slowly decaying series the tail holds ~1/(1-q) terms' worth.
         self._tail_weight = max(1.0, tail_weight)
@@ -144,7 +141,7 @@ class _TailStop:
             self._small_run = 0
         if index + 1 < self._trunc.min_terms:
             return False
-        if self._small_run >= self._consecutive:
+        if self._small_run >= 3:
             return True
         return self._zero_run >= self.ZERO_RUN
 

@@ -22,7 +22,6 @@ __all__ = [
     "gegenbauer_eval",
     "sphere_dim",
     "sphere_surface",
-    "surface_measure",
 ]
 
 
@@ -69,13 +68,6 @@ def sphere_surface(k: int) -> float:
     return 2.0 * pi_pow / gamma
 
 
-def surface_measure(n: int) -> float:
-    """Total measure sigma(S^n) = 2 pi^((n+1)/2) / Gamma((n+1)/2) for n >= 2."""
-    if n < 2:
-        raise DomainError("n must be >= 2")
-    return sphere_surface(n)
-
-
 @dataclass(frozen=True)
 class SphereDim:
     """Dimension bundle for S^n: n, lambda = (n-1)/2 kept exact, and sigma(S^n).
@@ -89,7 +81,7 @@ class SphereDim:
 
     @property
     def surface(self) -> float:
-        return surface_measure(self.n)
+        return sphere_surface(self.n)
 
 
 def sphere_dim(n: int) -> SphereDim:

@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import BoundViolationError, DegenerateInputError, DomainError, TruncationError
 from .laurent import _abc_weights, _convolve
-from .series_s import DEFAULT_TRUNCATION, SeriesTruncation, _PositivePoly, _s_m_polynomial
+from .series_s import DEFAULT_TRUNCATION, SeriesTruncation, _PositivePoly, _s_m_polynomial, _TailStop
 from .zonal import PoissonWaveletSpec, ZonalFunction
 
 __all__ = [
@@ -61,7 +61,6 @@ _FIRST_BLOCK = 64
 _BLOCK_GROWTH = 4
 _MAX_BLOCK = 4096
 _FSUM_WIDTH = 256  # wider blocks are folded to this many columns before math.fsum
-_ZERO_RUN = 1024  # exactly zero terms in a row that stop a series
 _WEIGHT_CHECK = 1.7e308  # float weights from here up are redone exactly
 
 
@@ -102,15 +101,6 @@ def _binomial_weights(n: int, ls: np.ndarray) -> tuple[np.ndarray, int | None]:
     return w, None
 
 
-def _run_lengths(flags: np.ndarray, carry: np.ndarray) -> np.ndarray:
-    """Length of the run of True ending at each column, row by row, where
-    ``carry`` is the run length each row brings into the block."""
-    idx = np.arange(flags.shape[1])
-    last_false = np.maximum.accumulate(np.where(flags, -1, idx), axis=1)
-    run = idx - last_false
-    return np.where(last_false < 0, run + carry[:, None], run)
-
-
 def _coefficient_sums(f: ZonalFunction, trunc: SeriesTruncation) -> tuple[float, float, float, dict]:
     """Accumulate (N, N - D, M) for the coefficient rule f.
 
@@ -130,13 +120,15 @@ def _coefficient_sums(f: ZonalFunction, trunc: SeriesTruncation) -> tuple[float,
 
     A series stops once at least ``min_terms`` terms are in, its terms are
     past their running peak, and the current term has stayed at most
-    ``rel_tol`` times the running sum for three terms in a row (or after
-    1024 exactly zero terms in a row); the sums stop at the degree where the
-    last of the three series stops.  Values fetched past that degree are
-    ignored.  Up to it, a non-finite rule value raises :class:`DomainError`,
-    and a binomial weight beyond the double range, a non-finite term or an
-    overflowing sum raises :class:`DegenerateInputError`.  No stop by
-    degree ``max_terms`` raises :class:`TruncationError`.
+    ``rel_tol`` times the running sum for three terms in a row, or once its
+    first ``_TailStop.ZERO_RUN`` terms are all exactly zero (a zero run after
+    a nonzero term passes the small-term test at its third zero); the sums
+    stop at the degree where the last of the three series stops.  Values
+    fetched past that degree are ignored.  Up to it, a non-finite rule
+    value raises :class:`DomainError`, and a binomial weight beyond the
+    double range, a non-finite term or an overflowing sum raises
+    :class:`DegenerateInputError`.  No stop by degree ``max_terms`` raises
+    :class:`TruncationError`.
 
     A block wider than ``_FSUM_WIDTH`` in which every series still running
     has min|t| > 2 rel_tol (|hi + lo| + sum|t|) cannot pass the small-term
@@ -154,7 +146,6 @@ def _coefficient_sums(f: ZonalFunction, trunc: SeriesTruncation) -> tuple[float,
     lo = [0.0, 0.0, 0.0]  # ... and their rounding residuals
     peak = np.zeros((3, 1))  # largest |term| so far
     recent = np.zeros((3, 2), dtype=bool)  # small-term flags of the last two degrees
-    zero_run = np.zeros(3, dtype=np.int64)
     done = np.zeros(3, dtype=bool)
     l0, size = 0, _FIRST_BLOCK
     with np.errstate(all="ignore"):
@@ -198,7 +189,6 @@ def _coefficient_sums(f: ZonalFunction, trunc: SeriesTruncation) -> tuple[float,
                 # no series still running can stop in this block
                 peak = np.maximum(peak, size_abs.max(axis=1, keepdims=True))
                 recent[:] = False
-                zero_run[:] = 0
             else:
                 partial = np.cumsum(terms, axis=1)
                 partial += sums[:, None]
@@ -208,15 +198,9 @@ def _coefficient_sums(f: ZonalFunction, trunc: SeriesTruncation) -> tuple[float,
                     (recent, (size_abs < running_peak) & (size_abs <= rel_tol * np.abs(partial))), axis=1
                 )
                 stops = small[:, 2:] & small[:, 1:-1] & small[:, :-2]  # three in a row
-                zero = size_abs == 0.0
-                # Zero runs are counted only where one can reach the block end
-                # or the zero-run stop; otherwise every carried run is 0.
-                if zero.any() and (zero[:, -1].any() or zero_run.max() + limit >= _ZERO_RUN):
-                    zero_runs = _run_lengths(zero, zero_run)
-                    stops |= zero_runs >= _ZERO_RUN
-                    zero_run = zero_runs[:, -1]
-                else:
-                    zero_run[:] = 0
+                if not peak.all():  # all-zero series stop from degree ZERO_RUN - 1 on
+                    first = max(_TailStop.ZERO_RUN - 1 - l0, 0)
+                    stops[:, first:] |= running_peak[:, first:] == 0.0
                 if trunc.min_terms - 1 > l0:
                     stops[:, : trunc.min_terms - 1 - l0] = False
                 stopped = stops.any(axis=1)

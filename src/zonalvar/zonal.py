@@ -26,7 +26,6 @@ __all__ = [
     "poisson_kernel_eval",
     "poisson_wavelet_coefficients",
     "poisson_wavelet_spec",
-    "rescaled_wavelet_coefficients",
     "zonal_eval",
 ]
 
@@ -81,10 +80,9 @@ class _PoissonRule:
     The power is applied by repeated multiplication, so the value at l = 0
     is exactly 0.0 for m >= 1 and the order recursion
     rule_(m+1)(l) = (step l) rule_m(l) holds bitwise.  :meth:`block` returns
-    the values for l0 <= l < l1 as an array, with the same floating-point
-    operations in the same order as the scalar call (``math.exp``, not
-    ``np.exp``, whose results differ from libm in the last bit), so the
-    two forms agree bitwise.
+    the values for l0 <= l < l1 as an array through the same formula, with
+    exp(-rho l) from ``math.exp`` (``np.exp`` differs from libm in the last
+    bit), so the two forms agree bitwise.
     """
 
     lam: float
@@ -93,21 +91,19 @@ class _PoissonRule:
     scale: float = 1.0
     step: float = 1.0
 
-    def __call__(self, l: int) -> float:
-        v = self.scale * ((l + self.lam) / self.lam) * math.exp(-self.rho * l)
+    def _values(self, l, e):
+        v = self.scale * ((l + self.lam) / self.lam) * e
         x = self.step * l
         for _ in range(self.m):
             v *= x
         return v
 
+    def __call__(self, l: int) -> float:
+        return self._values(l, math.exp(-self.rho * l))
+
     def block(self, l0: int, l1: int) -> np.ndarray:
         ls = np.arange(l0, l1, dtype=float)
-        exps = np.fromiter(map(math.exp, (-self.rho * ls).tolist()), float, len(ls))
-        v = self.scale * ((ls + self.lam) / self.lam) * exps
-        x = self.step * ls
-        for _ in range(self.m):
-            v *= x
-        return v
+        return self._values(ls, np.fromiter(map(math.exp, (-self.rho * ls).tolist()), float, len(ls)))
 
 
 def poisson_kernel_coefficients(dim: SphereDim, rho: float) -> ZonalFunction:
@@ -131,19 +127,6 @@ def poisson_wavelet_coefficients(spec: PoissonWaveletSpec) -> ZonalFunction:
     return ZonalFunction(dim, rule, label=f"poisson-wavelet(n={dim.n}, m={m}, rho={rho})")
 
 
-def rescaled_wavelet_coefficients(spec: PoissonWaveletSpec) -> ZonalFunction:
-    """Coefficient rule sigma(S^n) rho^-m * g_hat, i.e.
-    f_hat(l) = ((l + lambda) / lambda) l^m exp(-rho l), zero at l = 0.
-
-    Variance functionals are invariant under constant rescaling, so this
-    rule has the same variances and uncertainty product as the wavelet
-    itself while avoiding the tiny common prefactor.
-    """
-    dim, m, rho = spec.dim, spec.m, spec.rho
-    rule = _PoissonRule(float(dim.lam), rho, m)
-    return ZonalFunction(dim, rule, label=f"rescaled-wavelet(n={dim.n}, m={m}, rho={rho})")
-
-
 def capped_wavelet_coefficients(spec: PoissonWaveletSpec) -> ZonalFunction:
     """The wavelet's coefficient rule with its factor 1/sigma(S^n) capped at 1:
     f_hat(l) = min(1, 1/sigma(S^n)) ((l + lambda) / lambda) (rho l)^m exp(-rho l).
@@ -151,9 +134,10 @@ def capped_wavelet_coefficients(spec: PoissonWaveletSpec) -> ZonalFunction:
     It has the wavelet's variances and uncertainty product.  While
     sigma(S^n) >= 1 (n <= 17) it is bitwise the rule of
     :func:`poisson_wavelet_coefficients`; beyond, it drops 1/sigma(S^n),
-    which grows without bound in n and would overflow f_hat^2.  Unlike
-    :func:`rescaled_wavelet_coefficients` it keeps rho^m, so its peak, about
-    m^m e^-m times the degree weight, does not grow as rho falls.
+    which grows without bound in n and would overflow f_hat^2.  It keeps
+    rho^m, so its peak, about m^m e^-m times the degree weight, does not
+    grow as rho falls (dropping rho^m too would overflow f_hat^2 at small
+    rho).
     """
     dim, m, rho = spec.dim, spec.m, spec.rho
     try:

@@ -13,7 +13,6 @@ from zonalvar import (
     gegenbauer_eval,
     sphere_dim,
     sphere_surface,
-    surface_measure,
 )
 
 
@@ -109,12 +108,6 @@ def test_sphere_surface_two_step_recurrence():
         assert sphere_surface(k) == pytest.approx(
             2.0 * math.pi / (k - 1) * sphere_surface(k - 2), rel=1e-14
         )
-
-
-def test_surface_measure_guards_dimension():
-    with pytest.raises(DomainError):
-        surface_measure(1)
-    assert surface_measure(2) == sphere_surface(2)
 
 
 def test_sphere_dim_bundle():

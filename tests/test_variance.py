@@ -16,12 +16,17 @@ from zonalvar import (
     poisson_uncertainty_via_s,
     poisson_wavelet_coefficients,
     poisson_wavelet_spec,
-    rescaled_wavelet_coefficients,
     sphere_dim,
     uncertainty_product,
 )
 from zonalvar import variance
 from zonalvar.series_s import CompensatedSum, _TailStop
+from zonalvar.zonal import _PoissonRule
+
+
+def rescaled_wavelet(spec):
+    """The wavelet's rule times sigma(S^n) rho^-m: ((l + lambda)/lambda) l^m e^(-rho l)."""
+    return ZonalFunction(spec.dim, _PoissonRule(float(spec.dim.lam), spec.rho, spec.m))
 
 
 # ---------------------------------------------------------------------------
@@ -107,7 +112,7 @@ def test_paths_agree_on_spot_grid():
     ):
         spec = poisson_wavelet_spec(n, m, rho)
         fast = poisson_uncertainty_via_s(spec)
-        direct = uncertainty_product(rescaled_wavelet_coefficients(spec))
+        direct = uncertainty_product(rescaled_wavelet(spec))
         assert fast.var_space == pytest.approx(direct.var_space, rel=1e-9)
         assert fast.var_momentum == pytest.approx(direct.var_momentum, rel=1e-9)
         assert fast.product == pytest.approx(direct.product, rel=1e-9)
@@ -118,7 +123,7 @@ def test_rescaling_invariance_of_functionals():
     # wavelet and rescaled-wavelet rules differ by a constant factor only
     spec = poisson_wavelet_spec(4, 2, 0.3)
     a = uncertainty_product(poisson_wavelet_coefficients(spec))
-    b = uncertainty_product(rescaled_wavelet_coefficients(spec))
+    b = uncertainty_product(rescaled_wavelet(spec))
     assert a.var_space == pytest.approx(b.var_space, rel=1e-10)
     assert a.var_momentum == pytest.approx(b.var_momentum, rel=1e-10)
 
@@ -147,7 +152,7 @@ def test_large_rho_is_degenerate_both_paths():
     with pytest.raises(DegenerateInputError):
         poisson_uncertainty_via_s(spec)
     with pytest.raises(DegenerateInputError):
-        uncertainty_product(rescaled_wavelet_coefficients(spec))
+        uncertainty_product(rescaled_wavelet(spec))
 
 
 def test_single_mode_rule_is_degenerate():
@@ -210,7 +215,7 @@ def test_non_finite_value_names_the_degree(bad, named):
 
 
 def test_weight_overflow_names_the_degree():
-    f = rescaled_wavelet_coefficients(poisson_wavelet_spec(300, 1, 0.1))
+    f = rescaled_wavelet(poisson_wavelet_spec(300, 1, 0.1))
     with pytest.raises(DegenerateInputError, match=r"C\(1354, 1056\) exceeds the double range"):
         uncertainty_product(f)
 
@@ -274,14 +279,21 @@ def loop_sums(f, trunc=SeriesTruncation()):
     "rule, trunc",
     [
         (lambda n: poisson_wavelet_coefficients(poisson_wavelet_spec(n, 2, 0.02)), SeriesTruncation()),
-        (lambda n: rescaled_wavelet_coefficients(poisson_wavelet_spec(n, 1, 0.3)), SeriesTruncation()),
+        (lambda n: rescaled_wavelet(poisson_wavelet_spec(n, 1, 0.3)), SeriesTruncation()),
         (lambda n: ZonalFunction(sphere_dim(n), lambda l: (-0.999) ** l), SeriesTruncation()),
         (lambda n: ZonalFunction(sphere_dim(n), lambda l: 0.9**l if l % 3 else 0.0), SeriesTruncation()),
         (lambda n: ZonalFunction(sphere_dim(n), lambda l: 1e-3**l), SeriesTruncation(min_terms=100)),
         (lambda n: ZonalFunction(sphere_dim(n), lambda l: 1e-3**l), SeriesTruncation(min_terms=30)),
         # stops past several 4096-wide blocks, so the fold and the scan skip run
         (lambda n: poisson_wavelet_coefficients(poisson_wavelet_spec(n, 1, 2e-3)), SeriesTruncation()),
-        (lambda n: rescaled_wavelet_coefficients(poisson_wavelet_spec(n, 2, 1e-3)), SeriesTruncation()),
+        (lambda n: rescaled_wavelet(poisson_wavelet_spec(n, 2, 1e-3)), SeriesTruncation()),
+        # leading zero runs that cross the 1024-degree zero-run stop and the block edges
+        (lambda n: ZonalFunction(sphere_dim(n), lambda l: 0.0 if l < 1000 else 0.99 ** (l - 1000)),
+         SeriesTruncation()),
+        (lambda n: ZonalFunction(sphere_dim(n), lambda l: 0.0 if l < 1100 else 0.5 ** (l - 1100)),
+         SeriesTruncation()),
+        (lambda n: ZonalFunction(sphere_dim(n), lambda l: 0.0 if l < 1100 else 0.5 ** (l - 1100)),
+         SeriesTruncation(min_terms=1030)),
     ],
 )
 def test_block_sums_match_loop_reference(rule, trunc):
@@ -395,5 +407,5 @@ def test_positive_rules_respect_bound(n, coeffs):
 def test_wavelet_paths_agree_property(rho, m):
     spec = poisson_wavelet_spec(3, m, rho)
     fast = poisson_uncertainty_via_s(spec)
-    direct = uncertainty_product(rescaled_wavelet_coefficients(spec))
+    direct = uncertainty_product(rescaled_wavelet(spec))
     assert fast.product == pytest.approx(direct.product, rel=1e-9)

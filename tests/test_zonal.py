@@ -15,11 +15,11 @@ from zonalvar import (
     poisson_kernel_eval,
     poisson_wavelet_coefficients,
     poisson_wavelet_spec,
-    rescaled_wavelet_coefficients,
     sphere_dim,
     sphere_surface,
     zonal_eval,
 )
+from zonalvar.zonal import _PoissonRule
 
 
 # ---------------------------------------------------------------------------
@@ -132,9 +132,8 @@ def test_wavelet_order_recursion_exact():
 
 
 def test_rescaled_rule_formula():
-    spec = poisson_wavelet_spec(4, 2, 0.6)
     lam = 1.5
-    rule = rescaled_wavelet_coefficients(spec).coeff
+    rule = _PoissonRule(lam, 0.6, 2)
     assert rule(0) == 0.0
     for l in range(1, 50):
         expected = ((l + lam) / lam) * math.exp(-0.6 * l)
@@ -145,7 +144,7 @@ def test_rescaled_rule_formula():
 def test_rescaling_relates_wavelet_and_rescaled_rules():
     spec = poisson_wavelet_spec(5, 2, 0.4)
     g = poisson_wavelet_coefficients(spec).coeff
-    f = rescaled_wavelet_coefficients(spec).coeff
+    f = _PoissonRule(float(spec.dim.lam), spec.rho, spec.m)
     scale = spec.dim.surface / spec.rho**spec.m
     for l in range(1, 40):
         assert scale * g(l) == pytest.approx(f(l), rel=1e-13)
@@ -160,7 +159,7 @@ def test_capped_rule_is_the_wavelet_while_sigma_is_at_least_one():
     for n in (18, 120, 400):  # sigma(S^n) < 1; it leaves the double range at n = 400
         spec = poisson_wavelet_spec(n, 3, 0.2)
         f = capped_wavelet_coefficients(spec).coeff
-        r = rescaled_wavelet_coefficients(spec).coeff
+        r = _PoissonRule(float(spec.dim.lam), spec.rho, spec.m)
         for l in range(1, 200):
             assert f(l) == pytest.approx(0.2**3 * r(l), rel=1e-13)
 
@@ -171,7 +170,7 @@ def test_block_form_matches_scalar_rule_bitwise(n, m, rho):
     rules = (
         poisson_kernel_coefficients(spec.dim, rho).coeff,
         poisson_wavelet_coefficients(spec).coeff,
-        rescaled_wavelet_coefficients(spec).coeff,
+        _PoissonRule(float(spec.dim.lam), rho, m),
         capped_wavelet_coefficients(spec).coeff,
     )
     for rule in rules:
