@@ -207,30 +207,32 @@ def compare_expansion(n: int, m: int) -> dict[str, dict]:
 def limit_uncertainty(n: int, m: int) -> tuple[Fraction, float]:
     """Scale-free limit of the uncertainty product: returns (U_inf^2, U_inf).
 
-    U_inf^2 = L (L+1) (n^2 - 3n + 2(m+1)) / (4 (L-1)(L-2)), L = n + 2m,
-    which always lies at or above the bound (n/2)^2.
+    U_inf^2 = F(m) / 4 with F from :func:`f_function`; it always lies at or
+    above the bound (n/2)^2.
     """
     _check_nm(n, m)
-    ell = n + 2 * m
-    radicand = Fraction(ell * (ell + 1) * (n * n - 3 * n + 2 * (m + 1)), 4 * (ell - 1) * (ell - 2))
+    radicand = f_function(n, m) / 4
     return radicand, math.sqrt(radicand)
 
 
 def f_function(n: int, m):
     """F(m) = 4 U_inf^2 as a function of a real (not necessarily integer)
-    order parameter m, exact when m is an int or Fraction.
+    order parameter m, exact when m is an int or Fraction:
+
+        F(m) = L (L+1) (n^2 - 3n + 2(m+1)) / ((L-1)(L-2)),  L = n + 2m.
 
     Poles sit at m = (1-n)/2 and m = (2-n)/2.
     """
     if n < 2:
         raise DomainError("n must be >= 2")
     if isinstance(m, (int, Fraction)):
-        mq = Fraction(m)
-        ell = n + 2 * mq
-        den = (ell - 1) * (ell - 2)
+        # in integers: m = p/q and ell = (n + 2m) q
+        p, q = m.numerator, m.denominator
+        ell = n * q + 2 * p
+        den = q * (ell - q) * (ell - 2 * q)
         if den == 0:
-            raise DomainError(f"F has a pole at m = {mq}")
-        return ell * (ell + 1) * (n * n - 3 * n + 2 * (mq + 1)) / den
+            raise DomainError(f"F has a pole at m = {Fraction(m)}")
+        return Fraction(ell * (ell + q) * (q * (n * n - 3 * n + 2) + 2 * p), den)
     ell = n + 2.0 * m
     den = (ell - 1.0) * (ell - 2.0)
     if den == 0.0:
@@ -311,20 +313,20 @@ def minimize_limit_over_order(n: int) -> MinimizationResult:
     """
     if n < 2:
         raise DomainError("n must be >= 2")
-    rads = [limit_uncertainty(n, m)[0] for m in range(1, 4 * n + 1)]
-    m_star = 1 + min(range(len(rads)), key=rads.__getitem__)
-    for i in range(len(rads) - 1):
+    f = [f_function(n, m) for m in range(1, 4 * n + 1)]  # 4 U_inf^2
+    m_star = 1 + min(range(len(f)), key=f.__getitem__)
+    for i in range(len(f) - 1):
         m = i + 1
-        if m < m_star and not rads[i] > rads[i + 1]:
+        if m < m_star and not f[i] > f[i + 1]:
             raise RuntimeError(f"limit not decreasing before m_star at n={n}, m={m}")
-        if m >= m_star and not rads[i + 1] > rads[i]:
+        if m >= m_star and not f[i + 1] > f[i]:
             raise RuntimeError(f"limit not increasing after m_star at n={n}, m={m}")
-    radicand = rads[m_star - 1]
     if n >= 5:
         if m_star != (n - 1) // 2:
             raise RuntimeError(f"minimizer mismatch at n={n}: scan found {m_star}")
-        if 4 * radicand != Fraction(n * (n - 1) * (2 * n - 1), 2 * n - 3):
+        if f[m_star - 1] != Fraction(n * (n - 1) * (2 * n - 1), 2 * n - 3):
             raise RuntimeError(f"minimal limit identity failed at n={n}")
+    radicand = f[m_star - 1] / 4
     return MinimizationResult(n, m_star, radicand, math.sqrt(radicand))
 
 

@@ -353,7 +353,8 @@ def _abc_weights(n: int, m: int) -> tuple[list[tuple[int, int]], ...]:
     the three S_m combinations behind the variances of the Poisson wavelet
     of order m on S^n.  By Pascal's rule (n-1) B weighs S_(m+j) with
     C(m+1, j) + (n-2) C(m, j).  The weights are integers, so the Laurent
-    engine and the S path's polynomials (variance._wavelet_polynomials) stay exact.
+    engine and the S path's integer polynomials a, b, c
+    (variance._wavelet_polynomials) stay exact.
     """
     n1 = n - 1
     return (

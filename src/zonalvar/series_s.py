@@ -7,11 +7,12 @@ to sum_l C(l+n-2, l) x^l = (1-x)^-(n-1) gives, with w = x/(1-x) =
 
     S_m(rho) = (1 + w)^(n-1) P_m(w),   P_m(w) = sum_j S(m, j) (n-1)_j w^j,
 
-where (a)_j is the rising factorial.  P_m has non-negative integer
-coefficients, so Horner evaluation at w > 0 adds only non-negative terms
-and is accurate to a few ulps at every rho; :class:`_PositivePoly` falls
-back to exact integer evaluation when the coefficients span too many
-binades for one float scale.  :func:`s_m_eval` uses this form for every m.
+where (a)_j is the rising factorial.  P_m has integer coefficients, so
+at the float w = num / 2^e it is evaluated exactly in integers
+(:func:`_scaled_value`), and :func:`s_m_eval` divides once, with Python's
+correctly rounded int / int, for every n, m and rho.  The S path of
+:func:`zonalvar.variance.poisson_uncertainty_via_s` evaluates its
+polynomials the same way.
 
 :func:`s_m_sum` sums the series directly and is kept as the independent
 reference.  For small rho its terms climb over many decades before peaking
@@ -225,94 +226,36 @@ def _s_m_polynomial(n: int, m: int) -> tuple[int, ...]:
     return tuple(coeffs)
 
 
-# Once scaled by 2^-scale, a coefficient within 2^960 of the largest is a
-# normal double, and so is w^k for the frexp mantissa of w and k < 960.
-_FLOAT_SPAN_BITS = 960
+def _scaled_value(coeffs: tuple[int, ...], num: int, e: int) -> int:
+    """2^(e d) p(num / 2^e) for p = sum_j coeffs[j] w^j of degree d, exactly.
 
-
-def _horner(coeffs, x: float) -> float:
-    """Evaluate the polynomial with coefficients ``coeffs`` (lowest degree first) at x."""
-    acc = 0.0
-    for c in reversed(coeffs):
-        acc = acc * x + c
+    Horner from the top degree on integers: sum_j c_j num^j 2^(e (d - j)).
+    """
+    acc = 0
+    for i, coeff in enumerate(reversed(coeffs)):
+        acc = acc * num + (coeff << (e * i))
     return acc
 
 
-class _PositivePoly:
-    """A polynomial with non-negative integer coefficients, evaluated at w > 0.
-
-    p(w) = w^low 2^scale q(w), where q has a nonzero constant term and
-    coefficients at most 1.  When every nonzero coefficient lies within
-    2^960 of the largest, q is held in floats and evaluated by Horner in w
-    (w <= 1) or in 1/w on the reversed coefficients (w > 1): no power of w
-    overflows and every step adds non-negative terms, so the result is
-    accurate to a few ulps.  A wider span (high orders m) would turn the
-    small coefficients into subnormals, so there p is evaluated exactly in
-    integers at the float w and rounded once.  Results come back as a
-    mantissa and a binary exponent, so only the caller's final value can
-    overflow.
-    """
-
-    __slots__ = ("low", "scale", "exact", "floats", "reversed")
-
-    def __init__(self, coeffs: tuple[int, ...]):
-        if not any(coeffs) or any(coeff < 0 for coeff in coeffs):
-            raise ArithmeticError("expected non-negative coefficients, not all zero")
-        self.low = next(i for i, coeff in enumerate(coeffs) if coeff)
-        self.exact = tuple(coeffs[self.low:])
-        while not self.exact[-1]:
-            self.exact = self.exact[:-1]
-        bits = [coeff.bit_length() for coeff in self.exact if coeff]
-        self.scale = max(bits)
-        if self.scale - min(bits) < _FLOAT_SPAN_BITS and self.low + len(self.exact) < _FLOAT_SPAN_BITS:
-            self.floats = tuple(coeff / (1 << self.scale) for coeff in self.exact)
-            self.reversed = self.floats[::-1]
-        else:
-            self.floats = self.reversed = None
-
-    def frexp(self, w: float) -> tuple[float, int]:
-        """(r, e) with p(w) = r 2^e, for finite w > 0."""
-        if self.floats is None:
-            return self._exact_frexp(w)
-        if w <= 1.0:
-            h = _horner(self.floats, w)
-            k = self.low
-        else:
-            h = _horner(self.reversed, 1.0 / w)
-            k = self.low + len(self.floats) - 1
-        mh, eh = math.frexp(h)
-        mw, ew = math.frexp(w)
-        return mh * mw**k, eh + self.scale + ew * k
-
-    def _exact_frexp(self, w: float) -> tuple[float, int]:
-        num, den = w.as_integer_ratio()
-        e = den.bit_length() - 1  # den = 2^e
-        d = len(self.exact) - 1
-        acc = 0  # sum_j c_j num^j den^(d - j), by Horner from the top degree
-        for i, coeff in enumerate(reversed(self.exact)):
-            acc = acc * num + (coeff << (e * i))
-        acc *= num**self.low
-        bits = acc.bit_length()
-        return acc / (1 << bits), bits - e * (self.low + d)
-
-
-@lru_cache(maxsize=None)
-def _s_m_positive(n: int, m: int) -> _PositivePoly:
-    return _PositivePoly(_s_m_polynomial(n, m))
-
-
 def s_m_eval(n: int, m: int, rho: float) -> float:
-    """S_m(rho) from the exact form (-expm1(-2 rho))^-(n-1) P_m(w).
+    """S_m(rho) = P_m(w) / base^(n-1), correctly rounded, for the floats
+    base = -expm1(-2 rho) and w = exp(-2 rho) / base.
 
-    No series is summed.  For m = 0, P_0 = 1 and this is the
+    No series is summed: P_m is evaluated exactly in integers at w and the
+    quotient is rounded once.  For m = 0, P_0 = 1 and this is the
     geometric-series power (1 - exp(-2 rho))^-(n-1).  Raises
     :class:`DegenerateInputError` when S_m(rho) exceeds the double range.
     """
     _validate_smn(n, m, rho)
     base = -math.expm1(-2.0 * rho)
     w = math.exp(-2.0 * rho) / base
-    r, e = _s_m_positive(n, m).frexp(w)
+    coeffs = _s_m_polynomial(n, m)
     try:
-        return math.ldexp(base ** (-(n - 1)) * r, e)
+        num, den = w.as_integer_ratio()
+        e = den.bit_length() - 1  # den = 2^e
+        b_num, b_den = base.as_integer_ratio()
+        return (_scaled_value(coeffs, num, e) * b_den ** (n - 1)) / (
+            b_num ** (n - 1) << (e * (len(coeffs) - 1))
+        )
     except OverflowError:
         raise DegenerateInputError(f"S_{m}(rho={rho}) for n={n} exceeds the double range") from None

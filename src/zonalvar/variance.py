@@ -14,8 +14,8 @@ N term), because at small scale rho the direct difference would cancel to
 the rounding floor and the squared ratio would lose most of its digits.
 
 The Poisson-wavelet path :func:`poisson_uncertainty_via_s` sums no series:
-both of its functionals are ratios of exact integer polynomials in
-w = 1/(e^(2 rho) - 1) with non-negative coefficients.
+both of its functionals are ratios of integer polynomials in
+w = 1/(e^(2 rho) - 1), evaluated exactly at the float w and rounded once.
 """
 
 from __future__ import annotations
@@ -28,8 +28,8 @@ from typing import Callable, Mapping
 import numpy as np
 
 from .errors import BoundViolationError, DegenerateInputError, DomainError, TruncationError
-from .laurent import _abc_weights, _convolve
-from .series_s import DEFAULT_TRUNCATION, SeriesTruncation, _PositivePoly, _s_m_polynomial, _TailStop
+from .laurent import _abc_weights
+from .series_s import DEFAULT_TRUNCATION, SeriesTruncation, _s_m_polynomial, _scaled_value, _TailStop
 from .zonal import PoissonWaveletSpec, ZonalFunction
 
 __all__ = [
@@ -312,64 +312,22 @@ def uncertainty_product(f: ZonalFunction, trunc: SeriesTruncation = DEFAULT_TRUN
     return _assemble(f.dim.n, var_s, big_m / big_n, info)
 
 
-def _poly_sum(*terms: tuple[int, tuple[int, ...]]) -> tuple[int, ...]:
-    """Exact sum of scale * polynomial over ``terms``, lowest degree first."""
-    out = [0] * max(len(p) for _, p in terms)
-    for scale, p in terms:
-        for i, coeff in enumerate(p):
-            out[i] += scale * coeff
-    while len(out) > 1 and out[-1] == 0:
-        out.pop()
-    return tuple(out)
-
-
-def _wavelet_polynomials(n: int, m: int) -> tuple[tuple[int, ...], ...]:
-    """Exact integer polynomials (N, D, a, c) in w for the S-path functionals.
-
-    With P_k from S_k = (1 + w)^(n-1) P_k(w), the common factor
-    (1 + w)^(n-1) cancels from every ratio below, leaving
-    a = (n-1) A, b = (n-1) B and c = (n-1) C as the sums of w P_k on the
-    weight table :func:`zonalvar.laurent._abc_weights`, and
-    N = (1 + w) a^2 - 4 w b^2, D = 4 w b^2, so that var_space = N / D and
-    var_momentum = c / a.  The top-degree terms of N cancel exactly.
-
-    Raises ArithmeticError if any coefficient is negative: the float
-    evaluation is accurate only because every coefficient is >= 0.
-    """
-    p = {k: _s_m_polynomial(n, k) for k in range(m, 2 * m + 4)}
-    a, b, c = (_poly_sum(*[(w, p[k]) for k, w in terms]) for terms in _abc_weights(n, m))
-    a2 = tuple(_convolve(a, a, 2 * len(a) - 1))
-    wb2 = (0, *_convolve(b, b, 2 * len(b) - 1))  # w b^2
-    num = _poly_sum((1, a2), (1, (0,) + a2), (-4, wb2))
-    den = _poly_sum((4, wb2))
-    polys = (num, den, a, c)
-    if any(coeff < 0 for poly in polys for coeff in poly):
-        raise ArithmeticError(f"S-path polynomial for n={n}, m={m} has a negative coefficient")
-    return polys
-
-
-@dataclass(frozen=True)
-class _PositiveRatio:
-    """num(w) / den(w) for two polynomials with non-negative coefficients.
-
-    Each side is evaluated as a mantissa and a binary exponent, so the
-    ratio overflows only when its value does (then OverflowError).
-    """
-
-    num: _PositivePoly
-    den: _PositivePoly
-
-    def __call__(self, w: float) -> float:
-        rn, en = self.num.frexp(w)
-        rd, ed = self.den.frexp(w)
-        return math.ldexp(rn / rd, en - ed)
-
-
 @lru_cache(maxsize=None)
-def _wavelet_ratios(n: int, m: int) -> tuple[_PositiveRatio, _PositiveRatio]:
-    """(var_space, var_momentum) as functions of w, built once per (n, m)."""
-    num, den, a, c = (_PositivePoly(poly) for poly in _wavelet_polynomials(n, m))
-    return _PositiveRatio(num, den), _PositiveRatio(c, a)
+def _wavelet_polynomials(n: int, m: int) -> tuple[tuple[int, ...], ...]:
+    """Integer polynomials (a, b, c) in w, all of length 2m + 4, lowest degree first.
+
+    With P_k from S_k = (1 + w)^(n-1) P_k(w), a = (n-1) A, b = (n-1) B and
+    c = (n-1) C divided by the common factor (1 + w)^(n-1) are the sums of
+    w P_k on the weight table :func:`zonalvar.laurent._abc_weights`.
+    """
+    polys = []
+    for terms in _abc_weights(n, m):
+        coeffs = [0] * (2 * m + 4)
+        for k, weight in terms:
+            for j, coeff in enumerate(_s_m_polynomial(n, k)):
+                coeffs[j] += weight * coeff
+        polys.append(tuple(coeffs))
+    return tuple(polys)
 
 
 def poisson_uncertainty_via_s(spec: PoissonWaveletSpec) -> UncertaintyResult:
@@ -382,12 +340,16 @@ def poisson_uncertainty_via_s(spec: PoissonWaveletSpec) -> UncertaintyResult:
         var_momentum = C / A
 
     Nothing is summed: with w = 1/(e^(2 rho) - 1), e^(2 rho) = (1 + w)/w and
-    each S_k = (1 + w)^(n-1) P_k(w), so var_space = N(w)/D(w) and
-    var_momentum = c(w)/a(w) for exact integer polynomials with
-    non-negative coefficients (see :func:`_wavelet_polynomials`).  The
-    small-rho cancellation in q^2 - 1 is done once, in exact arithmetic,
-    when N is built.  Raises :class:`DegenerateInputError` once w underflows
-    (rho above about 345) or a functional overflows.
+    each S_k = (1 + w)^(n-1) P_k(w), so
+
+        var_space    = ((1 + w) a^2 - 4 w b^2) / (4 w b^2)
+        var_momentum = c / a
+
+    for the integer polynomials a, b, c of :func:`_wavelet_polynomials`.
+    They are evaluated exactly in integers at the float w, so the small-rho
+    cancellation in q^2 - 1 is exact, and each functional is rounded once.
+    Raises :class:`DegenerateInputError` once w underflows (rho above about
+    345) or a functional overflows.
     """
     n = spec.dim.n
     rho = spec.rho
@@ -396,10 +358,14 @@ def poisson_uncertainty_via_s(spec: PoissonWaveletSpec) -> UncertaintyResult:
         raise DegenerateInputError(
             "w = 1/(e^(2 rho) - 1) underflowed; the wavelet is numerically null at this rho"
         )
-    space, momentum = _wavelet_ratios(n, spec.m)
     try:
-        var_s = space(w)
-        var_m = momentum(w)
+        num, den = w.as_integer_ratio()
+        e = den.bit_length() - 1  # den = 2^e
+        # each scaled by the same 2^(e (2m + 3)); 1 + w = (den + num) / den
+        a, b, c = (_scaled_value(poly, num, e) for poly in _wavelet_polynomials(n, spec.m))
+        wb2 = 4 * num * b * b
+        var_s = ((den + num) * a * a - wb2) / wb2
+        var_m = c / a
     except OverflowError:
         var_s = var_m = math.inf
     if not math.isfinite(var_s * var_m):

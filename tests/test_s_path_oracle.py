@@ -1,26 +1,29 @@
-"""Both float wavelet paths against a 60-digit mpmath oracle, and the
-conditioning guarantee the S path's float evaluation rests on."""
+"""Both float wavelet paths against a 60-digit mpmath oracle, and the S
+path's one-rounding guarantee: at the float w it returns the exact rational
+functionals, each rounded once."""
 
 import math
+from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import given, strategies as st
 
 from zonalvar import (
     BoundViolationError,
+    DegenerateInputError,
     poisson_uncertainty_via_s,
     poisson_wavelet_coefficients,
     poisson_wavelet_spec,
+    s_m_eval,
     uncertainty_product,
 )
 from zonalvar import variance
-from zonalvar.series_s import _PositivePoly
-from zonalvar.variance import _wavelet_polynomials
 
 GRID_N = (2, 3, 5, 8, 12, 40, 100, 250, 300, 400)
 GRID_M = (1, 2, 3, 4, 6, 10)
 GRID_RHO = (300.0, 50.0, 5.0, 2.0, 1.0, 0.5, 0.3, 0.2, 0.1, 0.05, 1e-2, 1e-3, 1e-4, 1e-6, 1e-8)
-ORACLE_TOLERANCE = 1e-14
+ORACLE_TOLERANCE = 1e-15
 DIGITS = 60
 # The coefficient-sum path sums up to ~40k terms at rho = 1e-3 and stops at
 # a relative tail of 1e-14, so it is held to a looser tolerance.
@@ -124,23 +127,36 @@ def test_coefficient_path_matches_oracle_on_fixed_grid():
 
 
 # ---------------------------------------------------------------------------
-# conditioning: every coefficient non-negative, deg D - deg N = 2
+# one rounding: the exact rational value at the float w, rounded once
 
 
-def test_wavelet_polynomials_have_nonnegative_coefficients():
-    for n in range(2, 61):
-        for m in range(1, 13):
-            num, den, a, c = _wavelet_polynomials(n, m)
-            for poly in (num, den, a, c):
-                assert all(coeff >= 0 for coeff in poly), (n, m)
-                assert poly[-1] > 0
-            assert len(den) - len(num) == 2, (n, m)
+def exact_p(n: int, k: int, w: Fraction) -> Fraction:
+    return sum(stirling2(k, j) * math.prod(range(n - 1, n - 1 + j)) * w**j for j in range(k + 1))
 
 
-def test_builder_rejects_negative_coefficients(monkeypatch):
-    monkeypatch.setattr(variance, "_s_m_polynomial", lambda n, k: (0, 1, -1))
-    with pytest.raises(ArithmeticError):
-        _wavelet_polynomials(3, 1)
+@given(
+    n=st.integers(min_value=2, max_value=60),
+    m=st.integers(min_value=1, max_value=12),
+    rho=st.floats(min_value=1e-6, max_value=300.0),
+)
+def test_s_path_is_the_exact_value_rounded_once(n, m, rho):
+    base = -math.expm1(-2.0 * rho)
+    w = math.exp(-2.0 * rho) / base
+    fw = Fraction(w)
+    s = {k: (1 + fw) ** (n - 1) * exact_p(n, k, fw) for k in range(m, 2 * m + 4)}
+    a = 2 * s[2 * m + 1] / (n - 1) + s[2 * m]
+    b = sum(math.comb(m, j) * (s[m + j + 1] / (n - 1) + s[m + j]) for j in range(m + 1))
+    c = 2 * s[2 * m + 3] / (n - 1) + 3 * s[2 * m + 2] + (n - 1) * s[2 * m + 1]
+    res = poisson_uncertainty_via_s(poisson_wavelet_spec(n, m, rho))
+    assert res.var_space == float((1 + fw) / fw * a * a / (4 * b * b) - 1)
+    assert res.var_momentum == float(c / a)
+    try:
+        expected = float(s[m] / (1 + fw) ** (n - 1) / Fraction(base) ** (n - 1))
+    except OverflowError:
+        with pytest.raises(DegenerateInputError):
+            s_m_eval(n, m, rho)
+    else:
+        assert s_m_eval(n, m, rho) == expected
 
 
 def test_large_rho_is_finite_on_s_path():
@@ -154,20 +170,18 @@ def test_large_rho_is_finite_on_s_path():
 
 def test_bound_violation_still_checked(monkeypatch):
     spec = poisson_wavelet_spec(3, 1, 0.1)
-    space, _ = variance._wavelet_ratios(3, 1)
-    monkeypatch.setattr(variance, "_wavelet_ratios", lambda n, m: (space, lambda w: 1e-6))
+    a, b, _ = variance._wavelet_polynomials(3, 1)
+    # c = a makes var_momentum 1, so the product is sqrt(var_space) < n/2
+    monkeypatch.setattr(variance, "_wavelet_polynomials", lambda n, m: (a, b, a))
     with pytest.raises(BoundViolationError):
         poisson_uncertainty_via_s(spec)
 
 
 def test_high_order_coefficients_are_evaluated_exactly():
-    # coefficients of N and D span more than 2^1000 here (D from ~5e38 to
-    # ~1e460), too wide for one float scale; both are evaluated exactly
+    # the coefficients of a, b and c span 2^675 to 2^751 here, and at large
+    # rho the lowest ones dominate; the exact evaluation does not depend on
+    # the span
     for n, m in ((100, 50), (100, 49)):
-        num, den, _, _ = _wavelet_polynomials(n, m)
-        assert max(num).bit_length() > 1100
-        space, _ = variance._wavelet_ratios(n, m)
-        assert space.num.floats is None and space.den.floats is None
         with mpmath.workdps(DIGITS):
             for rho in (300.0, 50.0, 10.0, 5.0, 1.0, 1e-2):
                 s = {k: oracle_s(n, k, rho) for k in range(m, 2 * m + 4)}
@@ -175,19 +189,3 @@ def test_high_order_coefficients_are_evaluated_exactly():
                 expected = oracle_functionals(n, m, rho, s)
                 for got, e in zip((res.var_space, res.var_momentum, res.product), expected):
                     assert float(abs(got - e) / e) <= ORACLE_TOLERANCE, (n, m, rho)
-
-
-def test_float_and_exact_evaluation_agree():
-    for n, m in ((2, 1), (5, 3), (40, 6), (250, 10)):
-        for poly in _wavelet_polynomials(n, m):
-            p = _PositivePoly(poly)
-            assert p.floats is not None
-            for w in (1e-300, 1e-30, 0.3, 1.0, 7.5, 1e8):
-                (got, e), (exact, e_exact) = p.frexp(w), p._exact_frexp(w)
-                got = math.ldexp(got, e - e_exact)  # both sides as r 2^e_exact
-                assert abs(got - exact) <= 8 * len(poly) * math.ulp(exact), (n, m, w)
-
-
-def test_positive_poly_rejects_negative_coefficients():
-    with pytest.raises(ArithmeticError):
-        _PositivePoly((1, -2, 3))
