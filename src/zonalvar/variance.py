@@ -110,7 +110,11 @@ def _coefficient_sums(f: ZonalFunction, trunc: SeriesTruncation) -> tuple[float,
     else from scalar calls.  The N - D series forms each term as
     tN * (1 - ratio) with
     ratio = (l + 2 lambda)/(l + lambda + 1) * f_hat(l+1)/f_hat(l), which keeps
-    the difference accurate even when N and D agree to many digits.
+    the difference accurate even when N and D agree to many digits.  A rule
+    with the optional ``log_ratio(l0, l1)`` supplies log(ratio) instead, and
+    the factor 1 - ratio is -expm1(log ratio).  Its error is then a few
+    ulps of the log ratio's parts, not the last bits of f_hat(l) and
+    f_hat(l+1), which N - D = O(N rho^2) would amplify about 1/rho^2 times.
 
     Each block is added to a carried (hi, lo) pair by :func:`_add_blocks`
     with math.fsum, after a TwoSum fold for blocks wider than
@@ -140,6 +144,7 @@ def _coefficient_sums(f: ZonalFunction, trunc: SeriesTruncation) -> tuple[float,
     two_lam = 2.0 * lam
     n = f.dim.n
     fetch = _block_form(f.coeff)
+    log_ratio = getattr(f.coeff, "log_ratio", None)
     rel_tol = trunc.rel_tol
     last = trunc.max_terms + 1  # degrees 0 .. max_terms are summed
     hi = [0.0, 0.0, 0.0]  # exactly rounded sums so far ...
@@ -170,8 +175,11 @@ def _coefficient_sums(f: ZonalFunction, trunc: SeriesTruncation) -> tuple[float,
             l_lam = ls + lam
             l_two_lam = ls + two_lam
             np.multiply((lam / l_lam) * w[:limit] * fc, fc, out=t_n)
-            ratio = (l_two_lam / (l_lam + 1.0)) * (fn / fc)
-            np.copyto(terms[1], np.where(fc == 0.0, 0.0, t_n * (1.0 - ratio)))
+            if log_ratio is None:
+                factor = 1.0 - (l_two_lam / (l_lam + 1.0)) * (fn / fc)
+            else:
+                factor = -np.expm1(np.asarray(log_ratio(l0, l0 + limit), dtype=float))
+            np.copyto(terms[1], np.where(fc == 0.0, 0.0, t_n * factor))
             np.multiply(ls * l_two_lam, t_n, out=terms[2])
             if not np.isfinite(terms).all():
                 limit = int(np.flatnonzero(~np.isfinite(terms).all(axis=0))[0])

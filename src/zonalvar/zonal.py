@@ -37,10 +37,16 @@ class ZonalFunction:
     The rule must return a finite float for every degree a summation
     routine uses; they raise :class:`DomainError` on a non-finite value.
     The coefficient sums fetch degrees in blocks and may fetch some past
-    the degree where they stop; those values are ignored.  A rule may also
-    offer ``block(l0, l1)``, returning the values for l0 <= l < l1 as a
-    float64 array equal to the scalar calls; the coefficient sums then use
-    it instead of calling the rule once per degree.
+    the degree where they stop; those values are ignored.  A rule may offer
+    two optional methods, which the coefficient sums then use:
+
+    - ``block(l0, l1)`` returns the values for l0 <= l < l1 as a float64
+      array equal to the scalar calls, instead of one call per degree;
+    - ``log_ratio(l0, l1)`` returns, for l0 <= l < l1, an accurate
+      log((l + 2 lambda)/(l + lambda + 1) f_hat(l+1)/f_hat(l)) as a float64
+      array, so that each N - D term is formed with expm1 of it instead of
+      1 minus a ratio of two rounded values (see
+      :func:`zonalvar.variance._coefficient_sums`).
     """
 
     dim: SphereDim
@@ -80,9 +86,10 @@ class _PoissonRule:
     The power is applied by repeated multiplication, so the value at l = 0
     is exactly 0.0 for m >= 1 and the order recursion
     rule_(m+1)(l) = (step l) rule_m(l) holds bitwise.  :meth:`block` returns
-    the values for l0 <= l < l1 as an array through the same formula, with
-    exp(-rho l) from ``math.exp`` (``np.exp`` differs from libm in the last
-    bit), so the two forms agree bitwise.
+    the values for l0 <= l < l1 as an array through the same formula; both
+    forms take exp(-rho l) from ``np.exp``, so they agree bitwise.
+    :meth:`log_ratio` gives the coefficient sums the log ratio of
+    consecutive degrees from its closed form.
     """
 
     lam: float
@@ -99,11 +106,26 @@ class _PoissonRule:
         return v
 
     def __call__(self, l: int) -> float:
-        return self._values(l, math.exp(-self.rho * l))
+        return float(self._values(l, np.exp(-self.rho * l)))
 
     def block(self, l0: int, l1: int) -> np.ndarray:
         ls = np.arange(l0, l1, dtype=float)
-        return self._values(ls, np.fromiter(map(math.exp, (-self.rho * ls).tolist()), float, len(ls)))
+        return self._values(ls, np.exp(-self.rho * ls))
+
+    def log_ratio(self, l0: int, l1: int) -> np.ndarray:
+        """log((l + 2 lam)/(l + lam + 1) f_hat(l+1)/f_hat(l)) for l0 <= l < l1,
+        which is (log1p(lam/(l + lam)) - rho) + m log1p(1/l), +inf at l = 0
+        for m >= 1.  Each part is accurate to a few ulps, so the result is
+        too, relative to the sum of their magnitudes, whatever the rounding
+        of the rule's values.  (Subtracting rho first gave the smallest
+        var_space error at rho = 1e-4 of the three orders of the sum.)
+        """
+        ls = np.arange(l0, l1, dtype=float)
+        r = np.log1p(self.lam / (ls + self.lam)) - self.rho
+        if self.m:
+            with np.errstate(divide="ignore"):
+                r += self.m * np.log1p(1.0 / ls)
+        return r
 
 
 def poisson_kernel_coefficients(dim: SphereDim, rho: float) -> ZonalFunction:

@@ -12,6 +12,7 @@ from hypothesis import given, strategies as st
 from zonalvar import (
     BoundViolationError,
     DegenerateInputError,
+    SeriesTruncation,
     poisson_uncertainty_via_s,
     poisson_wavelet_coefficients,
     poisson_wavelet_spec,
@@ -30,7 +31,12 @@ DIGITS = 60
 COEF_GRID_N = (2, 3, 5, 8, 12)
 COEF_GRID_M = (1, 2, 4)
 COEF_GRID_RHO = (5.0, 2.0, 1.0, 0.3, 0.1, 1e-2, 3e-3, 1e-3)
-COEF_ORACLE_TOLERANCE = 5e-11
+COEF_ORACLE_TOLERANCE = 1e-11
+# At rho = 1e-4 the default stop leaves a tail of about rel_tol / (2 rho) in
+# var_space; with rel_tol = 1e-17 what remains is rounding.
+SMALL_RHO = 1e-4
+SMALL_RHO_TRUNCATION = SeriesTruncation(rel_tol=1e-17)
+SMALL_RHO_TOLERANCE = 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -108,22 +114,34 @@ def test_s_path_matches_oracle_on_fixed_grid():
     assert worst[0] <= ORACLE_TOLERANCE, worst
 
 
-def test_coefficient_path_matches_oracle_on_fixed_grid():
+def coefficient_path_worst(grid_rho: tuple, trunc: SeriesTruncation) -> tuple:
+    """Largest relative error of the coefficient path against the oracle
+    over COEF_GRID_N x COEF_GRID_M x grid_rho, with where it occurs."""
     worst = (0.0, None)
     with mpmath.workdps(DIGITS):
         for n in COEF_GRID_N:
-            for rho in COEF_GRID_RHO:
+            for rho in grid_rho:
                 s = {k: oracle_s(n, k, rho) for k in range(1, 2 * max(COEF_GRID_M) + 4)}
                 for m in COEF_GRID_M:
                     spec = poisson_wavelet_spec(n, m, rho)
-                    res = uncertainty_product(poisson_wavelet_coefficients(spec))
+                    res = uncertainty_product(poisson_wavelet_coefficients(spec), trunc)
                     expected = oracle_functionals(n, m, rho, s)
                     got = (res.var_space, res.var_momentum, res.product)
                     for name, g, e in zip(("var_space", "var_momentum", "product"), got, expected):
                         err = float(abs(g - e) / e)
                         if err > worst[0]:
                             worst = (err, (n, m, rho, name))
+    return worst
+
+
+def test_coefficient_path_matches_oracle_on_fixed_grid():
+    worst = coefficient_path_worst(COEF_GRID_RHO, SeriesTruncation())
     assert worst[0] <= COEF_ORACLE_TOLERANCE, worst
+
+
+def test_coefficient_path_matches_oracle_at_small_rho():
+    worst = coefficient_path_worst((SMALL_RHO,), SMALL_RHO_TRUNCATION)
+    assert worst[0] <= SMALL_RHO_TOLERANCE, worst
 
 
 # ---------------------------------------------------------------------------

@@ -253,10 +253,13 @@ def test_binomial_weight_overflow_is_exact():
 
 def loop_sums(f, trunc=SeriesTruncation()):
     """Reference: the coefficient sums one degree at a time, with exact
-    binomial weights and the shared series stop rule.  Returns the exactly
-    rounded sums, the sums of |term| and the number of terms."""
+    binomial weights and the shared series stop rule; the N - D factor is
+    -expm1 of the rule's log_ratio where it has one, else 1 - ratio.
+    Returns the exactly rounded sums, the sums of |term| and the number of
+    terms."""
     lam = float(f.dim.lam)
     n = f.dim.n
+    log_ratio = getattr(f.coeff, "log_ratio", None)
     accs = [CompensatedSum() for _ in range(3)]  # running sums for the stop rule
     stops = [_TailStop(trunc) for _ in range(3)]
     series = ([], [], [])
@@ -264,8 +267,13 @@ def loop_sums(f, trunc=SeriesTruncation()):
     for l in range(trunc.max_terms + 1):
         f_curr, f_next = f.coeff(l), f.coeff(l + 1)
         t_n = (lam / (l + lam)) * float(math.comb(l + n - 2, l)) * f_curr * f_curr
-        ratio = ((l + 2 * lam) / (l + lam + 1.0)) * (f_next / f_curr) if f_curr else 0.0
-        terms = (t_n, t_n * (1.0 - ratio) if f_curr else 0.0, l * (l + 2 * lam) * t_n)
+        if not f_curr:
+            factor = 0.0
+        elif log_ratio is None:
+            factor = 1.0 - ((l + 2 * lam) / (l + lam + 1.0)) * (f_next / f_curr)
+        else:
+            factor = float(-np.expm1(log_ratio(l, l + 1)[0]))
+        terms = (t_n, t_n * factor, l * (l + 2 * lam) * t_n)
         for i, t in enumerate(terms):
             accs[i].add(t)
             series[i].append(t)
@@ -311,14 +319,39 @@ def test_block_sums_match_loop_reference(rule, trunc):
                 assert abs(g - e) <= 1e-13 * sc
 
 
+class Forwarding:
+    """A copy of a rule that offers only the named optional methods."""
+
+    def __init__(self, rule, *methods):
+        self.rule = rule
+        for name in methods:
+            setattr(self, name, getattr(rule, name))
+
+    def __call__(self, l):
+        return self.rule(l)
+
+
 def test_stop_degree_does_not_depend_on_block_form():
-    # a scalar-only copy of a rule takes the fallback path and stops at the
-    # same degree with the same sums
+    # copies of a rule that take the scalar fallback for the values, the
+    # 1 - ratio fallback for N - D, or both, stop at the same degree; the
+    # sums are the same wherever the N - D formula is
+    eps = 2.0**-52
     for n, m, rho in ((2, 1, 0.3), (5, 2, 0.01), (12, 4, 1.0)):
         f = poisson_wavelet_coefficients(poisson_wavelet_spec(n, m, rho))
-        scalar = ZonalFunction(f.dim, lambda l, rule=f.coeff: rule(l))
-        a, b = uncertainty_product(f), uncertainty_product(scalar)
-        assert a == b
+        result = uncertainty_product(f)
+        *sums, info = variance._coefficient_sums(f, SeriesTruncation())
+        for methods in (("log_ratio",), ("block", "log_ratio")):
+            copy = ZonalFunction(f.dim, Forwarding(f.coeff, *methods))
+            assert uncertainty_product(copy) == result
+        for methods in ((), ("block",)):
+            copy = ZonalFunction(f.dim, Forwarding(f.coeff, *methods))
+            *got, got_info = variance._coefficient_sums(copy, SeriesTruncation())
+            assert got_info == info
+            assert (got[0], got[2]) == (sums[0], sums[2])
+            # 1 - ratio carries the rounding of f_hat(l) and f_hat(l+1),
+            # each of at most m + 5 operations, so every N - D term is off
+            # by at most about 2 (m + 6) eps tN
+            assert abs(got[1] - sums[1]) <= 2 * (m + 6) * eps * sums[0]
 
 
 def exact_sum(values) -> Fraction:

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -179,6 +180,31 @@ def test_block_form_matches_scalar_rule_bitwise(n, m, rho):
             assert block.dtype == np.float64 and block.shape == (l1 - l0,)
             expected = [rule(l) for l in range(l0, l1)]
             assert [float(v).hex() for v in block] == [v.hex() for v in expected]
+
+
+@pytest.mark.parametrize("lam", [0.5, 1.0, 5.5])
+@pytest.mark.parametrize("m", [0, 1, 4])
+@pytest.mark.parametrize("rho", [5.0, 1e-2, 1e-5])
+def test_log_ratio_matches_exact_reference(lam, m, rho):
+    # log((l + 2 lam)/(l + lam + 1) f_hat(l+1)/f_hat(l)) of the rule's own
+    # formula at 40 digits; an error within a few ulps of the parts'
+    # magnitudes is what lets the N - D terms ignore f_hat's last bit
+    rule = _PoissonRule(lam, rho, m, scale=0.3, step=rho)
+    eps = 2.0**-52
+    ranges = ((1, 200), (999, 1010), (65_530, 65_540), (999_990, 1_000_001))
+    with mpmath.workdps(40):
+        lam_, rho_ = mpmath.mpf(lam), mpmath.mpf(rho)
+
+        def f_hat(l):
+            return ((l + lam_) / lam_) * mpmath.exp(-rho_ * l) * (rho_ * l) ** m
+
+        for l0, l1 in ranges:
+            got = rule.log_ratio(l0, l1)
+            assert got.dtype == np.float64 and got.shape == (l1 - l0,)
+            for l, g in zip(range(l0, l1), got.tolist()):
+                exact = mpmath.log((l + 2 * lam_) / (l + lam_ + 1) * f_hat(l + 1) / f_hat(l))
+                bound = 4 * eps * (math.log1p(lam / (l + lam)) + m * math.log1p(1 / l) + rho)
+                assert abs(g - exact) <= bound, (l, g, exact)
 
 
 def test_spec_constructor_guards():
