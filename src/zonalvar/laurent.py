@@ -6,7 +6,9 @@ coefficients on the exponent window [lo, order) together with the promise
 that the represented function differs from the stored polynomial by
 O(rho^order).  Every arithmetic operation propagates the window honestly:
 the result's order is the largest exponent up to which the inputs determine
-the output.
+the output.  Products, quotients and square roots run on integer numerators
+and reduce to a ``Fraction`` once per output coefficient; the variances
+are one integer pass over the numerators of A, B and C.
 """
 
 from __future__ import annotations
@@ -14,25 +16,20 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Union
+from typing import Iterable
 
 from .errors import DomainError
 
 __all__ = [
     "NormalizedRadicalSeries",
     "TruncatedLaurentSeries",
-    "constant_series",
     "derive_ABC",
-    "exp_series",
     "expand_F",
     "expand_s0",
     "expand_sm",
     "expand_variances",
-    "monomial",
     "sqrt_normalized",
 ]
-
-RationalLike = Union[int, Fraction]
 
 
 def _numerators(coeffs: tuple[Fraction, ...]) -> tuple[list[int], int]:
@@ -51,6 +48,24 @@ def _convolve(a: list[int], b: list[int], length: int) -> list[int]:
     return out
 
 
+def _divide(a: list[int], b: list[int], length: int) -> tuple[list[int], int]:
+    """(numerators, b_0^length): the first `length` coefficients of the
+    quotient a / b of two integer polynomials over b_0^length.  Long division
+    gives them as x_k = (a_k b_0^length - sum_{i<k} x_i b_(k-i)) / b_0, and
+    each division is exact because x_i carries the factor b_0^(length-1-i)."""
+    scale = b[0] ** length
+    x: list[int] = []
+    for k in range(length):
+        x.append((a[k] * scale - sum(x[i] * b[k - i] for i in range(k))) // b[0])
+    return x, scale
+
+
+def _strip(lo: int, xs: list) -> tuple[int, list]:
+    """(lo, xs) without the leading zeros of xs, lo moved past them."""
+    k = next((i for i, x in enumerate(xs) if x), len(xs))
+    return lo + k, xs[k:]
+
+
 @dataclass(frozen=True)
 class TruncatedLaurentSeries:
     """sum_{e=lo}^{order-1} coeffs[e - lo] rho^e + O(rho^order).
@@ -67,7 +82,7 @@ class TruncatedLaurentSeries:
     @staticmethod
     def make(
         lo: int,
-        coeffs: Iterable[RationalLike],
+        coeffs: Iterable[int | Fraction],
         order: int | None = None,
     ) -> "TruncatedLaurentSeries":
         cs = [c if type(c) is Fraction else Fraction(c) for c in coeffs]
@@ -76,11 +91,7 @@ class TruncatedLaurentSeries:
         if order < lo + len(cs):
             raise DomainError("order must cover the supplied coefficients")
         cs.extend([Fraction(0)] * (order - lo - len(cs)))
-        while cs and cs[0] == 0:
-            cs.pop(0)
-            lo += 1
-        if not cs:
-            lo = order
+        lo, cs = _strip(lo, cs)
         return TruncatedLaurentSeries(lo, tuple(cs), order)
 
     def __post_init__(self) -> None:
@@ -120,16 +131,13 @@ class TruncatedLaurentSeries:
     def __mul__(self, other: "TruncatedLaurentSeries") -> "TruncatedLaurentSeries":
         """Integer convolution of the numerators; one reduction per coefficient."""
         order = min(self.lo + other.order, other.lo + self.order)
-        if self.is_zero or other.is_zero:
-            return TruncatedLaurentSeries.make(order, [], order)
-        lo = self.lo + other.lo
+        lo = self.lo + other.lo  # == order when either factor is zero
         length = order - lo
         (a, da), (b, db) = _numerators(self.coeffs[:length]), _numerators(other.coeffs[:length])
         return TruncatedLaurentSeries.make(lo, [Fraction(c, da * db) for c in _convolve(a, b, length)], order)
 
     def __truediv__(self, other: "TruncatedLaurentSeries") -> "TruncatedLaurentSeries":
-        """Long division on integer numerators a, b: the integers r_k = a_k b_0^k
-        - sum_{i<k} r_i b_0^(k-1-i) b_(k-i) are the quotient's numerators over b_0^(k+1)."""
+        """Long division (:func:`_divide`) on the integer numerators."""
         if other.is_zero:
             raise DomainError("division by a series with no known nonzero coefficient")
         order = min(self.order - other.lo, self.lo + other.order - 2 * other.lo)
@@ -138,20 +146,15 @@ class TruncatedLaurentSeries:
         if length <= 0:
             return TruncatedLaurentSeries.make(order, [], order)
         (a, da), (b, db) = _numerators(self.coeffs[:length]), _numerators(other.coeffs[:length])
-        powers = [b[0] ** k for k in range(length + 1)]
-        r: list[int] = []
-        for k in range(length):
-            r.append(a[k] * powers[k] - sum(r[i] * powers[k - 1 - i] * b[k - i] for i in range(k)))
-        return TruncatedLaurentSeries.make(
-            lo, [Fraction(rk * db, powers[k + 1] * da) for k, rk in enumerate(r)], order
-        )
+        xs, b_den = _divide(a, b, length)
+        return TruncatedLaurentSeries.make(lo, [Fraction(x * db, b_den * da) for x in xs], order)
 
     def _get(self, exponent: int) -> Fraction:
         if self.lo <= exponent < self.order:
             return self.coeffs[exponent - self.lo]
         return Fraction(0)
 
-    def scale(self, factor: RationalLike) -> "TruncatedLaurentSeries":
+    def scale(self, factor: int | Fraction) -> "TruncatedLaurentSeries":
         q = Fraction(factor)
         if q == 0:
             return TruncatedLaurentSeries.make(self.order, [], self.order)
@@ -186,29 +189,6 @@ class TruncatedLaurentSeries:
                 parts.append(f"{c}*rho^{e}")
         parts.append(f"O(rho^{self.order})")
         return " + ".join(parts)
-
-
-def constant_series(value: RationalLike, order: int) -> TruncatedLaurentSeries:
-    """The constant `value` with an O(rho^order) tail, window [0, order)."""
-    if order < 1:
-        raise DomainError("a constant needs order >= 1 to be visible")
-    return TruncatedLaurentSeries.make(0, [Fraction(value)], order)
-
-
-def monomial(coefficient: RationalLike, exponent: int, order: int | None = None) -> TruncatedLaurentSeries:
-    """coefficient * rho^exponent with window [exponent, order)."""
-    if order is None:
-        order = exponent + 1
-    return TruncatedLaurentSeries.make(exponent, [Fraction(coefficient)], order)
-
-
-def exp_series(rate: RationalLike, order: int) -> TruncatedLaurentSeries:
-    """Taylor window of exp(rate * rho) through O(rho^order)."""
-    if order < 1:
-        raise DomainError("exp_series needs order >= 1")
-    r = Fraction(rate)
-    coeffs = [r**j / math.factorial(j) for j in range(order)]
-    return TruncatedLaurentSeries.make(0, coeffs, order)
 
 
 @dataclass(frozen=True)
@@ -247,28 +227,29 @@ class NormalizedRadicalSeries:
 
 def sqrt_normalized(series: TruncatedLaurentSeries) -> NormalizedRadicalSeries:
     """Square root of a series with positive leading coefficient and even
-    leading exponent, as sqrt(c0) rho^(lo/2) (1 + s1 rho + ...).
+    leading exponent, as sqrt(c0) rho^(lo/2) (1 + s1 rho + ...); see :func:`_radical`."""
+    return _radical(series.lo, *_numerators(series.coeffs))
 
-    The tail recursion is s_j = (u_j - sum_{i=1}^{j-1} s_i s_{j-i}) / 2
-    where u is the input normalized to 1 + u_1 rho + ....
+
+def _radical(lo: int, p: list[int], den: int) -> NormalizedRadicalSeries:
+    """Square root of sum_j (p_j / den) rho^(lo+j) on the window [lo, lo + len(p)).
+
+    With u = p / p_0 = 1 + u_1 rho + ..., the tail recursion
+    s_j = (u_j - sum_{i=1}^{j-1} s_i s_(j-i)) / 2 runs on the integers
+    sigma_j = 4^(j-1) p_0^(j-1) p_j - sum_{i=1}^{j-1} sigma_i sigma_(j-i),
+    and s_j = sigma_j / (2^(2j-1) p_0^j).
     """
-    if series.is_zero:
+    if not p:
         raise DomainError("cannot take the square root of an all-unknown series")
-    c0 = series.coeffs[0]
-    if c0 <= 0:
-        raise DomainError("leading coefficient must be positive")
-    if series.lo % 2 != 0:
+    if lo % 2 != 0:
         raise DomainError("leading exponent must be even for a single-valued square root")
-    length = series.order - series.lo
-    u = [c / c0 for c in series.coeffs]
-    s = [Fraction(1)]
-    for j in range(1, length):
-        acc = u[j]
-        for i in range(1, j):
-            acc -= s[i] * s[j - i]
-        s.append(acc / 2)
-    tail = TruncatedLaurentSeries.make(0, s, length)
-    return NormalizedRadicalSeries(radicand=c0, shift=series.lo // 2, tail=tail)
+    sigma = [0]
+    tail = [Fraction(1)]
+    for j in range(1, len(p)):
+        sigma.append(4 ** (j - 1) * p[0] ** (j - 1) * p[j] - sum(sigma[i] * sigma[j - i] for i in range(1, j)))
+        tail.append(Fraction(sigma[j], 2 ** (2 * j - 1) * p[0] ** j))
+    # NormalizedRadicalSeries rejects a radicand p_0 / den <= 0
+    return NormalizedRadicalSeries(Fraction(p[0], den), lo // 2, TruncatedLaurentSeries.make(0, tail, len(p)))
 
 
 _BERNOULLI: list[Fraction] = []  # B_0, B_1^+, B_2, ..., filled on first use
@@ -364,31 +345,54 @@ def _abc_weights(n: int, m: int) -> tuple[list[tuple[int, int]], ...]:
     )
 
 
-def _s_combination(s0: TruncatedLaurentSeries, terms, divisor: int, order: int) -> TruncatedLaurentSeries:
-    """(1/divisor) sum of w S_k over the integer (k, w) in terms, through
-    O(rho^order); s0 must be known to order + k for every k.
+def _s_numerators(n: int, tables, divisor: int) -> tuple[list[tuple[int, list[int], int]], int]:
+    """Integer numerators of the S_k combinations (1/divisor) sum w S_k, one
+    window (lo, numerators, order) per ((k, w) terms, order) in tables, all
+    over the one denominator returned.
 
     The rho^e coefficient of S_k is (-1/2)^k (e+1)(e+2)...(e+k) c_(e+k), c the
-    S_0 coefficients, so no derivative series is formed.  With c_j = num_j / D,
-    each output coefficient is the integer sum of (-1)^k 2^(kmax-k)
-    (e+1)...(e+k) w num_(e+k), reduced once by D divisor 2^kmax.
+    S_0 coefficients, so no derivative series is formed.  With c_j = num_j / D
+    and kmax the largest k of all tables, each numerator is the integer sum of
+    (-1)^k 2^(kmax-k) (e+1)...(e+k) w num_(e+k) over D divisor 2^kmax.  Leading
+    zero numerators are stripped as :meth:`TruncatedLaurentSeries.make` does.
     """
-    kmax = max(k for k, _ in terms)
+    kmax = max(k for terms, _ in tables for k, _ in terms)
+    s0 = expand_s0(n, max(order + k for terms, order in tables for k, _ in terms))
     nums, den = _numerators(s0.coeffs)
-    scaled = [(k, (-1) ** k * 2 ** (kmax - k) * w) for k, w in terms]
-    lo = min(s0.lo - kmax, order)
-    cs = []
-    for e in range(lo, order):
-        j = e - s0.lo
-        cs.append(sum(v * math.prod(range(e + 1, e + k + 1)) * nums[j + k] for k, v in scaled if j + k >= 0))
-    return TruncatedLaurentSeries.make(lo, [Fraction(c, den * divisor * 2**kmax) for c in cs], order)
+    windows = []
+    for terms, order in tables:
+        scaled = [(k, (-1) ** k * 2 ** (kmax - k) * w) for k, w in terms]
+        lo = min(s0.lo - max(k for k, _ in terms), order)
+        xs = [sum(v * math.prod(range(e + 1, e + k + 1)) * nums[e - s0.lo + k] for k, v in scaled if e - s0.lo + k >= 0)
+              for e in range(lo, order)]
+        windows.append((*_strip(lo, xs), order))
+    return windows, den * divisor * 2**kmax
+
+
+def _series(lo: int, xs: list[int], order: int, den: int) -> TruncatedLaurentSeries:
+    """The series of the stripped integer numerators xs over den on [lo, order)."""
+    return TruncatedLaurentSeries(lo, tuple(Fraction(x, den) for x in xs), order)
 
 
 def expand_sm(n: int, m: int, order: int) -> TruncatedLaurentSeries:
     """S_m(rho) = (-1/2 d/d rho)^m S_0(rho) with window [-(n-1+m), order)."""
     if m < 0:
         raise DomainError("m must be >= 0")
-    return _s_combination(expand_s0(n, order + m), [(m, 1)], 1, order)
+    (window,), den = _s_numerators(n, [([(m, 1)], order)], 1)
+    return _series(*window, den)
+
+
+def _abc_numerators(n: int, m: int, order: int | None = None) -> tuple[list[tuple[int, list[int], int]], int]:
+    """The windows of A, B and C (see :func:`derive_ABC`) as integer
+    numerators over one shared denominator, also returned."""
+    if n < 2:
+        raise DomainError("n must be >= 2")
+    if m < 1:
+        raise DomainError("m must be >= 1")
+    ell = n + 2 * m
+    order_ab = 4 - ell if order is None else order
+    order_c = -ell if order is None else order
+    return _s_numerators(n, list(zip(_abc_weights(n, m), (order_ab, order_ab, order_c))), n - 1)
 
 
 def derive_ABC(
@@ -402,23 +406,10 @@ def derive_ABC(
     With L = n + 2m, the default windows keep exactly the four leading
     coefficients of A and B (orders 4 - L) and the two leading coefficients
     of C (order -L); pass `order` to widen or narrow all three uniformly.
-    All three are read off one S_0 by :func:`_s_combination`.
+    All three are read off one S_0 by :func:`_s_numerators`.
     """
-    if n < 2:
-        raise DomainError("n must be >= 2")
-    if m < 1:
-        raise DomainError("m must be >= 1")
-    ell = n + 2 * m
-    order_ab = 4 - ell if order is None else order
-    order_c = -ell if order is None else order
-    # S_k needs S_0 through order + k: k <= 2m+1 in A and B, k <= 2m+3 in C.
-    s0 = expand_s0(n, max(order_ab + 2 * m + 1, order_c + 2 * m + 3))
-    a_terms, b_terms, c_terms = _abc_weights(n, m)
-    return (
-        _s_combination(s0, a_terms, n - 1, order_ab),
-        _s_combination(s0, b_terms, n - 1, order_ab),
-        _s_combination(s0, c_terms, n - 1, order_c),
-    )
+    windows, den = _abc_numerators(n, m, order)
+    return tuple(_series(*w, den) for w in windows)
 
 
 def expand_variances(
@@ -435,12 +426,23 @@ def expand_variances(
                        with tail window [0, 2): U = U0 (1 + slope rho + O(rho^2))
 
     All coefficients are exact rationals derived from the defining series,
-    with no reference to any closed-form coefficient table.
+    with no reference to any closed-form coefficient table.  The pass runs on
+    the integer numerators of A, B and C, whose shared denominator cancels;
+    a product or quotient of windows keeps the shorter length.  A and B both
+    lead at rho^-L with A_0 = 2 B_0, so q = 1 + O(rho) sits on [0, length).
     """
-    a_series, b_series, c_series = derive_ABC(n, m)
-    e_rho = exp_series(1, 4)
-    q = (e_rho * a_series) / b_series.scale(2)
-    var_space = q * q - constant_series(1, 4)
-    var_momentum = c_series / a_series
-    product_sq = var_space * var_momentum
-    return var_space, var_momentum, sqrt_normalized(product_sq)
+    ((la, a, _), (_, b, _), (lc, c, _)), _ = _abc_numerators(n, m)
+    fact = math.factorial(len(a) - 1)  # e^rho = sum_j ((len-1)! / j!) rho^j / (len-1)!, known as far as A
+    length = min(len(a), len(b))
+    q, q_den = _divide(_convolve([fact // math.factorial(j) for j in range(len(a))], a, len(a)),
+                       [2 * fact * x for x in b], length)
+    qq = _convolve(q, q, length)
+    qq[0] -= q_den**2
+    ls, s = _strip(0, qq)
+    lm = lc - la
+    mom, m_den = _divide(c, a, min(len(c), len(a)))
+    return (
+        _series(ls, s, length, q_den**2),
+        _series(lm, mom, lm + len(mom), m_den),
+        _radical(ls + lm, _convolve(s, mom, min(len(s), len(mom))), q_den**2 * m_den),
+    )

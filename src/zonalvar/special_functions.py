@@ -54,26 +54,30 @@ def gamma_half_integer(two_x: int) -> float:
 
 
 def sphere_surface(k: int) -> float:
-    """Surface area of the unit sphere S^k in R^(k+1), valid for k >= 1.
-
-    The k = 1 case (a circle, area 2*pi) is needed internally as the weight
-    in front of zonal integrals over S^2.
-    """
+    """Surface area 2 pi^e / Gamma(e), e = (k+1)/2, of the unit sphere S^k in
+    R^(k+1), valid for k >= 1; k = 1 (a circle) weighs zonal integrals over S^2.
+    From k = 343, where Gamma overflows, it is pi^j R, j = floor(e), with the
+    exact R = 2 / (j-1)! or 2 4^j j! / (2j)! (sqrt(pi) cancels) rounded once.
+    From k = 438 it is below the normal double range and raises."""
     if k < 1:
         raise DomainError("sphere_surface needs k >= 1")
-    # Gamma first: it leaves the double range (k >= 343) long before pi^e does.
-    gamma = gamma_half_integer(k + 1)
     e, rem = divmod(k + 1, 2)
-    pi_pow = math.pi**e * (math.sqrt(math.pi) if rem else 1.0)
-    return 2.0 * pi_pow / gamma
+    if k <= 342:
+        pi_pow = math.pi**e * (math.sqrt(math.pi) if rem else 1.0)
+        return 2.0 * pi_pow / gamma_half_integer(k + 1)
+    if k >= 438:
+        raise DegenerateInputError(f"sigma(S^{k}) is below the normal double range")
+    ratio = Fraction(2 * 4**e * math.factorial(e), math.factorial(2 * e)) if rem else Fraction(2, math.factorial(e - 1))
+    shift = ratio.denominator.bit_length() - ratio.numerator.bit_length()
+    return math.ldexp(math.pi**e * float(ratio * 2**shift), -shift)
 
 
 @dataclass(frozen=True)
 class SphereDim:
     """Dimension bundle for S^n: n, lambda = (n-1)/2 kept exact, and sigma(S^n).
 
-    sigma(S^n) is derived on access: it leaves the double range from
-    n = 343, and only the kernel normalisation needs it.
+    sigma(S^n) is derived on access: it falls below the normal double
+    range at large n, and only the kernel normalisation needs it.
     """
 
     n: int

@@ -164,7 +164,7 @@ def capped_wavelet_coefficients(spec: PoissonWaveletSpec) -> ZonalFunction:
     dim, m, rho = spec.dim, spec.m, spec.rho
     try:
         scale = min(1.0, 1.0 / dim.surface)
-    except DegenerateInputError:  # sigma(S^n) is far below 1 where Gamma((n+1)/2) overflows
+    except DegenerateInputError:  # sigma(S^n) is below the normal double range, far below 1
         scale = 1.0
     rule = _PoissonRule(float(dim.lam), rho, m, scale=scale, step=rho)
     return ZonalFunction(dim, rule, label=f"capped-wavelet(n={dim.n}, m={m}, rho={rho})")

@@ -326,6 +326,17 @@ EXPAND_DIGESTS = {
             ("U", "f6c4eb51e601f5529fcbf1d8c4a56059bd32d80a7be7dcbf3e77d68fa3781b68"),
         )
     },
+    **{
+        ("--target", target, "--n", n, "--m", "10"): digest
+        for target, n, digest in (
+            ("varS", "48", "b981b245532e80bbfaf575770ba98ef222e5d5da3c61a8bf7e71d5fb79c420b1"),
+            ("varM", "48", "9f9a03d57e4f44cdb03b63c6af16a9ba14b93460fed28027deaf42ecd8699e7a"),
+            ("U", "48", "598b83e3b52facd2ed3a836b614e8fc9f04921de6086ddc1e77b12c148d3924c"),
+            ("varS", "400", "221d8d5f03bb5cdd34b90950584d40eb2e871f2f9d59e45b4e7c2eb56eb0df6f"),
+            ("varM", "400", "f4b7fedee8949cbb329e47227f9091fed972dc8d4a0ef77b40b782b5515c0e7d"),
+            ("U", "400", "08a771079200726ac55f7a8953607f2d1dff735cc3a5ce89fc2da54e63caf208"),
+        )
+    },
     ("--target", "A", "--n", "12", "--m", "2", "--order", "3"):
         "140984126f0d2bef4c00a77bccec409e4f5ccdaf35f8aa0c2431bd76f33a2f2d",
     ("--target", "F", "--order", "12"):

@@ -12,14 +12,11 @@ from zonalvar import laurent
 from zonalvar import (
     DomainError,
     TruncatedLaurentSeries,
-    constant_series,
     derive_ABC,
-    exp_series,
     expand_F,
     expand_s0,
     expand_sm,
     expand_variances,
-    monomial,
     poisson_uncertainty_via_s,
     poisson_wavelet_spec,
     s_m_eval,
@@ -44,6 +41,27 @@ def _truncate(s, new_order):
     if new_order > s.order:
         raise DomainError("cannot extend a truncated series")
     return S(min(s.lo, new_order), s.coeffs[: max(0, new_order - s.lo)], new_order)
+
+
+def _constant(value, order):
+    """The constant `value` with an O(rho^order) tail, window [0, order)."""
+    return S(0, [value], order)
+
+
+def _exp_series(rate, order):
+    """Taylor window of exp(rate * rho) through O(rho^order)."""
+    return S(0, [Fraction(rate) ** j / math.factorial(j) for j in range(order)])
+
+
+def _schoolbook_sqrt(series):
+    """sqrt_normalized by the Fraction recursion s_j = (u_j - sum s_i s_(j-i)) / 2,
+    u the series over its leading coefficient."""
+    c0 = series.coeffs[0]
+    u = [c / c0 for c in series.coeffs]
+    s = [Fraction(1)]
+    for j in range(1, len(u)):
+        s.append((u[j] - sum(s[i] * s[j - i] for i in range(1, j))) / 2)
+    return laurent.NormalizedRadicalSeries(c0, series.lo // 2, S(0, s, len(u)))
 
 
 def _schoolbook_mul(a, b):
@@ -174,7 +192,7 @@ def test_division_inverts_multiplication_simple():
 
 
 def test_division_by_higher_pole_shifts_window():
-    one = constant_series(1, 3)
+    one = _constant(1, 3)
     pole = S(-1, [2, 0, 0, 0])
     inv = one / pole
     assert inv.lo == 1
@@ -182,9 +200,9 @@ def test_division_by_higher_pole_shifts_window():
 
 
 def test_differentiate_monomial_and_constant():
-    s = _differentiate(monomial(Fraction(3, 2), 4, order=6))
+    s = _differentiate(S(4, [Fraction(3, 2)], 6))
     assert s.coefficient(3) == 6
-    c = _differentiate(constant_series(5, 3))
+    c = _differentiate(_constant(5, 3))
     assert c.is_zero
     assert c.order == 2
 
@@ -294,8 +312,16 @@ def test_sqrt_square_roundtrip(s):
     assert sqrt_normalized(doubled).squared().agrees_with(doubled)
 
 
+@given(s=series(min_lo=-2, max_lo=2, min_len=1, max_len=6))
+def test_sqrt_normalized_matches_schoolbook(s):
+    if s.is_zero or s.coeffs[0] <= 0:
+        return
+    even = s.shift(s.lo % 2)
+    assert sqrt_normalized(even) == _schoolbook_sqrt(even)
+
+
 def test_exp_series_taylor_coefficients():
-    e = exp_series(-2, 5)
+    e = _exp_series(-2, 5)
     for j in range(5):
         assert e.coefficient(j) == Fraction(-2) ** j / math.factorial(j)
 
@@ -319,8 +345,8 @@ def test_expand_F_matches_exp_division(monkeypatch):
     # falling) and once in many (orders rising).
     expected = {order: S(order, [], order) for order in (-2, -1)}
     for order in range(0, 61):
-        g = constant_series(1, order + 2) - exp_series(-2, order + 2)
-        expected[order] = _schoolbook_div(constant_series(1, order + 1), g)
+        g = _constant(1, order + 2) - _exp_series(-2, order + 2)
+        expected[order] = _schoolbook_div(_constant(1, order + 1), g)
     for orders in (range(60, -3, -1), range(-2, 61)):
         monkeypatch.setattr(laurent, "_BERNOULLI", [])
         for order in orders:
@@ -490,6 +516,23 @@ def test_expand_variances_n3_m1():
     assert product.radicand == Fraction(5, 2)
     assert product.shift == 0
     assert product.tail.coefficient(1) == Fraction(1, 6)
+
+
+def _reference_variances(n, m):
+    """The series-arithmetic chain on derive_ABC's windows, in schoolbook Fractions."""
+    a, b, c = derive_ABC(n, m)
+    q = _schoolbook_div(_schoolbook_mul(_exp_series(1, 4), a), b.scale(2))
+    var_space = _schoolbook_mul(q, q) - _constant(1, 4)
+    var_momentum = _schoolbook_div(c, a)
+    return var_space, var_momentum, _schoolbook_sqrt(_schoolbook_mul(var_space, var_momentum))
+
+
+def test_expand_variances_matches_series_chain():
+    # every (n, m) of the exact-expansions benchmark workload and three far
+    # cells; == compares lo, coefficients and order, radicand, shift and tail
+    cells = [(n, m) for n in range(2, 49) for m in range(1, 11)] + [(200, 3), (400, 10), (100, 100)]
+    for n, m in cells:
+        assert expand_variances(n, m) == _reference_variances(n, m), (n, m)
 
 
 def test_expand_variances_numeric_agreement():

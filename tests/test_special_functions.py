@@ -1,12 +1,15 @@
 """Primitive layer: binomials, half-integer Gamma, sphere surfaces, Gegenbauer."""
 
 import math
+import sys
 from fractions import Fraction
 
+import mpmath
 import pytest
 from hypothesis import given, strategies as st
 
 from zonalvar import (
+    DegenerateInputError,
     DomainError,
     binomial,
     gamma_half_integer,
@@ -108,6 +111,33 @@ def test_sphere_surface_two_step_recurrence():
         assert sphere_surface(k) == pytest.approx(
             2.0 * math.pi / (k - 1) * sphere_surface(k - 2), rel=1e-14
         )
+
+
+def test_sphere_surface_keeps_the_gamma_formula_while_gamma_is_finite():
+    # bitwise the 2 pi^((k+1)/2) / Gamma((k+1)/2) formula up to k = 342
+    for k in range(1, 343):
+        e, rem = divmod(k + 1, 2)
+        pi_pow = math.pi**e * (math.sqrt(math.pi) if rem else 1.0)
+        assert sphere_surface(k) == 2.0 * pi_pow / gamma_half_integer(k + 1)
+    with pytest.raises(DegenerateInputError):
+        gamma_half_integer(344)
+
+
+@pytest.mark.parametrize("k", [342, 343, 400])
+def test_sphere_surface_matches_oracle_past_gamma_overflow(k):
+    # the error is float(pi)'s own, raised to the power (k+1)/2: about
+    # (k+1)/2 * 3.9e-17, so under 1e-14 for k <= 400
+    with mpmath.workdps(60):
+        half = mpmath.mpf(k + 1) / 2
+        exact = 2 * mpmath.pi**half / mpmath.gamma(half)
+        assert abs(mpmath.mpf(sphere_surface(k)) / exact - 1) <= 1e-14
+
+
+def test_sphere_surface_raises_below_the_normal_range():
+    assert sphere_surface(437) >= sys.float_info.min
+    for k in (438, 500, 10**9):
+        with pytest.raises(DegenerateInputError, match="below the normal double range"):
+            sphere_surface(k)
 
 
 def test_sphere_dim_bundle():

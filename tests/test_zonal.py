@@ -157,7 +157,7 @@ def test_capped_rule_is_the_wavelet_while_sigma_is_at_least_one():
         g = poisson_wavelet_coefficients(spec).coeff
         f = capped_wavelet_coefficients(spec).coeff
         assert [f(l) for l in range(200)] == [g(l) for l in range(200)]
-    for n in (18, 120, 400):  # sigma(S^n) < 1; it leaves the double range at n = 400
+    for n in (18, 120, 343, 400, 438):  # sigma(S^n) < 1; below the normal double range at n = 438
         spec = poisson_wavelet_spec(n, 3, 0.2)
         f = capped_wavelet_coefficients(spec).coeff
         r = _PoissonRule(float(spec.dim.lam), spec.rho, spec.m)
