@@ -226,18 +226,22 @@ def f_function(n: int, m):
     if n < 2:
         raise DomainError("n must be >= 2")
     if isinstance(m, (int, Fraction)):
-        # in integers: m = p/q and ell = (n + 2m) q
-        p, q = m.numerator, m.denominator
-        ell = n * q + 2 * p
-        den = q * (ell - q) * (ell - 2 * q)
+        num, den = _f_terms(n, m.numerator, m.denominator)
         if den == 0:
             raise DomainError(f"F has a pole at m = {Fraction(m)}")
-        return Fraction(ell * (ell + q) * (q * (n * n - 3 * n + 2) + 2 * p), den)
+        return Fraction(num, den)
     ell = n + 2.0 * m
     den = (ell - 1.0) * (ell - 2.0)
     if den == 0.0:
         raise DomainError(f"F has a pole at m = {m}")
     return ell * (ell + 1.0) * (n * n - 3.0 * n + 2.0 * (m + 1.0)) / den
+
+
+def _f_terms(n: int, p: int, q: int = 1) -> tuple[int, int]:
+    """F at m = p/q as the unreduced integer pair (numerator, denominator):
+    with ell = (n + 2m) q, ell (ell+q) (q (n^2-3n+2) + 2p) over q (ell-q) (ell-2q)."""
+    ell = n * q + 2 * p
+    return ell * (ell + q) * (q * (n * n - 3 * n + 2) + 2 * p), q * (ell - q) * (ell - 2 * q)
 
 
 def f_derivative(n: int, m):
@@ -310,23 +314,33 @@ def minimize_limit_over_order(n: int) -> MinimizationResult:
     The scan checks that the sequence is decreasing up to the minimizer and
     increasing after it, and for n >= 5 verifies the closed-form identities
     m_star = floor((n-1)/2) and 4 U_inf^2(m_star) = n(n-1)(2n-1)/(2n-3).
+    It runs on the unreduced integer pairs (numerator, denominator) of
+    F = 4 U_inf^2 (see :func:`f_function`), whose denominators
+    (L-1)(L-2) are positive, compared cross-multiplied; only the returned
+    radicand becomes a ``Fraction``.
     """
     if n < 2:
         raise DomainError("n must be >= 2")
-    f = [f_function(n, m) for m in range(1, 4 * n + 1)]  # 4 U_inf^2
-    m_star = 1 + min(range(len(f)), key=f.__getitem__)
+    f = [_f_terms(n, m) for m in range(1, 4 * n + 1)]
+    best = 0
+    for i, (num, den) in enumerate(f):
+        if num * f[best][1] < f[best][0] * den:
+            best = i
+    m_star = best + 1
     for i in range(len(f) - 1):
         m = i + 1
-        if m < m_star and not f[i] > f[i + 1]:
+        (num, den), (num_next, den_next) = f[i], f[i + 1]
+        if m < m_star and not num * den_next > num_next * den:
             raise RuntimeError(f"limit not decreasing before m_star at n={n}, m={m}")
-        if m >= m_star and not f[i + 1] > f[i]:
+        if m >= m_star and not num_next * den > num * den_next:
             raise RuntimeError(f"limit not increasing after m_star at n={n}, m={m}")
+    num, den = f[best]
     if n >= 5:
         if m_star != (n - 1) // 2:
             raise RuntimeError(f"minimizer mismatch at n={n}: scan found {m_star}")
-        if f[m_star - 1] != Fraction(n * (n - 1) * (2 * n - 1), 2 * n - 3):
+        if num * (2 * n - 3) != n * (n - 1) * (2 * n - 1) * den:
             raise RuntimeError(f"minimal limit identity failed at n={n}")
-    radicand = f[m_star - 1] / 4
+    radicand = Fraction(num, 4 * den)
     return MinimizationResult(n, m_star, radicand, math.sqrt(radicand))
 
 

@@ -9,12 +9,20 @@ the result's order is the largest exponent up to which the inputs determine
 the output.  Products, quotients and square roots run on integer numerators
 and reduce to a ``Fraction`` once per output coefficient; the variances
 are one integer pass over the numerators of A, B and C.
+
+The S_k numerators of S^n are built once per (n, S_0 window) in a small
+LRU cache, row k+1 from row k by one integer multiplication per entry, and
+shared by every order m.  The A, B, C numerators and
+:func:`expand_variances` are memoised per (n, m) in bounded LRU caches of
+tuples and frozen objects, so repeated requests return results ``==`` to
+fresh ones that no caller can alter.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from fractions import Fraction
 from typing import Iterable
 
@@ -249,7 +257,7 @@ def _radical(lo: int, p: list[int], den: int) -> NormalizedRadicalSeries:
         sigma.append(4 ** (j - 1) * p[0] ** (j - 1) * p[j] - sum(sigma[i] * sigma[j - i] for i in range(1, j)))
         tail.append(Fraction(sigma[j], 2 ** (2 * j - 1) * p[0] ** j))
     # NormalizedRadicalSeries rejects a radicand p_0 / den <= 0
-    return NormalizedRadicalSeries(Fraction(p[0], den), lo // 2, TruncatedLaurentSeries.make(0, tail, len(p)))
+    return NormalizedRadicalSeries(Fraction(p[0], den), lo // 2, TruncatedLaurentSeries(0, tuple(tail), len(p)))
 
 
 _BERNOULLI: list[Fraction] = []  # B_0, B_1^+, B_2, ..., filled on first use
@@ -302,6 +310,8 @@ def expand_s0(n: int, order: int) -> TruncatedLaurentSeries:
     c_k = sum_{j=1..k} ((a+1) C(k-1, j-1) - C(k, j)) b_j c_(k-j).  Each c_k is
     summed in integers over the common denominators of the b_j and of the
     earlier c, and reduced once: O(len^2) in the window length order + a, whatever n.
+    The S_k combinations do not call this per request: they read it once per
+    (n, order) into the cached integer table :class:`_SRows`.
     """
     if n < 2:
         raise DomainError("n must be >= 2")
@@ -345,28 +355,66 @@ def _abc_weights(n: int, m: int) -> tuple[list[tuple[int, int]], ...]:
     )
 
 
-def _s_numerators(n: int, tables, divisor: int) -> tuple[list[tuple[int, list[int], int]], int]:
+class _SRows:
+    """S_0's integer numerators on [lo, order) over one denominator ``den``,
+    and rows 1, 2, ... of S_k numerators built from them as far as asked.
+
+    Row k holds, at the S_0 index i (exponent i + lo), the integer
+    (-1)^k (e+1)(e+2)...(e+k) num_i with e = i + lo - k: the rho^e
+    coefficient of S_k times 2^k den.  Row k+1 is row k times k - lo - i
+    entrywise, one multiplication per entry.
+    """
+
+    def __init__(self, n: int, order: int) -> None:
+        s0 = expand_s0(n, order)
+        nums, self.den = _numerators(s0.coeffs)
+        self.lo = s0.lo
+        self._rows = (tuple(nums),)
+
+    def upto(self, kmax: int) -> tuple[tuple[int, ...], ...]:
+        """Rows 0 .. kmax, possibly more; the table grows by a swap, never in place."""
+        rows = self._rows
+        if len(rows) <= kmax:
+            grown = list(rows)
+            for k in range(len(rows) - 1, kmax):
+                grown.append(tuple([(k - self.lo - i) * x for i, x in enumerate(grown[k])]))
+            rows = self._rows = tuple(grown)
+        return rows
+
+
+# one table per (n, S_0 order), shared by every caller
+_s_rows = lru_cache(maxsize=64, typed=True)(_SRows)
+
+
+def _s_numerators(n: int, tables, divisor: int) -> tuple[tuple[tuple[int, tuple[int, ...], int], ...], int]:
     """Integer numerators of the S_k combinations (1/divisor) sum w S_k, one
     window (lo, numerators, order) per ((k, w) terms, order) in tables, all
     over the one denominator returned.
 
     The rho^e coefficient of S_k is (-1/2)^k (e+1)(e+2)...(e+k) c_(e+k), c the
-    S_0 coefficients, so no derivative series is formed.  With c_j = num_j / D
-    and kmax the largest k of all tables, each numerator is the integer sum of
-    (-1)^k 2^(kmax-k) (e+1)...(e+k) w num_(e+k) over D divisor 2^kmax.  Leading
-    zero numerators are stripped as :meth:`TruncatedLaurentSeries.make` does.
+    S_0 coefficients, so no derivative series is formed: it is row k of the
+    cached table :class:`_SRows` over 2^k D.  With kmax the largest k of all
+    tables, each numerator is the weighted row sum of 2^(kmax-k) w row_k over
+    D divisor 2^kmax.  Leading zero numerators are stripped as
+    :meth:`TruncatedLaurentSeries.make` does.
     """
     kmax = max(k for terms, _ in tables for k, _ in terms)
-    s0 = expand_s0(n, max(order + k for terms, order in tables for k, _ in terms))
-    nums, den = _numerators(s0.coeffs)
+    table = _s_rows(n, max(order + k for terms, order in tables for k, _ in terms))
+    rows = table.upto(kmax)
     windows = []
     for terms, order in tables:
-        scaled = [(k, (-1) ** k * 2 ** (kmax - k) * w) for k, w in terms]
-        lo = min(s0.lo - max(k for k, _ in terms), order)
-        xs = [sum(v * math.prod(range(e + 1, e + k + 1)) * nums[e - s0.lo + k] for k, v in scaled if e - s0.lo + k >= 0)
-              for e in range(lo, order)]
-        windows.append((*_strip(lo, xs), order))
-    return windows, den * divisor * 2**kmax
+        lo = min(table.lo - max(k for k, _ in terms), order)
+        length = order - lo
+        xs = [0] * length
+        for k, w in terms:
+            start = lo + k - table.lo  # the S_0 index of rho^lo in row k
+            if start > -length:
+                v, row = w << (kmax - k), rows[k]
+                for t in range(-start if start < 0 else 0, length):
+                    xs[t] += v * row[start + t]
+        lo, xs = _strip(lo, xs)
+        windows.append((lo, tuple(xs), order))
+    return tuple(windows), table.den * divisor << kmax
 
 
 def _series(lo: int, xs: list[int], order: int, den: int) -> TruncatedLaurentSeries:
@@ -382,9 +430,11 @@ def expand_sm(n: int, m: int, order: int) -> TruncatedLaurentSeries:
     return _series(*window, den)
 
 
-def _abc_numerators(n: int, m: int, order: int | None = None) -> tuple[list[tuple[int, list[int], int]], int]:
+@lru_cache(maxsize=64, typed=True)
+def _abc_numerators(n: int, m: int, order: int | None) -> tuple[tuple[tuple[int, tuple[int, ...], int], ...], int]:
     """The windows of A, B and C (see :func:`derive_ABC`) as integer
-    numerators over one shared denominator, also returned."""
+    numerators over one shared denominator, also returned; memoised, so
+    :func:`derive_ABC` and :func:`expand_variances` share one build per (n, m)."""
     if n < 2:
         raise DomainError("n must be >= 2")
     if m < 1:
@@ -412,6 +462,7 @@ def derive_ABC(
     return tuple(_series(*w, den) for w in windows)
 
 
+@lru_cache(maxsize=64, typed=True)
 def expand_variances(
     n: int,
     m: int,
@@ -426,12 +477,14 @@ def expand_variances(
                        with tail window [0, 2): U = U0 (1 + slope rho + O(rho^2))
 
     All coefficients are exact rationals derived from the defining series,
-    with no reference to any closed-form coefficient table.  The pass runs on
+    with no reference to any closed-form coefficient table.  Results are
+    memoised per (n, m) (bounded LRU); the series are frozen, so a repeated
+    call returns the same objects, ``==`` to a fresh build.  The pass runs on
     the integer numerators of A, B and C, whose shared denominator cancels;
     a product or quotient of windows keeps the shorter length.  A and B both
     lead at rho^-L with A_0 = 2 B_0, so q = 1 + O(rho) sits on [0, length).
     """
-    ((la, a, _), (_, b, _), (lc, c, _)), _ = _abc_numerators(n, m)
+    ((la, a, _), (_, b, _), (lc, c, _)), _ = _abc_numerators(n, m, None)
     fact = math.factorial(len(a) - 1)  # e^rho = sum_j ((len-1)! / j!) rho^j / (len-1)!, known as far as A
     length = min(len(a), len(b))
     q, q_den = _divide(_convolve([fact // math.factorial(j) for j in range(len(a))], a, len(a)),

@@ -53,12 +53,17 @@ def gamma_half_integer(two_x: int) -> float:
         raise DegenerateInputError(f"Gamma({two_x}/2) exceeds the double range") from None
 
 
+_PI_LOW = 1.2246467991473532e-16  # pi - float(pi), rounded to a double
+
+
 def sphere_surface(k: int) -> float:
     """Surface area 2 pi^e / Gamma(e), e = (k+1)/2, of the unit sphere S^k in
     R^(k+1), valid for k >= 1; k = 1 (a circle) weighs zonal integrals over S^2.
     From k = 343, where Gamma overflows, it is pi^j R, j = floor(e), with the
-    exact R = 2 / (j-1)! or 2 4^j j! / (2j)! (sqrt(pi) cancels) rounded once.
-    From k = 438 it is below the normal double range and raises."""
+    exact R = 2 / (j-1)! or 2 4^j j! / (2j)! (sqrt(pi) cancels) rounded once,
+    and pi^j corrected for float(pi)'s own error to first order (within about
+    3e-16 of the true value).  From k = 438 it is below the normal double
+    range and raises."""
     if k < 1:
         raise DomainError("sphere_surface needs k >= 1")
     e, rem = divmod(k + 1, 2)
@@ -69,7 +74,9 @@ def sphere_surface(k: int) -> float:
         raise DegenerateInputError(f"sigma(S^{k}) is below the normal double range")
     ratio = Fraction(2 * 4**e * math.factorial(e), math.factorial(2 * e)) if rem else Fraction(2, math.factorial(e - 1))
     shift = ratio.denominator.bit_length() - ratio.numerator.bit_length()
-    return math.ldexp(math.pi**e * float(ratio * 2**shift), -shift)
+    # pi^e = float(pi)^e (1 + e (pi - float(pi)) / float(pi) + O(e^2 2^-104))
+    pi_pow = math.pi**e * (1.0 + e * _PI_LOW / math.pi)
+    return math.ldexp(pi_pow * float(ratio * 2**shift), -shift)
 
 
 @dataclass(frozen=True)

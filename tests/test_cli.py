@@ -9,8 +9,8 @@ from fractions import Fraction
 
 import pytest
 
-from zonalvar import poisson_uncertainty_via_s, poisson_wavelet_spec
-from zonalvar.cli import main
+from zonalvar import laurent, poisson_uncertainty_via_s, poisson_wavelet_spec
+from zonalvar.cli import build_verify_report, main
 
 
 def run(capsys, argv):
@@ -398,6 +398,15 @@ def test_verify_report(capsys):
     assert report["minimization"]["probe_signs_ok"] is True
     mismatch = report["theorem_coefficients"]["mismatches"][0]
     assert {"n", "m", "target", "engine", "stated"} <= set(mismatch)
+
+
+def test_verify_report_is_identical_when_repeated():
+    # the first report builds the engine's memoised expansions, the second
+    # reads them back
+    for cached in (laurent._s_rows, laurent._abc_numerators, laurent.expand_variances):
+        cached.cache_clear()
+    first, second = (json.dumps(build_verify_report()[0], sort_keys=True, default=str) for _ in range(2))
+    assert first == second
 
 
 def test_output_file_and_env_dir(tmp_path, monkeypatch, capsys):

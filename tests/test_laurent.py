@@ -1,7 +1,9 @@
 """Exact truncated Laurent arithmetic and the small-scale expansion pipeline."""
 
+import dataclasses
 import math
 import operator
+import random
 from fractions import Fraction
 from functools import reduce
 
@@ -543,6 +545,57 @@ def test_expand_variances_numeric_agreement():
         assert var_space.evaluate(rho) == pytest.approx(res.var_space, rel=1e-2)
         assert var_momentum.evaluate(rho) == pytest.approx(res.var_momentum, rel=1e-2)
         assert product.evaluate(rho) == pytest.approx(res.product, rel=1e-2)
+
+
+def _clear_engine_caches():
+    for cached in (laurent._s_rows, laurent._abc_numerators, expand_variances):
+        cached.cache_clear()
+
+
+def test_memoised_engine_matches_fresh_builds():
+    # every call once with the caches warm, in shuffled order so that an S_k
+    # table first built for a small k is extended later, then again from
+    # empty caches; == compares lo, coefficients and order
+    calls = [(expand_variances, n, m) for n in range(2, 61) for m in range(1, 13)]
+    calls += [(derive_ABC, n, m) for n in range(2, 61) for m in range(1, 13)]
+    calls += [(derive_ABC, n, m, order) for n in range(2, 61, 7) for m in (1, 4, 12)
+              for order in (-n - 2 * m - 3, 0, 5)]
+    calls += [(derive_ABC, 48, 10, 5), (derive_ABC, 200, 3, 0)]
+    calls += [(expand_sm, n, k, order) for n in range(2, 61, 3) for k in range(0, 13)
+              for order in (2 - k, 5 - n - k, 0)]
+    random.Random(12).shuffle(calls)
+    _clear_engine_caches()
+    warm = [fn(*args) for fn, *args in calls]
+    for (fn, *args), value in zip(calls, warm):
+        _clear_engine_caches()
+        assert fn(*args) == value, (fn.__name__, args)
+
+
+def test_memoised_entries_cannot_be_mutated():
+    _clear_engine_caches()
+    first = expand_variances(7, 3)
+    assert expand_variances(7, 3) is first
+    var_space, _, product = first
+    with pytest.raises(TypeError):
+        first[0] = None
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        var_space.coeffs = ()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        product.radicand = Fraction(1)
+    with pytest.raises(TypeError):
+        var_space.coeffs[0] = Fraction(0)
+    windows, _ = laurent._abc_numerators(7, 3, None)
+    with pytest.raises(TypeError):
+        windows[0][1][0] = 0
+    # the S_k table grows by swapping in a longer tuple of rows, so rows
+    # handed out earlier (to this caller or another thread) never change
+    table = laurent._s_rows(7, 40)
+    short = table.upto(3)
+    assert len(short) == 4
+    longer = table.upto(30)
+    assert len(short) == 4 and longer[:4] == short
+    with pytest.raises(TypeError):
+        longer[1][0] = 0
 
 
 def test_expand_guards():
