@@ -1,4 +1,5 @@
-"""The radial sums S_m(rho) = sum_{l>=0} C(l+n-2, l) l^m exp(-2 rho l).
+"""The radial sums S_m(rho) = sum_{l>=0} C(l+n-2, l) l^m exp(-2 rho l), and
+the block summation engine that every series of the package is summed with.
 
 Every S_m is a finite rational function of x = exp(-2 rho).  Applying
 (x d/dx)^m = sum_j S(m, j) x^j D^j (Stirling numbers of the second kind)
@@ -15,10 +16,15 @@ correctly rounded int / int, for every n, m and rho.  The S path of
 polynomials the same way.
 
 :func:`s_m_sum` sums the series directly and is kept as the independent
-reference.  For small rho its terms climb over many decades before peaking
-near l* = (n - 2 + m) / (2 rho), so the accumulator is compensated, term
-magnitudes are built in log space, and the stop rule refuses to trust
-small terms until the envelope has passed its peak.
+reference.  It is one of three callers of :func:`_sum_blocks`, with the
+coefficient sums of :mod:`zonalvar.variance` and
+:func:`zonalvar.zonal.zonal_eval`: rows of terms are formed over blocks of
+degrees with numpy, each block is added to the running sums with
+math.fsum, and one stop rule is decided degree by degree.  For small rho
+the terms of S_m climb over many decades before peaking near
+l* = (n - 2 + m) / (2 rho), and their binomial weights may pass the double
+range, so each block takes its weights relative to its first degree and
+that degree's weight enters through its logarithm.
 """
 
 from __future__ import annotations
@@ -26,27 +32,28 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Callable
+
+import numpy as np
 
 from .errors import DegenerateInputError, DomainError, TruncationError
 
 __all__ = [
     "DEFAULT_TRUNCATION",
-    "CompensatedSum",
     "SeriesTruncation",
     "s_m_eval",
-    "s_m_peak_index",
     "s_m_sum",
 ]
 
 
 @dataclass(frozen=True)
 class SeriesTruncation:
-    """Stop policy for the series accumulators.
+    """Stop policy for the summed series.
 
-    A partial sum is accepted once the current term has dropped below
-    rel_tol times the accumulated value for a few consecutive terms, after
-    the term envelope has passed its peak and at least min_terms terms are
-    in.  Exceeding max_terms raises :class:`TruncationError`.
+    A series is accepted once its stop value has stayed at most rel_tol
+    times its running sum, and below its running peak, for three degrees
+    in a row, and at least min_terms terms are in (see :func:`_sum_blocks`).
+    No stop by degree max_terms raises :class:`TruncationError`.
     """
 
     rel_tol: float = 1e-14
@@ -64,87 +71,178 @@ class SeriesTruncation:
 
 DEFAULT_TRUNCATION = SeriesTruncation()
 
-
-class CompensatedSum:
-    """Neumaier variant of compensated summation."""
-
-    __slots__ = ("_s", "_c")
-
-    def __init__(self) -> None:
-        self._s = 0.0
-        self._c = 0.0
-
-    def add(self, x: float) -> None:
-        s = self._s + x
-        if abs(self._s) >= abs(x):
-            self._c += (self._s - s) + x
-        else:
-            self._c += (x - s) + self._s
-        self._s = s
-
-    @property
-    def value(self) -> float:
-        return self._s + self._c
+# Degree blocks start small, so that short large-rho series pay little
+# fixed cost, and grow geometrically up to a cap that bounds memory.
+_FIRST_BLOCK = 64
+_BLOCK_GROWTH = 4
+_MAX_BLOCK = 4096
+_FSUM_WIDTH = 256  # wider blocks are folded to this many columns before math.fsum
+_WEIGHT_CHECK = 1.7e308  # float weights from here up are redone exactly
+ZERO_RUN = 1024  # a series whose first ZERO_RUN terms are all zero stops
+# log 2 split so that e * _LN2_HI is exact for integers e below 2^21
+_LN2_HI = 6.93147180369123816490e-01
+_LN2_LO = 1.90821492927058770002e-10
 
 
-class _TailStop:
-    """Shared stop rule for series whose term envelope rises then decays.
+def _binomial_weights(n: int, ls: np.ndarray) -> tuple[np.ndarray, int | None]:
+    """C(l + n - 2, l) for the degrees ``ls`` (consecutive, ascending) as floats.
 
-    ``done(index, term_abs, sum_abs)`` must be called once per term, in
-    order.  It reports True when at least ``min_terms`` terms are in, the
-    envelope is past its peak (the index exceeds ``peak_hint`` or the
-    running maximum strictly dominates the current term), and
-    term_abs <= rel_tol * sum_abs held for three terms in a row.  A run of
-    ``ZERO_RUN`` exactly zero terms also stops the sum: the tail is then
-    identically zero in double precision and the accumulated value, possibly
-    0.0, is the answer; the caller decides whether that is degenerate.
+    The weight is built as prod_j (l + j) / j, one multiplication and one
+    division per factor, so its rounding error is at most about 2 (n - 2)
+    ulps whatever l is, and zero while the products stay below 2^53.  The
+    values rise with l; those near the top of the double range are redone
+    from math.comb, so the first overflowing degree is exactly that of
+    float(C(l + n - 2, l)).  Its index is returned, or None.
     """
+    w = np.ones_like(ls)
+    for j in range(1, n - 1):
+        w *= ls + j
+        w /= j
+    if w.size and not w[-1] < _WEIGHT_CHECK:
+        for i in np.flatnonzero(~(w < _WEIGHT_CHECK)).tolist():
+            l = int(ls[i])
+            try:
+                w[i] = float(math.comb(l + n - 2, l))
+            except OverflowError:
+                return w, i
+    return w, None
 
-    ZERO_RUN = 1024
 
-    __slots__ = (
-        "_trunc",
-        "_peak_hint",
-        "_tail_weight",
-        "_peak_seen",
-        "_small_run",
-        "_zero_run",
-    )
+def _sum_blocks(
+    source: Callable[[int, int], tuple], trunc: SeriesTruncation, name: str
+) -> tuple[list[float], int]:
+    """Sum the rows of a term source until its stop rows settle.
 
-    def __init__(
-        self,
-        trunc: SeriesTruncation,
-        peak_hint: int | None = None,
-        tail_weight: float = 1.0,
-    ):
-        self._trunc = trunc
-        self._peak_hint = peak_hint
-        # Estimated ratio of the whole remaining tail to the current term;
-        # for a slowly decaying series the tail holds ~1/(1-q) terms' worth.
-        self._tail_weight = max(1.0, tail_weight)
-        self._peak_seen = 0.0
-        self._small_run = 0
-        self._zero_run = 0
+    ``source(l0, l1)`` returns ``(terms, stop, error)`` for the degrees
+    l0 <= l < l0 + k: the terms as an (r, k) array, stop values for the
+    first s rows as an (s, k) array, each at least |term|, and a pending
+    error, or None.  Short of the whole block (k < l1 - l0) there must be
+    an error; it is raised once the degrees before l0 + k are summed
+    without a stop, and at once if k = 0.  Blocks start at
+    ``_FIRST_BLOCK`` degrees and grow by ``_BLOCK_GROWTH`` up to
+    ``_MAX_BLOCK``.
 
-    def done(self, index: int, term_abs: float, sum_abs: float) -> bool:
-        if term_abs > self._peak_seen:
-            self._peak_seen = term_abs
-        past_peak = term_abs < self._peak_seen or (
-            self._peak_hint is not None and index > self._peak_hint
-        )
-        if term_abs == 0.0:
-            self._zero_run += 1
-        else:
-            self._zero_run = 0
-        if past_peak and term_abs * self._tail_weight <= self._trunc.rel_tol * sum_abs:
-            self._small_run += 1
-        else:
-            self._small_run = 0
-        if index + 1 < self._trunc.min_terms:
-            return False
-        if self._small_run >= 3:
-            return True
-        return self._zero_run >= self.ZERO_RUN
+    Degree l is small in a stop row when its stop value is below the
+    row's running peak and at most ``rel_tol`` times |running sum| of the
+    row's terms.  A row stops at the third small degree in a row, or, if
+    its first ``ZERO_RUN`` stop values are all zero, at degree
+    ``ZERO_RUN`` - 1 (a zero run after a nonzero value is small from its
+    first zero on), in either case not before degree ``min_terms`` - 1.
+    The sums stop at the degree where the last stop row stops; terms
+    fetched past it are ignored.  No stop by degree ``max_terms`` raises
+    :class:`TruncationError` naming the series ``name``.
+
+    Each block is added to a carried (hi, lo) pair per row by
+    :func:`_add_blocks`, so each sum is accurate to about one rounding of
+    its terms whatever their number, and memory stays one block.  A block
+    wider than ``_FSUM_WIDTH`` in which no stop row still running can
+    pass the small-degree test (:func:`_cannot_stop`) is not scanned
+    degree by degree; the stop degrees are those of the full scan.
+
+    Returns the exactly rounded sums of the rows (see :func:`_add_blocks`)
+    and the number of degrees summed, the stop degree plus one.
+    """
+    rel_tol = trunc.rel_tol
+    last = trunc.max_terms + 1  # degrees 0 .. max_terms are summed
+    l0, size = 0, _FIRST_BLOCK
+    with np.errstate(all="ignore"):
+        while l0 < last:
+            l1 = min(l0 + size, last)
+            terms, stop, error = source(l0, l1)
+            if terms.shape[1] == 0:
+                raise error
+            s = len(stop)
+            if l0 == 0:
+                hi = [0.0] * len(terms)  # exactly rounded sums so far ...
+                lo = [0.0] * len(terms)  # ... and their rounding residuals
+                peak = np.zeros((s, 1))  # largest stop value so far
+                recent = np.zeros((s, 2), dtype=bool)  # small flags of the last two degrees
+                done = np.zeros(s, dtype=bool)
+            sums = np.add(hi[:s], lo[:s])
+            if terms.shape[1] > _FSUM_WIDTH and (done | _cannot_stop(stop, sums, rel_tol)).all():
+                # no stop row still running can stop in this block
+                peak = np.maximum(peak, stop.max(axis=1, keepdims=True))
+                recent[:] = False
+            else:
+                partial = np.cumsum(terms[:s], axis=1)
+                partial += sums[:, None]
+                running_peak = np.maximum.accumulate(stop, axis=1)
+                np.maximum(running_peak, peak, out=running_peak)
+                small = np.concatenate(
+                    (recent, (stop < running_peak) & (stop <= rel_tol * np.abs(partial))), axis=1
+                )
+                stops = small[:, 2:] & small[:, 1:-1] & small[:, :-2]  # three in a row
+                if not peak.all():  # all-zero rows stop from degree ZERO_RUN - 1 on
+                    first = max(ZERO_RUN - 1 - l0, 0)
+                    stops[:, first:] |= running_peak[:, first:] == 0.0
+                if trunc.min_terms - 1 > l0:
+                    stops[:, : trunc.min_terms - 1 - l0] = False
+                stopped = stops.any(axis=1)
+                if (done | stopped).all():
+                    end = int(np.where(done, 0, stops.argmax(axis=1)).max()) + 1
+                    _add_blocks(hi, lo, terms[:, :end])
+                    return hi, l0 + end
+                peak = running_peak[:, -1:]
+                recent = small[:, -2:]
+                done |= stopped
+            if error is not None:
+                raise error
+            _add_blocks(hi, lo, terms)
+            l0, size = l1, min(size * _BLOCK_GROWTH, _MAX_BLOCK)
+    raise TruncationError(f"{name} did not settle within {trunc.max_terms} terms")
+
+
+def _cannot_stop(stop: np.ndarray, sums: np.ndarray, rel_tol: float) -> np.ndarray:
+    """Stop rows of a block none of whose degrees can pass the small-degree test.
+
+    A degree is small only when its stop value v <= rel_tol |partial sum|,
+    and every running partial sum in the block is at most
+    |sums| + sum|t| <= |sums| + sum v up to the rounding of the cumulative
+    sum, which the factor 2 covers.
+    """
+    return stop.min(axis=1) > 2.0 * rel_tol * (np.abs(sums) + stop.sum(axis=1))
+
+
+def _add_blocks(hi: list[float], lo: list[float], terms: np.ndarray) -> None:
+    """Add each row of ``terms`` to the (hi, lo) sums with math.fsum.
+
+    For a block of at most ``_FSUM_WIDTH`` columns hi becomes the exactly
+    rounded total and lo its rounding residual.  A wider block is first
+    folded column-pairwise with TwoSum, which splits a + b exactly into its
+    rounded sum s and error e, until at most ``_FSUM_WIDTH`` columns
+    remain; an odd last column is set aside, and the errors of every fold
+    are summed per row into one extra column.  The folded row has the same
+    exact total apart from the rounding of that error column, of order
+    log2(B) eps^2 sum|t| for B columns, the order of the residual lo
+    itself; hi + lo is then within that of the exact total, and hi is the
+    exactly rounded total unless that total lies so close to a rounding
+    boundary.  A non-finite fold or an overflowing sum raises
+    :class:`DegenerateInputError`.
+    """
+    width = terms.shape[1]
+    if width > _FSUM_WIDTH:
+        aside, err = [], np.zeros((len(terms), 1))
+        with np.errstate(over="ignore", invalid="ignore"):
+            while width > _FSUM_WIDTH:
+                half = width // 2
+                if width % 2:
+                    aside.append(terms[:, -1:])
+                a, b = terms[:, :half], terms[:, half : 2 * half]
+                terms = a + b
+                b_virtual = terms - a
+                err += ((a - (terms - b_virtual)) + (b - b_virtual)).sum(axis=1, keepdims=True)
+                width = half
+            terms = np.concatenate((terms, *aside, err), axis=1)
+            if not np.isfinite(terms).all():
+                raise DegenerateInputError("coefficient sums left the double range")
+    for r, row in enumerate(terms.tolist()):
+        row += (hi[r], lo[r])
+        try:
+            hi[r] = math.fsum(row)
+            row.append(-hi[r])
+            lo[r] = math.fsum(row)
+        except OverflowError:
+            raise DegenerateInputError("coefficient sums left the double range") from None
 
 
 def _validate_smn(n: int, m: int, rho: float) -> None:
@@ -156,11 +254,6 @@ def _validate_smn(n: int, m: int, rho: float) -> None:
         raise DomainError("rho must be positive and finite")
 
 
-def s_m_peak_index(n: int, m: int, rho: float) -> int:
-    """Index near which the term C(l+n-2, l) l^m exp(-2 rho l) peaks."""
-    return math.ceil((n - 2 + m) / (2.0 * rho))
-
-
 def s_m_sum(
     n: int,
     m: int,
@@ -170,36 +263,52 @@ def s_m_sum(
 ) -> float:
     """Sum the series for S_m(rho) directly under the given stop policy.
 
-    The binomial weight is carried as a running log via compensated
-    addition of log1p((n-2)/l), which keeps the term magnitudes accurate
-    over the full dynamic range of small-rho sums.
+    Each block from degree l0 forms its terms as
+    exp(log C(l0+n-2, l0) - 2 rho l + m log l) prod_j (l+j)/(l0+j).  The log
+    of the exact integer C(l0+n-2, l0) is taken once per block, with its
+    multiple of log 2 added in two parts, the first exact, so that the
+    rounding all terms of the block share is that of a number below 42,
+    not of the whole log (755 at (250, 1, 0.1)).  The in-block ratios rise
+    with l and stay linear unless they would overflow; then they are
+    folded into the log.  So the terms stay accurate where C(l+n-2, l)
+    passes the double range.
+
+    Past the peak the terms decay roughly geometrically with ratio
+    e^(-2 rho), so the uncut tail is ~1/(1 - e^(-2 rho)) current terms;
+    each term's stop value is the term times 2/(1 - e^(-2 rho)), the
+    factor 2 absorbing the slower decay of the polynomial prefactor.
+    Raises :class:`DegenerateInputError` when a term exceeds the double
+    range.
     """
     _validate_smn(n, m, rho)
-    acc = CompensatedSum()
-    if m == 0:
-        acc.add(1.0)  # the l = 0 term; for m >= 1 it vanishes
-    log_w = CompensatedSum()
-    # Past the peak the terms decay roughly geometrically with ratio
-    # e^{-2 rho}, so the uncut tail is ~1/(1 - e^{-2 rho}) current terms;
-    # the factor 2 absorbs the slower decay of the polynomial prefactor.
-    tail_weight = 2.0 / -math.expm1(-2.0 * rho)
-    stop = _TailStop(trunc, peak_hint=s_m_peak_index(n, m, rho), tail_weight=tail_weight)
     two_rho = 2.0 * rho
-    for l in range(1, trunc.max_terms + 1):
-        log_w.add(math.log1p((n - 2) / l))
-        log_term = log_w.value - two_rho * l
+    tail_weight = 2.0 / -math.expm1(-two_rho)
+
+    def source(l0: int, l1: int):
+        ls = np.arange(l0, l1, dtype=float)
+        weight = math.comb(l0 + n - 2, l0)
+        e = max(weight.bit_length() - 60, 0)  # log weight = log(weight >> e) + e log 2
+        log_t = (e * _LN2_HI - two_rho * ls) + (math.log(weight >> e) + e * _LN2_LO)
         if m:
-            log_term += m * math.log(l)
-        term = math.exp(log_term)
-        acc.add(term)
-        if stop.done(l, term, abs(acc.value)):
-            if diagnostics is not None:
-                diagnostics["terms"] = l + 1
-                diagnostics["last_term"] = term
-            return acc.value
-    raise TruncationError(
-        f"S_{m} series (n={n}, rho={rho}) did not settle within {trunc.max_terms} terms"
-    )
+            log_t += m * np.log(ls)  # -inf at l = 0, so that term is 0
+        ratio = np.ones_like(ls)
+        for j in range(1, n - 1):
+            ratio *= ls + j
+            ratio /= l0 + j
+            if ratio[-1] > 1e300:  # the largest ratio; no factor exceeds 64
+                log_t += np.log(ratio)
+                ratio[:] = 1.0
+        t = np.exp(log_t) * ratio
+        error = None
+        if not np.isfinite(t).all():
+            t = t[: np.flatnonzero(~np.isfinite(t))[0]]
+            error = DegenerateInputError(f"S_{m}(rho={rho}) for n={n} exceeds the double range")
+        return t[None], (t * tail_weight)[None], error
+
+    (total,), terms = _sum_blocks(source, trunc, f"S_{m} series (n={n}, rho={rho})")
+    if diagnostics is not None:
+        diagnostics["terms"] = terms
+    return total
 
 
 def _stirling2_row(k: int) -> tuple[int, ...]:

@@ -18,7 +18,6 @@ from .errors import DegenerateInputError, DomainError
 __all__ = [
     "SphereDim",
     "binomial",
-    "gamma_half_integer",
     "gegenbauer_eval",
     "sphere_dim",
     "sphere_surface",
@@ -34,14 +33,14 @@ def binomial(a: int, b: int) -> int:
     return math.comb(a, b)
 
 
-def gamma_half_integer(two_x: int) -> float:
+def _gamma_half_integer(two_x: int) -> float:
     """Gamma(two_x / 2) for a positive integer two_x.
 
     Uses Gamma(k) = (k-1)! for even two_x and
     Gamma(j + 1/2) = (2j)! sqrt(pi) / (4^j j!) for odd two_x.
     """
     if two_x <= 0:
-        raise DomainError("gamma_half_integer needs a positive integer argument")
+        raise DomainError("Gamma(two_x / 2) needs a positive integer two_x")
     try:
         if two_x % 2 == 0:
             return float(math.factorial(two_x // 2 - 1))
@@ -69,7 +68,7 @@ def sphere_surface(k: int) -> float:
     e, rem = divmod(k + 1, 2)
     if k <= 342:
         pi_pow = math.pi**e * (math.sqrt(math.pi) if rem else 1.0)
-        return 2.0 * pi_pow / gamma_half_integer(k + 1)
+        return 2.0 * pi_pow / _gamma_half_integer(k + 1)
     if k >= 438:
         raise DegenerateInputError(f"sigma(S^{k}) is below the normal double range")
     ratio = Fraction(2 * 4**e * math.factorial(e), math.factorial(2 * e)) if rem else Fraction(2, math.factorial(e - 1))

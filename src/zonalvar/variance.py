@@ -23,14 +23,21 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Mapping
+from typing import Mapping
 
 import numpy as np
 
-from .errors import BoundViolationError, DegenerateInputError, DomainError, TruncationError
+from .errors import BoundViolationError, DegenerateInputError, DomainError
 from .laurent import _abc_weights
-from .series_s import DEFAULT_TRUNCATION, SeriesTruncation, _s_m_polynomial, _scaled_value, _TailStop
-from .zonal import PoissonWaveletSpec, ZonalFunction
+from .series_s import (
+    DEFAULT_TRUNCATION,
+    SeriesTruncation,
+    _binomial_weights,
+    _s_m_polynomial,
+    _scaled_value,
+    _sum_blocks,
+)
+from .zonal import PoissonWaveletSpec, ZonalFunction, _block_form
 
 __all__ = [
     "UncertaintyResult",
@@ -55,230 +62,74 @@ class UncertaintyResult:
     diagnostics: Mapping[str, object]
 
 
-# Degree blocks start small, so that short large-rho series pay little
-# fixed cost, and grow geometrically up to a cap that bounds memory.
-_FIRST_BLOCK = 64
-_BLOCK_GROWTH = 4
-_MAX_BLOCK = 4096
-_FSUM_WIDTH = 256  # wider blocks are folded to this many columns before math.fsum
-_WEIGHT_CHECK = 1.7e308  # float weights from here up are redone exactly
-
-
-def _block_form(coeff: Callable[[int], float]) -> Callable[[int, int], np.ndarray]:
-    """The rule's own ``block(l0, l1)``, or one built from scalar calls.
-
-    The block form is looked up on the rule object itself, so replacing
-    ``ZonalFunction.coeff`` can never pair a new scalar rule with a stale
-    block form.
-    """
-    block = getattr(coeff, "block", None)
-    if block is not None:
-        return block
-    return lambda l0, l1: np.fromiter(map(coeff, range(l0, l1)), float, l1 - l0)
-
-
-def _binomial_weights(n: int, ls: np.ndarray) -> tuple[np.ndarray, int | None]:
-    """C(l + n - 2, l) for the degrees ``ls`` (consecutive, ascending) as floats.
-
-    The weight is built as prod_j (l + j) / j, one multiplication and one
-    division per factor, so its rounding error is at most about 2 (n - 2)
-    ulps whatever l is, and zero while the products stay below 2^53.  The
-    values rise with l; those near the top of the double range are redone
-    from math.comb, so the first overflowing degree is exactly that of
-    float(C(l + n - 2, l)).  Its index is returned, or None.
-    """
-    w = np.ones_like(ls)
-    for j in range(1, n - 1):
-        w *= ls + j
-        w /= j
-    if w.size and not w[-1] < _WEIGHT_CHECK:
-        for i in np.flatnonzero(~(w < _WEIGHT_CHECK)).tolist():
-            l = int(ls[i])
-            try:
-                w[i] = float(math.comb(l + n - 2, l))
-            except OverflowError:
-                return w, i
-    return w, None
-
-
 def _coefficient_sums(f: ZonalFunction, trunc: SeriesTruncation) -> tuple[float, float, float, dict]:
     """Accumulate (N, N - D, M) for the coefficient rule f.
 
-    The three series are summed together over blocks of degrees, each block
-    one vector pass over a (3, B) array of terms.  The rule's values come
-    from its optional ``block(l0, l1)`` method (see :class:`ZonalFunction`),
-    else from scalar calls.  The N - D series forms each term as
-    tN * (1 - ratio) with
+    The three series are the rows of one :func:`zonalvar.series_s._sum_blocks`
+    run, each block one vector pass over a (3, B) array of terms, and each
+    row stops by its own |terms|; the sums stop at the degree where the
+    last of them stops.  The rule's values come from its optional
+    ``block(l0, l1)`` method (see :class:`ZonalFunction`), else from scalar
+    calls.  The N - D series forms each term as tN * (1 - ratio) with
     ratio = (l + 2 lambda)/(l + lambda + 1) * f_hat(l+1)/f_hat(l), which keeps
     the difference accurate even when N and D agree to many digits.  A rule
     with the optional ``log_ratio(l0, l1)`` supplies log(ratio) instead, and
     the factor 1 - ratio is -expm1(log ratio).  Its error is then a few
     ulps of the log ratio's parts, not the last bits of f_hat(l) and
     f_hat(l+1), which N - D = O(N rho^2) would amplify about 1/rho^2 times.
+    Binomial weights come from :func:`zonalvar.series_s._binomial_weights`.
 
-    Each block is added to a carried (hi, lo) pair by :func:`_add_blocks`
-    with math.fsum, after a TwoSum fold for blocks wider than
-    ``_FSUM_WIDTH``, so each sum is accurate to about one rounding of its
-    terms whatever their number, and memory stays one block.  Binomial
-    weights come from :func:`_binomial_weights`.
-
-    A series stops once at least ``min_terms`` terms are in, its terms are
-    past their running peak, and the current term has stayed at most
-    ``rel_tol`` times the running sum for three terms in a row, or once its
-    first ``_TailStop.ZERO_RUN`` terms are all exactly zero (a zero run after
-    a nonzero term passes the small-term test at its third zero); the sums
-    stop at the degree where the last of the three series stops.  Values
-    fetched past that degree are ignored.  Up to it, a non-finite rule
-    value raises :class:`DomainError`, and a binomial weight beyond the
-    double range, a non-finite term or an overflowing sum raises
-    :class:`DegenerateInputError`.  No stop by degree ``max_terms`` raises
-    :class:`TruncationError`.
-
-    A block wider than ``_FSUM_WIDTH`` in which every series still running
-    has min|t| > 2 rel_tol (|hi + lo| + sum|t|) cannot pass the small-term
-    test at any degree (the factor 2 covers the rounding of the running
-    sums), so its degree-by-degree scan is skipped; the stop degrees are
-    those of the full scan.
+    Values fetched past the stop degree are ignored.  Up to it, a
+    non-finite rule value raises :class:`DomainError`, and a binomial
+    weight beyond the double range, a non-finite term or an overflowing
+    sum raises :class:`DegenerateInputError`.  No stop by degree
+    ``max_terms`` raises :class:`TruncationError`.
     """
     lam = float(f.dim.lam)
     two_lam = 2.0 * lam
     n = f.dim.n
     fetch = _block_form(f.coeff)
     log_ratio = getattr(f.coeff, "log_ratio", None)
-    rel_tol = trunc.rel_tol
-    last = trunc.max_terms + 1  # degrees 0 .. max_terms are summed
-    hi = [0.0, 0.0, 0.0]  # exactly rounded sums so far ...
-    lo = [0.0, 0.0, 0.0]  # ... and their rounding residuals
-    peak = np.zeros((3, 1))  # largest |term| so far
-    recent = np.zeros((3, 2), dtype=bool)  # small-term flags of the last two degrees
-    done = np.zeros(3, dtype=bool)
-    l0, size = 0, _FIRST_BLOCK
-    with np.errstate(all="ignore"):
-        while l0 < last:
-            l1 = min(l0 + size, last)
-            fv = np.asarray(fetch(l0, l1 + 1), dtype=float)  # f_hat(l0) .. f_hat(l1)
-            limit, error = l1 - l0, None
-            if not np.isfinite(fv).all():
-                limit = max(int(np.flatnonzero(~np.isfinite(fv))[0]) - 1, 0)
-                error = DomainError(f"coefficient rule returned a non-finite value near l={l0 + limit}")
-            ls = np.arange(l0, l0 + limit, dtype=float)
-            w, over = _binomial_weights(n, ls)
-            if over is not None:
-                limit, ls = over, ls[:over]
-                error = DegenerateInputError(
-                    f"binomial weight C({l0 + over + n - 2}, {l0 + over}) exceeds the double "
-                    f"range; n={n} is too large for the coefficient sums at this rho"
-                )
-            fc, fn = fv[:limit], fv[1 : limit + 1]
-            terms = np.empty((3, limit))
-            t_n = terms[0]
-            l_lam = ls + lam
-            l_two_lam = ls + two_lam
-            np.multiply((lam / l_lam) * w[:limit] * fc, fc, out=t_n)
-            if log_ratio is None:
-                factor = 1.0 - (l_two_lam / (l_lam + 1.0)) * (fn / fc)
-            else:
-                factor = -np.expm1(np.asarray(log_ratio(l0, l0 + limit), dtype=float))
-            np.copyto(terms[1], np.where(fc == 0.0, 0.0, t_n * factor))
-            np.multiply(ls * l_two_lam, t_n, out=terms[2])
-            if not np.isfinite(terms).all():
-                limit = int(np.flatnonzero(~np.isfinite(terms).all(axis=0))[0])
-                terms = terms[:, :limit]
-                error = DegenerateInputError(
-                    f"coefficient-sum term at l={l0 + limit} is not finite; "
-                    "the coefficient rule leaves the double range"
-                )
-            if limit == 0:
-                raise error
 
-            size_abs = np.abs(terms)
-            sums = np.add(hi, lo)
-            if limit > _FSUM_WIDTH and (done | _cannot_stop(size_abs, sums, rel_tol)).all():
-                # no series still running can stop in this block
-                peak = np.maximum(peak, size_abs.max(axis=1, keepdims=True))
-                recent[:] = False
-            else:
-                partial = np.cumsum(terms, axis=1)
-                partial += sums[:, None]
-                running_peak = np.maximum.accumulate(size_abs, axis=1)
-                np.maximum(running_peak, peak, out=running_peak)
-                small = np.concatenate(
-                    (recent, (size_abs < running_peak) & (size_abs <= rel_tol * np.abs(partial))), axis=1
-                )
-                stops = small[:, 2:] & small[:, 1:-1] & small[:, :-2]  # three in a row
-                if not peak.all():  # all-zero series stop from degree ZERO_RUN - 1 on
-                    first = max(_TailStop.ZERO_RUN - 1 - l0, 0)
-                    stops[:, first:] |= running_peak[:, first:] == 0.0
-                if trunc.min_terms - 1 > l0:
-                    stops[:, : trunc.min_terms - 1 - l0] = False
-                stopped = stops.any(axis=1)
-                if (done | stopped).all():
-                    end = int(np.where(done, 0, stops.argmax(axis=1)).max()) + 1
-                    _add_blocks(hi, lo, terms[:, :end])
-                    return hi[0], hi[1], hi[2], {"terms": l0 + end, "path": "coefficient-sum"}
-                peak = running_peak[:, -1:]
-                recent = small[:, -2:]
-                done |= stopped
-            if error is not None:
-                raise error
-            _add_blocks(hi, lo, terms)
-            l0, size = l1, min(size * _BLOCK_GROWTH, _MAX_BLOCK)
-    raise TruncationError(
-        f"coefficient sums for {f.label or 'coefficient rule'} did not settle "
-        f"within {trunc.max_terms} terms"
+    def source(l0: int, l1: int):
+        fv = np.asarray(fetch(l0, l1 + 1), dtype=float)  # f_hat(l0) .. f_hat(l1)
+        limit, error = l1 - l0, None
+        if not np.isfinite(fv).all():
+            limit = max(int(np.flatnonzero(~np.isfinite(fv))[0]) - 1, 0)
+            error = DomainError(f"coefficient rule returned a non-finite value near l={l0 + limit}")
+        ls = np.arange(l0, l0 + limit, dtype=float)
+        w, over = _binomial_weights(n, ls)
+        if over is not None:
+            limit, ls = over, ls[:over]
+            error = DegenerateInputError(
+                f"binomial weight C({l0 + over + n - 2}, {l0 + over}) exceeds the double "
+                f"range; n={n} is too large for the coefficient sums at this rho"
+            )
+        fc, fn = fv[:limit], fv[1 : limit + 1]
+        terms = np.empty((3, limit))
+        t_n = terms[0]
+        l_lam = ls + lam
+        l_two_lam = ls + two_lam
+        np.multiply((lam / l_lam) * w[:limit] * fc, fc, out=t_n)
+        if log_ratio is None:
+            factor = 1.0 - (l_two_lam / (l_lam + 1.0)) * (fn / fc)
+        else:
+            factor = -np.expm1(np.asarray(log_ratio(l0, l0 + limit), dtype=float))
+        np.copyto(terms[1], np.where(fc == 0.0, 0.0, t_n * factor))
+        np.multiply(ls * l_two_lam, t_n, out=terms[2])
+        if not np.isfinite(terms).all():
+            limit = int(np.flatnonzero(~np.isfinite(terms).all(axis=0))[0])
+            terms = terms[:, :limit]
+            error = DegenerateInputError(
+                f"coefficient-sum term at l={l0 + limit} is not finite; "
+                "the coefficient rule leaves the double range"
+            )
+        return terms, np.abs(terms), error
+
+    (big_n, n_minus_d, big_m), terms = _sum_blocks(
+        source, trunc, f"coefficient sums for {f.label or 'coefficient rule'}"
     )
-
-
-def _cannot_stop(size_abs: np.ndarray, sums: np.ndarray, rel_tol: float) -> np.ndarray:
-    """Rows of a block none of whose terms can pass the small-term test.
-
-    A term is small when |t| <= rel_tol |partial sum|, and every running
-    partial sum in the block is at most |sums| + sum|t| up to the rounding
-    of the cumulative sum, which the factor 2 covers.
-    """
-    return size_abs.min(axis=1) > 2.0 * rel_tol * (np.abs(sums) + size_abs.sum(axis=1))
-
-
-def _add_blocks(hi: list[float], lo: list[float], terms: np.ndarray) -> None:
-    """Add each row of ``terms`` to the (hi, lo) sums with math.fsum.
-
-    For a block of at most ``_FSUM_WIDTH`` columns hi becomes the exactly
-    rounded total and lo its rounding residual.  A wider block is first
-    folded column-pairwise with TwoSum, which splits a + b exactly into its
-    rounded sum s and error e, until at most ``_FSUM_WIDTH`` columns
-    remain; an odd last column is set aside, and the errors of every fold
-    are summed per row into one extra column.  The folded row has the same
-    exact total apart from the rounding of that error column, of order
-    log2(B) eps^2 sum|t| for B columns, the order of the residual lo
-    itself; hi + lo is then within that of the exact total, and hi is the
-    exactly rounded total unless that total lies so close to a rounding
-    boundary.  A non-finite fold or an overflowing sum raises
-    :class:`DegenerateInputError`.
-    """
-    width = terms.shape[1]
-    if width > _FSUM_WIDTH:
-        aside, err = [], np.zeros((len(terms), 1))
-        with np.errstate(over="ignore", invalid="ignore"):
-            while width > _FSUM_WIDTH:
-                half = width // 2
-                if width % 2:
-                    aside.append(terms[:, -1:])
-                a, b = terms[:, :half], terms[:, half : 2 * half]
-                terms = a + b
-                b_virtual = terms - a
-                err += ((a - (terms - b_virtual)) + (b - b_virtual)).sum(axis=1, keepdims=True)
-                width = half
-            terms = np.concatenate((terms, *aside, err), axis=1)
-            if not np.isfinite(terms).all():
-                raise DegenerateInputError("coefficient sums left the double range")
-    for r, row in enumerate(terms.tolist()):
-        row += (hi[r], lo[r])
-        try:
-            hi[r] = math.fsum(row)
-            row.append(-hi[r])
-            lo[r] = math.fsum(row)
-        except OverflowError:
-            raise DegenerateInputError("coefficient sums left the double range") from None
+    return big_n, n_minus_d, big_m, {"terms": terms, "path": "coefficient-sum"}
 
 
 def _assemble(n: int, var_s: float, var_m: float, diagnostics: dict) -> UncertaintyResult:

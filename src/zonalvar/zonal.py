@@ -8,14 +8,15 @@ with lambda = (n-1)/2.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
-from .errors import DegenerateInputError, DomainError, TruncationError
-from .series_s import DEFAULT_TRUNCATION, CompensatedSum, SeriesTruncation, _TailStop
+from .errors import DegenerateInputError, DomainError
+from .series_s import DEFAULT_TRUNCATION, SeriesTruncation, _binomial_weights, _sum_blocks
 from .special_functions import SphereDim, _gegenbauer_recurrence, sphere_dim
 
 __all__ = [
@@ -36,22 +37,36 @@ class ZonalFunction:
 
     The rule must return a finite float for every degree a summation
     routine uses; they raise :class:`DomainError` on a non-finite value.
-    The coefficient sums fetch degrees in blocks and may fetch some past
-    the degree where they stop; those values are ignored.  A rule may offer
-    two optional methods, which the coefficient sums then use:
+    The coefficient sums and :func:`zonal_eval` fetch degrees in blocks and
+    may fetch some past the degree where they stop; those values are
+    ignored.  A rule may offer two optional methods:
 
     - ``block(l0, l1)`` returns the values for l0 <= l < l1 as a float64
       array equal to the scalar calls, instead of one call per degree;
+      the coefficient sums and :func:`zonal_eval` use it;
     - ``log_ratio(l0, l1)`` returns, for l0 <= l < l1, an accurate
       log((l + 2 lambda)/(l + lambda + 1) f_hat(l+1)/f_hat(l)) as a float64
       array, so that each N - D term is formed with expm1 of it instead of
-      1 minus a ratio of two rounded values (see
-      :func:`zonalvar.variance._coefficient_sums`).
+      1 minus a ratio of two rounded values; the coefficient sums use it
+      (see :func:`zonalvar.variance._coefficient_sums`).
     """
 
     dim: SphereDim
     coeff: Callable[[int], float]
     label: str = ""
+
+
+def _block_form(coeff: Callable[[int], float]) -> Callable[[int, int], np.ndarray]:
+    """The rule's own ``block(l0, l1)``, or one built from scalar calls.
+
+    The block form is looked up on the rule object itself, so replacing
+    ``ZonalFunction.coeff`` can never pair a new scalar rule with a stale
+    block form.
+    """
+    block = getattr(coeff, "block", None)
+    if block is not None:
+        return block
+    return lambda l0, l1: np.fromiter(map(coeff, range(l0, l1)), float, l1 - l0)
 
 
 @dataclass(frozen=True)
@@ -196,47 +211,55 @@ def zonal_eval(
     trunc: SeriesTruncation = DEFAULT_TRUNCATION,
     diagnostics: dict | None = None,
 ) -> float:
-    """Evaluate f(theta) = sum_l f_hat(l) C_l^lambda(cos theta).
+    """Evaluate f(theta) = sum_l f_hat(l) C_l^lambda(cos theta), 0 <= theta <= pi.
 
-    The Gegenbauer factor oscillates, so the stop rule watches the envelope
-    |f_hat(l)| C_l^lambda(1) against the accumulated envelope mass rather
-    than against the (possibly nearly cancelling) partial sum.  The absolute
-    error is then below rel_tol times the envelope mass.
+    The two rows of one :func:`zonalvar.series_s._sum_blocks` run are the
+    envelope |f_hat(l)| C_l^lambda(1), with C_l^lambda(1) = C(l+n-2, l),
+    and the values f_hat(l) C_l^lambda(cos theta), the Gegenbauer factors
+    filled block by block from the forward recurrence.  The factor
+    oscillates, so only the envelope decides the stop, against the
+    accumulated envelope mass rather than the (possibly nearly
+    cancelling) partial sum.  The rule is opaque, so the envelope's decay
+    rate is estimated from the ratio q of consecutive envelope values, and
+    each envelope value is weighted by 2q/(1-q), its estimate of the
+    remaining tail (between 1 and 1e9, and 1e9 while the envelope does not
+    decay).  The absolute error is then below rel_tol times the envelope
+    mass.  The rule's values come from its optional ``block`` method, else
+    from scalar calls; values fetched past the stop degree are ignored.
     """
-    lam = float(f.dim.lam)
-    two_lam = 2.0 * lam
-    acc = CompensatedSum()
-    env_acc = CompensatedSum()
-    stop = _TailStop(trunc)
-    gegenbauer = _gegenbauer_recurrence(lam, math.cos(theta))
-    w = 1.0  # C_l^lambda(1) = C(l + 2 lambda - 1, l), updated multiplicatively
-    env_prev = 0.0
-    for l, c_l in zip(range(0, trunc.max_terms + 1), gegenbauer):
-        if l == 1:
-            w = two_lam
-        elif l >= 2:
-            w *= (l + two_lam - 1.0) / l
-        a = f.coeff(l)
-        if not math.isfinite(a):
-            raise DomainError(f"coefficient rule returned a non-finite value at l={l}")
-        acc.add(a * c_l)
-        env = abs(a) * w
-        env_acc.add(env)
-        # The coefficient rule is opaque, so the decay rate of the envelope
-        # is estimated from the observed ratio; the remaining tail is then
-        # ~q/(1-q) current terms and the stop test charges for all of it.
-        if 0.0 < env < env_prev:
-            q = env / env_prev
-            tail_weight = min(2.0 * q / (1.0 - q), 1e9)
-        else:
-            tail_weight = 1e9 if env_prev > 0.0 and env >= env_prev else 1.0
-        env_prev = env
-        if stop.done(l, env * max(1.0, tail_weight), env_acc.value):
-            if diagnostics is not None:
-                diagnostics["terms"] = l + 1
-                diagnostics["envelope_mass"] = env_acc.value
-            return acc.value
-    raise TruncationError(
-        f"zonal series for {f.label or 'coefficient rule'} did not settle "
-        f"within {trunc.max_terms} terms"
-    )
+    if not 0.0 <= theta <= math.pi:
+        raise DomainError("theta must lie in [0, pi]")
+    n = f.dim.n
+    fetch = _block_form(f.coeff)
+    gegenbauer = _gegenbauer_recurrence(float(f.dim.lam), math.cos(theta))
+    env_last = 0.0  # the envelope value at the degree before the block
+
+    def source(l0: int, l1: int):
+        nonlocal env_last
+        a = np.asarray(fetch(l0, l1), dtype=float)
+        c = np.fromiter(itertools.islice(gegenbauer, l1 - l0), float, l1 - l0)
+        w, over = _binomial_weights(n, np.arange(l0, l1, dtype=float))
+        terms = np.array([np.abs(a) * w, a * c])
+        bad = ~np.isfinite(terms).all(axis=0)
+        if over is not None:
+            bad[over] = True
+        error = None
+        if bad.any():
+            limit = int(bad.argmax())
+            terms = terms[:, :limit]
+            if math.isfinite(a[limit]):
+                error = DegenerateInputError(f"zonal series term at l={l0 + limit} leaves the double range")
+            else:
+                error = DomainError(f"coefficient rule returned a non-finite value at l={l0 + limit}")
+        env = terms[0]
+        prev = np.concatenate(([env_last], env))
+        env_last, prev = prev[-1], prev[:-1]
+        q = env / prev
+        weight = np.where(env < prev, 2.0 * q / (1.0 - q), np.where(prev > 0.0, 1e9, 1.0))
+        return terms, (env * np.clip(weight, 1.0, 1e9))[None], error
+
+    (mass, value), terms = _sum_blocks(source, trunc, f"zonal series for {f.label or 'coefficient rule'}")
+    if diagnostics is not None:
+        diagnostics["terms"] = terms
+        diagnostics["envelope_mass"] = mass
+    return value

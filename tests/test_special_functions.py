@@ -12,11 +12,11 @@ from zonalvar import (
     DegenerateInputError,
     DomainError,
     binomial,
-    gamma_half_integer,
     gegenbauer_eval,
     sphere_dim,
     sphere_surface,
 )
+from zonalvar.special_functions import _gamma_half_integer
 
 
 # ---------------------------------------------------------------------------
@@ -79,24 +79,24 @@ def test_binomial_rejects_negative_arguments():
 
 def test_gamma_half_integer_low_values():
     sqrt_pi = math.sqrt(math.pi)
-    assert gamma_half_integer(1) == pytest.approx(sqrt_pi, rel=1e-15)
-    assert gamma_half_integer(2) == 1.0
-    assert gamma_half_integer(3) == pytest.approx(0.5 * sqrt_pi, rel=1e-15)
-    assert gamma_half_integer(4) == 1.0
-    assert gamma_half_integer(5) == pytest.approx(0.75 * sqrt_pi, rel=1e-15)
-    assert gamma_half_integer(8) == 6.0
+    assert _gamma_half_integer(1) == pytest.approx(sqrt_pi, rel=1e-15)
+    assert _gamma_half_integer(2) == 1.0
+    assert _gamma_half_integer(3) == pytest.approx(0.5 * sqrt_pi, rel=1e-15)
+    assert _gamma_half_integer(4) == 1.0
+    assert _gamma_half_integer(5) == pytest.approx(0.75 * sqrt_pi, rel=1e-15)
+    assert _gamma_half_integer(8) == 6.0
 
 
 def test_gamma_half_integer_matches_math_gamma():
     for two_x in range(1, 41):
-        assert gamma_half_integer(two_x) == pytest.approx(
+        assert _gamma_half_integer(two_x) == pytest.approx(
             math.gamma(two_x / 2.0), rel=1e-14
         )
 
 
 def test_gamma_half_integer_rejects_nonpositive():
     with pytest.raises(DomainError):
-        gamma_half_integer(0)
+        _gamma_half_integer(0)
 
 
 def test_sphere_surface_known_values():
@@ -118,9 +118,9 @@ def test_sphere_surface_keeps_the_gamma_formula_while_gamma_is_finite():
     for k in range(1, 343):
         e, rem = divmod(k + 1, 2)
         pi_pow = math.pi**e * (math.sqrt(math.pi) if rem else 1.0)
-        assert sphere_surface(k) == 2.0 * pi_pow / gamma_half_integer(k + 1)
+        assert sphere_surface(k) == 2.0 * pi_pow / _gamma_half_integer(k + 1)
     with pytest.raises(DegenerateInputError):
-        gamma_half_integer(344)
+        _gamma_half_integer(344)
 
 
 @pytest.mark.parametrize("k", [342, 343, 400, 437])

@@ -19,8 +19,7 @@ from zonalvar import (
     sphere_dim,
     uncertainty_product,
 )
-from zonalvar import variance
-from zonalvar.series_s import CompensatedSum, _TailStop
+from zonalvar import series_s, variance
 from zonalvar.zonal import _PoissonRule
 
 
@@ -224,7 +223,7 @@ def test_binomial_weights_error_does_not_grow_with_degree():
     for n in (2, 3, 5, 12, 40):
         for l0 in (0, 1000, 10**6, 10**9):
             ls = np.arange(l0, l0 + 300, dtype=float)
-            w, over = variance._binomial_weights(n, ls)
+            w, over = series_s._binomial_weights(n, ls)
             assert over is None
             for l, got in zip(range(l0, l0 + 300), w.tolist()):
                 exact = math.comb(l + n - 2, l)
@@ -245,23 +244,50 @@ def test_binomial_weight_overflow_is_exact():
     first = next(l for l in range(2000) if overflows(l))
     ls = np.arange(first - 40, first + 40, dtype=float)
     with np.errstate(over="ignore"):
-        w, over = variance._binomial_weights(n, ls)
+        w, over = series_s._binomial_weights(n, ls)
     assert over == 40
     exact = math.comb(first - 1 + n - 2, first - 1)
     assert abs(w[over - 1] - exact) <= 2 * (n - 2) * math.ulp(exact)
 
 
+class ReferenceSeries:
+    """One series summed degree by degree with a Neumaier-compensated
+    running sum, and the per-degree stop rule: ``add`` reports True once
+    at least ``min_terms`` terms are in and |t| has stayed below its running
+    peak and at most rel_tol |running sum| for three degrees in a row, or
+    once ``ZERO_RUN`` zero terms in a row are in."""
+
+    def __init__(self, trunc):
+        self.trunc = trunc
+        self.sum = self.comp = self.peak = 0.0
+        self.small_run = self.zero_run = 0
+
+    def add(self, l, t):
+        s = self.sum + t
+        if abs(self.sum) >= abs(t):
+            self.comp += (self.sum - s) + t
+        else:
+            self.comp += (t - s) + self.sum
+        self.sum = s
+        self.peak = max(self.peak, abs(t))
+        self.zero_run = self.zero_run + 1 if t == 0.0 else 0
+        small = abs(t) < self.peak and abs(t) <= self.trunc.rel_tol * abs(self.sum + self.comp)
+        self.small_run = self.small_run + 1 if small else 0
+        if l + 1 < self.trunc.min_terms:
+            return False
+        return self.small_run >= 3 or self.zero_run >= series_s.ZERO_RUN
+
+
 def loop_sums(f, trunc=SeriesTruncation()):
     """Reference: the coefficient sums one degree at a time, with exact
-    binomial weights and the shared series stop rule; the N - D factor is
-    -expm1 of the rule's log_ratio where it has one, else 1 - ratio.
-    Returns the exactly rounded sums, the sums of |term| and the number of
-    terms."""
+    binomial weights and the per-degree stop rule of
+    :class:`ReferenceSeries`; the N - D factor is -expm1 of the rule's
+    log_ratio where it has one, else 1 - ratio.  Returns the exactly
+    rounded sums, the sums of |term| and the number of terms."""
     lam = float(f.dim.lam)
     n = f.dim.n
     log_ratio = getattr(f.coeff, "log_ratio", None)
-    accs = [CompensatedSum() for _ in range(3)]  # running sums for the stop rule
-    stops = [_TailStop(trunc) for _ in range(3)]
+    refs = [ReferenceSeries(trunc) for _ in range(3)]
     series = ([], [], [])
     done = [False] * 3
     for l in range(trunc.max_terms + 1):
@@ -275,9 +301,8 @@ def loop_sums(f, trunc=SeriesTruncation()):
             factor = float(-np.expm1(log_ratio(l, l + 1)[0]))
         terms = (t_n, t_n * factor, l * (l + 2 * lam) * t_n)
         for i, t in enumerate(terms):
-            accs[i].add(t)
             series[i].append(t)
-            done[i] = done[i] or stops[i].done(l, abs(t), abs(accs[i].value))
+            done[i] = refs[i].add(l, t) or done[i]
         if all(done):
             return [math.fsum(s) for s in series], [math.fsum(map(abs, s)) for s in series], l + 1
     raise TruncationError("reference did not settle")
@@ -364,13 +389,13 @@ def exact_sum(values) -> Fraction:
 
 
 def test_folded_block_overflow_is_degenerate():
-    terms = np.full((3, variance._FSUM_WIDTH + 1), 1e308)
+    terms = np.full((3, series_s._FSUM_WIDTH + 1), 1e308)
     with pytest.raises(DegenerateInputError, match="double range"):
-        variance._add_blocks([0.0] * 3, [0.0] * 3, terms)
+        series_s._add_blocks([0.0] * 3, [0.0] * 3, terms)
     # every term is finite, but the M terms (about 1e308 each) overflow
     # once added in pairs; the first block wider than _FSUM_WIDTH starts at
     # `start`, so the overflow happens in a fold
-    start = variance._FIRST_BLOCK * (1 + variance._BLOCK_GROWTH)
+    start = series_s._FIRST_BLOCK * (1 + series_s._BLOCK_GROWTH)
     f = ZonalFunction(sphere_dim(3), lambda l: 1e154 / l if l >= start else 0.0)
     with pytest.raises(DegenerateInputError, match="double range"):
         uncertainty_product(f)
@@ -382,13 +407,13 @@ def test_scan_skip_allows_for_rounding_of_running_sums():
     # terms are then small against them, and the skip test must not rule
     # that out.
     v = 2.0**-53 * (1.0 + 2.0**-10)
-    terms = np.full((3, variance._MAX_BLOCK), v)
+    terms = np.full((3, series_s._MAX_BLOCK), v)
     terms[:, 0] = 1.0
     rel_tol = v / (1.0 + 3000 * 2.0**-52)
     sums = np.zeros(3)
     partial = np.cumsum(terms, axis=1) + sums[:, None]
     assert (terms <= rel_tol * np.abs(partial)).any(axis=1).all()
-    assert not variance._cannot_stop(np.abs(terms), sums, rel_tol).any()
+    assert not series_s._cannot_stop(np.abs(terms), sums, rel_tol).any()
 
 
 # ---------------------------------------------------------------------------
@@ -397,8 +422,8 @@ def test_scan_skip_allows_for_rounding_of_running_sums():
 
 @given(
     width=st.sampled_from(
-        [variance._FSUM_WIDTH - 1, variance._FSUM_WIDTH, variance._FSUM_WIDTH + 1,
-         2 * variance._FSUM_WIDTH + 1, 4096]
+        [series_s._FSUM_WIDTH - 1, series_s._FSUM_WIDTH, series_s._FSUM_WIDTH + 1,
+         2 * series_s._FSUM_WIDTH + 1, 4096]
     ),
     seed=st.integers(min_value=0, max_value=2**32 - 1),
     zeros=st.floats(min_value=0.0, max_value=0.5),
@@ -410,7 +435,7 @@ def test_add_blocks_is_accurate_at_every_width(width, seed, zeros, hi0, lo0):
     terms = np.ldexp(rng.uniform(-1.0, 1.0, (3, width)), rng.integers(-100, 101, (3, width)))
     terms[rng.random((3, width)) < zeros] = 0.0
     hi, lo = [hi0] * 3, [lo0] * 3
-    variance._add_blocks(hi, lo, terms)
+    series_s._add_blocks(hi, lo, terms)
     for r, row in enumerate(terms.tolist()):
         exact = exact_sum(row + [hi0, lo0])
         scale = exact_sum([abs(x) for x in row] + [abs(hi0), abs(lo0)])

@@ -274,6 +274,26 @@ def test_zonal_eval_rejects_nonfinite_rule():
         zonal_eval(f, 1.0)
 
 
+def test_zonal_eval_rejects_angles_outside_0_pi():
+    f = poisson_kernel_coefficients(sphere_dim(3), 0.5)
+    for theta in (math.nan, math.inf, -0.1, math.pi + 0.1):
+        with pytest.raises(DomainError, match=r"theta must lie in \[0, pi\]"):
+            zonal_eval(f, theta)
+
+
+def test_zonal_eval_stop_degrees():
+    # the stop degrees of the scalar compensated loop that zonal_eval replaced
+    kernels = {(2, 0.1): 368, (3, 0.5): 81, (5, 1.0): 46, (8, 2.0): 27}
+    wavelets = {(3, 2, 0.8): 59, (5, 3, 0.2): 263, (2, 1, 0.05): 796}
+    cases = [(poisson_kernel_coefficients(sphere_dim(n), rho), terms) for (n, rho), terms in kernels.items()]
+    cases += [(poisson_wavelet_coefficients(poisson_wavelet_spec(*k)), terms) for k, terms in wavelets.items()]
+    for f, terms in cases:
+        for theta in (0.0, 1.1, math.pi):
+            diag: dict = {}
+            zonal_eval(f, theta, diagnostics=diag)
+            assert diag["terms"] == terms
+
+
 @given(
     rho=st.floats(min_value=0.15, max_value=3.0),
     a=st.floats(min_value=0.0, max_value=1.0),
