@@ -348,6 +348,8 @@ _RESIDUAL_GRID = (0.1, 0.05, 0.025, 0.0125, 0.00625)
 
 _RESIDUAL_FLOOR_ULPS = 32.0
 
+_RESIDUAL_QUANTITIES = ("varS", "varM", "U")
+
 
 @dataclass(frozen=True)
 class ResidualFit:
@@ -366,6 +368,30 @@ class ResidualFit:
     residuals: tuple[float, ...]
 
 
+def _residual_fits(n: int, m: int) -> dict[str, ResidualFit]:
+    """The :class:`ResidualFit` of each of "varS", "varM" and "U" (see
+    :func:`residual_order_check`), from one S-path evaluation per rho."""
+    _check_nm(n, m)
+    results = [poisson_uncertainty_via_s(poisson_wavelet_spec(n, m, rho)) for rho in _RESIDUAL_GRID]
+    fits = {}
+    for quantity, field, expansion in zip(
+        _RESIDUAL_QUANTITIES, ("var_space", "var_momentum", "product"), expand_variances(n, m)
+    ):
+        residuals = []
+        vacuous = False
+        for rho, result in zip(_RESIDUAL_GRID, results):
+            numeric = getattr(result, field)
+            residual = abs(numeric - expansion.evaluate(rho))
+            floor = _RESIDUAL_FLOOR_ULPS * math.ulp(abs(numeric))
+            if residual <= floor:
+                vacuous = True
+                residual = floor
+            residuals.append(residual)
+        slope = float(np.polyfit(np.log(np.asarray(_RESIDUAL_GRID)), np.log(np.asarray(residuals)), 1)[0])
+        fits[quantity] = ResidualFit(quantity, slope, vacuous, _RESIDUAL_GRID, tuple(residuals))
+    return fits
+
+
 def residual_order_check(n: int, m: int, quantity: str) -> ResidualFit:
     """Fit the decay order of the residual between the numeric variance
     functionals and the engine expansion truncated at its default window,
@@ -374,30 +400,6 @@ def residual_order_check(n: int, m: int, quantity: str) -> ResidualFit:
     quantity is one of "varS" (expected slope near 4), "varM" (the expansion
     ends at O(1), slope near 0), or "U" (expected slope near 2).
     """
-    _check_nm(n, m)
-    if quantity not in ("varS", "varM", "U"):
+    if quantity not in _RESIDUAL_QUANTITIES:
         raise DomainError("quantity must be one of varS, varM, U")
-    var_space, var_momentum, product = expand_variances(n, m)
-    rhos = []
-    residuals = []
-    vacuous = False
-    for rho in _RESIDUAL_GRID:
-        result = poisson_uncertainty_via_s(poisson_wavelet_spec(n, m, rho))
-        if quantity == "varS":
-            numeric = result.var_space
-            predicted = var_space.evaluate(rho)
-        elif quantity == "varM":
-            numeric = result.var_momentum
-            predicted = var_momentum.evaluate(rho)
-        else:
-            numeric = result.product
-            predicted = product.evaluate(rho)
-        residual = abs(numeric - predicted)
-        floor = _RESIDUAL_FLOOR_ULPS * math.ulp(abs(numeric))
-        if residual <= floor:
-            vacuous = True
-            residual = floor
-        rhos.append(rho)
-        residuals.append(residual)
-    slope = float(np.polyfit(np.log(np.asarray(rhos)), np.log(np.asarray(residuals)), 1)[0])
-    return ResidualFit(quantity, slope, vacuous, tuple(rhos), tuple(residuals))
+    return _residual_fits(n, m)[quantity]

@@ -41,7 +41,7 @@ from .asymptotics import (
     minimize_limit_over_order,
     momentum_numerator_coefficient_table,
     numerator_coefficient_table,
-    residual_order_check,
+    _residual_fits,
 )
 from .errors import DegenerateInputError, DomainError, TruncationError
 from .laurent import derive_ABC, expand_F, expand_s0, expand_sm, expand_variances
@@ -492,8 +492,9 @@ def _verify_residual_section(flagged_pairs: list[tuple[int, int]]) -> dict:
         entry: dict = {"n": n, "m": m, "flagged": (n, m) in flagged_pairs}
         entry_pass = True
         vacuous_any = False
+        fits = _residual_fits(n, m)
         for quantity, threshold in RESIDUAL_THRESHOLDS.items():
-            fit = residual_order_check(n, m, quantity)
+            fit = fits[quantity]
             entry[f"{quantity}_slope"] = fit.slope
             vacuous_any = vacuous_any or fit.vacuous
             if not fit.vacuous and fit.slope < threshold:

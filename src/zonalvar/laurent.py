@@ -4,11 +4,11 @@ engine for the small-rho behaviour of the wavelet variance functionals.
 A :class:`TruncatedLaurentSeries` stores finitely many exact ``Fraction``
 coefficients on the exponent window [lo, order) together with the promise
 that the represented function differs from the stored polynomial by
-O(rho^order).  Every arithmetic operation propagates the window honestly:
-the result's order is the largest exponent up to which the inputs determine
-the output.  Products, quotients and square roots run on integer numerators
-and reduce to a ``Fraction`` once per output coefficient; the variances
-are one integer pass over the numerators of A, B and C.
+O(rho^order).  Series and :class:`NormalizedRadicalSeries` are frozen result
+records, not calculators: the engine computes on integer numerators over one
+common denominator (:func:`_convolve`, :func:`_divide`, :func:`_radical`) and
+reduces to a ``Fraction`` once per output coefficient; the variances are one
+integer pass over the numerators of A, B and C.
 
 The S_k numerators of S^n are built once per (n, S_0 window) in a small
 LRU cache, row k+1 from row k by one integer multiplication per entry, and
@@ -36,7 +36,6 @@ __all__ = [
     "expand_s0",
     "expand_sm",
     "expand_variances",
-    "sqrt_normalized",
 ]
 
 
@@ -125,63 +124,10 @@ class TruncatedLaurentSeries:
         """(exponent, coefficient) pairs over [lo, order)."""
         return [(self.lo + i, c) for i, c in enumerate(self.coeffs)]
 
-    def __add__(self, other: "TruncatedLaurentSeries") -> "TruncatedLaurentSeries":
-        order = min(self.order, other.order)
-        lo = min(self.lo, other.lo, order)
-        cs = [
-            self._get(e) + other._get(e) for e in range(lo, order)
-        ]
-        return TruncatedLaurentSeries.make(lo, cs, order)
-
-    def __sub__(self, other: "TruncatedLaurentSeries") -> "TruncatedLaurentSeries":
-        return self + other.scale(-1)
-
-    def __mul__(self, other: "TruncatedLaurentSeries") -> "TruncatedLaurentSeries":
-        """Integer convolution of the numerators; one reduction per coefficient."""
-        order = min(self.lo + other.order, other.lo + self.order)
-        lo = self.lo + other.lo  # == order when either factor is zero
-        length = order - lo
-        (a, da), (b, db) = _numerators(self.coeffs[:length]), _numerators(other.coeffs[:length])
-        return TruncatedLaurentSeries.make(lo, [Fraction(c, da * db) for c in _convolve(a, b, length)], order)
-
-    def __truediv__(self, other: "TruncatedLaurentSeries") -> "TruncatedLaurentSeries":
-        """Long division (:func:`_divide`) on the integer numerators."""
-        if other.is_zero:
-            raise DomainError("division by a series with no known nonzero coefficient")
-        order = min(self.order - other.lo, self.lo + other.order - 2 * other.lo)
-        lo = self.lo - other.lo
-        length = order - lo
-        if length <= 0:
-            return TruncatedLaurentSeries.make(order, [], order)
-        (a, da), (b, db) = _numerators(self.coeffs[:length]), _numerators(other.coeffs[:length])
-        xs, b_den = _divide(a, b, length)
-        return TruncatedLaurentSeries.make(lo, [Fraction(x * db, b_den * da) for x in xs], order)
-
-    def _get(self, exponent: int) -> Fraction:
-        if self.lo <= exponent < self.order:
-            return self.coeffs[exponent - self.lo]
-        return Fraction(0)
-
-    def scale(self, factor: int | Fraction) -> "TruncatedLaurentSeries":
-        q = Fraction(factor)
-        if q == 0:
-            return TruncatedLaurentSeries.make(self.order, [], self.order)
-        return TruncatedLaurentSeries.make(self.lo, [q * c for c in self.coeffs], self.order)
-
-    def shift(self, k: int) -> "TruncatedLaurentSeries":
-        """Multiply by rho^k (window shifts rigidly)."""
-        return TruncatedLaurentSeries(self.lo + k, self.coeffs, self.order + k)
-
-    def agrees_with(self, other: "TruncatedLaurentSeries") -> bool:
-        """Equality of all coefficients on the common known window."""
-        order = min(self.order, other.order)
-        lo = min(self.lo, other.lo)
-        return all(self._get(e) == other._get(e) for e in range(lo, order))
-
     def evaluate(self, rho: float) -> float:
         """Numeric value of the stored window at a given rho."""
-        if rho <= 0.0:
-            raise DomainError("evaluation requires rho > 0")
+        if not (rho > 0.0 and math.isfinite(rho)):
+            raise DomainError("evaluation requires a positive, finite rho")
         return math.fsum(float(c) * rho ** (self.lo + i) for i, c in enumerate(self.coeffs))
 
     def __str__(self) -> str:
@@ -219,10 +165,6 @@ class NormalizedRadicalSeries:
         if self.tail.lo != 0 or self.tail.coefficient(0) != 1:
             raise DomainError("tail must start with constant term 1")
 
-    def squared(self) -> TruncatedLaurentSeries:
-        """The exact square, a plain truncated Laurent series."""
-        return (self.tail * self.tail).scale(self.radicand).shift(2 * self.shift)
-
     def evaluate(self, rho: float) -> float:
         return math.sqrt(float(self.radicand)) * rho**self.shift * self.tail.evaluate(rho)
 
@@ -231,12 +173,6 @@ class NormalizedRadicalSeries:
         if self.shift:
             prefix += f"*rho^{self.shift}"
         return f"{prefix} * ({self.tail})"
-
-
-def sqrt_normalized(series: TruncatedLaurentSeries) -> NormalizedRadicalSeries:
-    """Square root of a series with positive leading coefficient and even
-    leading exponent, as sqrt(c0) rho^(lo/2) (1 + s1 rho + ...); see :func:`_radical`."""
-    return _radical(series.lo, *_numerators(series.coeffs))
 
 
 def _radical(lo: int, p: list[int], den: int) -> NormalizedRadicalSeries:

@@ -1,11 +1,9 @@
-"""Exact truncated Laurent arithmetic and the small-scale expansion pipeline."""
+"""Exact truncated Laurent series, the engine's integer kernels and the small-scale expansion pipeline."""
 
 import dataclasses
 import math
-import operator
 import random
 from fractions import Fraction
-from functools import reduce
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -22,7 +20,6 @@ from zonalvar import (
     poisson_uncertainty_via_s,
     poisson_wavelet_spec,
     s_m_eval,
-    sqrt_normalized,
 )
 
 S = TruncatedLaurentSeries.make
@@ -30,6 +27,27 @@ S = TruncatedLaurentSeries.make
 
 # ---------------------------------------------------------------------------
 # test-local references: window bookkeeping and schoolbook Fraction arithmetic
+
+
+def _add(a, b):
+    """a + b, known as far as both are."""
+    order = min(a.order, b.order)
+    lo = min(a.lo, b.lo, order)
+    return S(lo, [a.coefficient(e) + b.coefficient(e) for e in range(lo, order)], order)
+
+
+def _scale(s, factor):
+    return S(s.lo, [Fraction(factor) * c for c in s.coeffs], s.order)
+
+
+def _shift(s, k):
+    """Multiply by rho^k (the window shifts rigidly)."""
+    return S(s.lo + k, s.coeffs, s.order + k)
+
+
+def _agrees(a, b):
+    """Equality of all coefficients on the common known window."""
+    return all(a.coefficient(e) == b.coefficient(e) for e in range(min(a.lo, b.lo), min(a.order, b.order)))
 
 
 def _differentiate(s):
@@ -56,8 +74,8 @@ def _exp_series(rate, order):
 
 
 def _schoolbook_sqrt(series):
-    """sqrt_normalized by the Fraction recursion s_j = (u_j - sum s_i s_(j-i)) / 2,
-    u the series over its leading coefficient."""
+    """The normalized square root by the Fraction recursion
+    s_j = (u_j - sum s_i s_(j-i)) / 2, u the series over its leading coefficient."""
     c0 = series.coeffs[0]
     u = [c / c0 for c in series.coeffs]
     s = [Fraction(1)]
@@ -107,24 +125,6 @@ def series(draw, min_lo=-3, max_lo=3, min_len=1, max_len=5):
     return S(lo, coeffs)
 
 
-@st.composite
-def raw_series(draw):
-    """Negative or positive lo, zero to six coefficients, zeros frequent, so
-    leading zeros, empty (all-unknown) series and empty products occur."""
-    lo = draw(st.integers(min_value=-4, max_value=3))
-    coeffs = draw(st.lists(st.one_of(st.just(Fraction(0)), rationals), max_size=6))
-    return S(lo, coeffs, lo + len(coeffs))
-
-
-@st.composite
-def unit_series(draw):
-    """Series with a nonzero leading coefficient (safe divisor)."""
-    s = draw(series())
-    if s.is_zero:
-        return S(s.lo, [Fraction(1)], s.order) if s.order > s.lo else S(0, [1])
-    return s
-
-
 # ---------------------------------------------------------------------------
 # construction and window bookkeeping
 
@@ -169,34 +169,34 @@ def test_str_rendering():
 
 
 # ---------------------------------------------------------------------------
-# arithmetic against hand results
+# integer kernels and references against hand results
 
 
 def test_multiplication_hand_convolution():
-    # (1/2 rho^-1 + 1/2 + 1/6 rho)^2 = 1/4 rho^-2 + 1/2 rho^-1 + 5/12 + 1/6 rho
+    # (1/2 rho^-1 + 1/2 + 1/6 rho)^2 = 1/4 rho^-2 + 1/2 rho^-1 + 5/12 + 1/6 rho + ...
     f = S(-1, [Fraction(1, 2), Fraction(1, 2), Fraction(1, 6)])
-    sq = f * f
-    assert sq.lo == -2
-    assert sq.coefficient(-2) == Fraction(1, 4)
-    assert sq.coefficient(-1) == Fraction(1, 2)
-    assert sq.coefficient(0) == Fraction(5, 12)
+    nums, den = laurent._numerators(f.coeffs)
+    assert (nums, den) == ([3, 3, 1], 6)
+    assert laurent._convolve(nums, nums, 4) == [9, 18, 15, 6]  # over 36
+    sq = _schoolbook_mul(f, f)
+    assert sq.coeffs == (Fraction(1, 4), Fraction(1, 2), Fraction(5, 12))
     # window: both factors known to O(rho^2), product known to O(rho^1)
-    assert sq.order == 1
+    assert sq.lo == -2 and sq.order == 1
     with pytest.raises(DomainError):
         sq.coefficient(1)
 
 
 def test_division_inverts_multiplication_simple():
-    a = S(-1, [1, 2, 3, 4])
-    b = S(1, [2, -1, 5, 7])
-    quotient = (a * b) / b
-    assert quotient.agrees_with(a)
+    a, b = [1, 2, 3, 4], [2, -1, 5, 7]
+    xs, scale = laurent._divide(laurent._convolve(a, b, 4), b, 4)
+    assert scale == 2**4
+    assert xs == [x * scale for x in a]
+    sa, sb = S(-1, a), S(1, b)
+    assert _agrees(_schoolbook_div(_schoolbook_mul(sa, sb), sb), sa)
 
 
 def test_division_by_higher_pole_shifts_window():
-    one = _constant(1, 3)
-    pole = S(-1, [2, 0, 0, 0])
-    inv = one / pole
+    inv = _schoolbook_div(_constant(1, 3), S(-1, [2, 0, 0, 0]))
     assert inv.lo == 1
     assert inv.coefficient(1) == Fraction(1, 2)
 
@@ -211,8 +211,8 @@ def test_differentiate_monomial_and_constant():
 
 def test_shift_and_scale_and_truncate():
     s = S(0, [1, 2, 3])
-    assert s.shift(2).coefficient(2) == 1
-    assert s.scale(Fraction(1, 3)).coefficient(1) == Fraction(2, 3)
+    assert _shift(s, 2).coefficient(2) == 1
+    assert _scale(s, Fraction(1, 3)).coefficient(1) == Fraction(2, 3)
     t = _truncate(s, 2)
     assert t.order == 2
     with pytest.raises(DomainError):
@@ -225,101 +225,97 @@ def test_evaluate_is_plain_polynomial_value():
     s = S(-1, [Fraction(1, 2), Fraction(1, 4)])
     rho = 0.3
     assert s.evaluate(rho) == pytest.approx(0.5 / rho + 0.25, rel=1e-15)
+    for bad in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(DomainError):
+            s.evaluate(bad)
     with pytest.raises(DomainError):
-        s.evaluate(0.0)
+        S(-1, [1, 2]).evaluate(math.inf)  # not its constant term 2.0
 
 
-@given(a=series(), b=series(), c=series())
-def test_add_associative_and_commutative(a, b, c):
-    assert ((a + b) + c).agrees_with(a + (b + c))
-    assert (a + b).agrees_with(b + a)
+def _fraction_convolution(a, b, length):
+    a, b = a + [0] * length, b + [0] * length
+    return [sum(Fraction(a[i] * b[k - i]) for i in range(k + 1)) for k in range(length)]
 
 
-@given(a=series(), b=series())
-def test_mul_commutative(a, b):
-    assert (a * b).agrees_with(b * a)
+def _fraction_long_division(a, b, length):
+    x = []
+    for k in range(length):
+        x.append((a[k] - sum(x[i] * b[k - i] for i in range(k))) / Fraction(b[0]))
+    return x
 
 
-@given(a=series(), b=series(), c=series())
-def test_mul_distributes_over_add(a, b, c):
-    assert (a * (b + c)).agrees_with(a * b + a * c)
+integer_lists = st.lists(st.one_of(st.just(0), st.integers(min_value=-40, max_value=40)), max_size=7)
 
 
-@given(a=series(), b=unit_series())
-def test_div_mul_roundtrip(a, b):
-    assert ((a / b) * b).agrees_with(a)
-
-
-@given(a=series(), b=series())
-def test_product_rule(a, b):
-    lhs = _differentiate(a * b)
-    rhs = _differentiate(a) * b + a * _differentiate(b)
-    assert lhs.agrees_with(rhs)
-
-
-@given(a=raw_series(), b=raw_series())
-@example(a=S(-2, [1, 2]), b=S(3, [], 3))
-@example(a=S(1, [], 1), b=S(-1, [Fraction(2, 3), 5]))
-def test_mul_matches_schoolbook(a, b):
-    # == compares lo, coefficients and order
-    assert a * b == _schoolbook_mul(a, b)
-
-
-@given(a=raw_series(), b=raw_series())
-@example(a=S(-2, [1, 2]), b=S(3, [], 3))
-@example(a=S(1, [], 1), b=S(-1, [Fraction(2, 3), 5]))
-@example(a=S(0, [1, 0, 0, 5]), b=S(-3, [Fraction(-5, 3), 0, Fraction(1, 4), 2]))
-def test_div_matches_schoolbook(a, b):
-    if b.is_zero:
-        with pytest.raises(DomainError, match="no known nonzero coefficient"):
-            a / b
-    else:
-        assert a / b == _schoolbook_div(a, b)
+@given(a=integer_lists, b=integer_lists, length=st.integers(min_value=0, max_value=8))
+@example(a=[0, 0, 3, 1], b=[0, 5, 2], length=6)
+@example(a=[], b=[7], length=3)
+@example(a=[0, 0, 0, 5], b=[-3, 0, 1, 2], length=4)
+def test_integer_kernels_match_fraction_arithmetic(a, b, length):
+    # _convolve: the first `length` coefficients of a * b, leading zeros and
+    # lists shorter than `length` included
+    assert laurent._convolve(a, b, length) == _fraction_convolution(a, b, length)
+    # _divide: as many quotient coefficients as both windows know, over b_0^length;
+    # the engine strips a divisor's leading zeros first, so b_0 != 0 here
+    if b and b[0]:
+        known = min(length, len(a), len(b))
+        xs, scale = laurent._divide(a, b, known)
+        assert scale == b[0] ** known
+        assert [Fraction(x, scale) for x in xs] == _fraction_long_division(a, b, known)
 
 
 # ---------------------------------------------------------------------------
 # square roots
 
 
+def _radical(series):
+    """The engine's square-root kernel on a series' integer numerators."""
+    return laurent._radical(series.lo, *laurent._numerators(series.coeffs))
+
+
+def _squared(rad):
+    """The exact square of a normalized radical, a plain series."""
+    return _shift(_scale(_schoolbook_mul(rad.tail, rad.tail), rad.radicand), 2 * rad.shift)
+
+
 def test_sqrt_normalized_structure_and_square():
     s = S(2, [Fraction(9, 4), 3, 1])
-    rad = sqrt_normalized(s)
+    rad = _radical(s)
     assert rad.radicand == Fraction(9, 4)
     assert rad.shift == 1
     assert rad.tail.coefficient(0) == 1
-    assert rad.squared().agrees_with(s)
+    assert _agrees(_squared(rad), s)
 
 
 def test_sqrt_normalized_evaluate():
-    s = S(0, [4, 4, 1])  # (2 + rho)^2
-    rad = sqrt_normalized(s)
+    rad = _radical(S(0, [4, 4, 1]))  # (2 + rho)^2
     for rho in (0.01, 0.2):
         assert rad.evaluate(rho) == pytest.approx(2.0 + rho, rel=1e-12)
 
 
 def test_sqrt_normalized_guards():
     with pytest.raises(DomainError):
-        sqrt_normalized(S(1, [1]))  # odd leading exponent
+        _radical(S(1, [1]))  # odd leading exponent
     with pytest.raises(DomainError):
-        sqrt_normalized(S(0, [-1, 2]))
+        _radical(S(0, [-1, 2]))
     with pytest.raises(DomainError):
-        sqrt_normalized(S(2, [], order=2))
+        _radical(S(2, [], order=2))
 
 
 @given(s=series(min_lo=-1, max_lo=2, min_len=2, max_len=5))
 def test_sqrt_square_roundtrip(s):
-    doubled = s.shift(s.lo) if s.lo % 2 else s  # force an even leading exponent
+    doubled = _shift(s, s.lo) if s.lo % 2 else s  # force an even leading exponent
     if doubled.is_zero or doubled.coeffs[0] <= 0:
         return
-    assert sqrt_normalized(doubled).squared().agrees_with(doubled)
+    assert _agrees(_squared(_radical(doubled)), doubled)
 
 
 @given(s=series(min_lo=-2, max_lo=2, min_len=1, max_len=6))
 def test_sqrt_normalized_matches_schoolbook(s):
     if s.is_zero or s.coeffs[0] <= 0:
         return
-    even = s.shift(s.lo % 2)
-    assert sqrt_normalized(even) == _schoolbook_sqrt(even)
+    even = _shift(s, s.lo % 2)
+    assert _radical(even) == _schoolbook_sqrt(even)
 
 
 def test_exp_series_taylor_coefficients():
@@ -347,7 +343,7 @@ def test_expand_F_matches_exp_division(monkeypatch):
     # falling) and once in many (orders rising).
     expected = {order: S(order, [], order) for order in (-2, -1)}
     for order in range(0, 61):
-        g = _constant(1, order + 2) - _exp_series(-2, order + 2)
+        g = _add(_constant(1, order + 2), _scale(_exp_series(-2, order + 2), -1))
         expected[order] = _schoolbook_div(_constant(1, order + 1), g)
     for orders in (range(60, -3, -1), range(-2, 61)):
         monkeypatch.setattr(laurent, "_BERNOULLI", [])
@@ -362,7 +358,7 @@ def test_expand_F_empty_window_below_pole():
 
 
 def test_expand_s0_n2_is_F():
-    assert expand_s0(2, 3).agrees_with(expand_F(3))
+    assert _agrees(expand_s0(2, 3), expand_F(3))
 
 
 def test_expand_s0_n3_window():
@@ -377,15 +373,15 @@ def test_expand_s0_power_consistency():
     # S_0 for n and n+1 differ by one factor of F
     for n in (2, 3, 4, 6):
         lhs = expand_s0(n + 1, 0)
-        rhs = expand_s0(n, 1) * expand_F(1)
-        assert lhs.agrees_with(rhs)
+        rhs = _schoolbook_mul(expand_s0(n, 1), expand_F(1))
+        assert _agrees(lhs, rhs)
 
 
 def test_expand_sm_is_derivative_recursion():
     for n in (2, 3, 5):
         for m in (0, 1, 2, 3):
-            step = _differentiate(expand_sm(n, m, 2)).scale(Fraction(-1, 2))
-            assert expand_sm(n, m + 1, 1).agrees_with(step)
+            step = _scale(_differentiate(expand_sm(n, m, 2)), Fraction(-1, 2))
+            assert _agrees(expand_sm(n, m + 1, 1), step)
 
 
 def test_expand_sm_numeric_agreement():
@@ -406,21 +402,18 @@ def test_derive_ABC_matches_defining_combinations():
             order_c = -ell if order is None else order
             a_series, b_series, c_series = derive_ABC(n, m, order)
             inv = Fraction(1, n - 1)
-            a_direct = expand_sm(n, 2 * m + 1, order_ab).scale(2 * inv) + expand_sm(n, 2 * m, order_ab)
+            a_direct = _add(_scale(expand_sm(n, 2 * m + 1, order_ab), 2 * inv), expand_sm(n, 2 * m, order_ab))
             assert a_series == a_direct
             b_direct = None
             for j in range(m + 1):
                 cmj = math.comb(m, j)
-                piece = expand_sm(n, m + j + 1, order_ab).scale(cmj * inv) + expand_sm(
-                    n, m + j, order_ab
-                ).scale(cmj)
-                b_direct = piece if b_direct is None else b_direct + piece
+                piece = _add(_scale(expand_sm(n, m + j + 1, order_ab), cmj * inv),
+                             _scale(expand_sm(n, m + j, order_ab), cmj))
+                b_direct = piece if b_direct is None else _add(b_direct, piece)
             assert b_series == b_direct
-            c_direct = (
-                expand_sm(n, 2 * m + 3, order_c).scale(2 * inv)
-                + expand_sm(n, 2 * m + 2, order_c).scale(3)
-                + expand_sm(n, 2 * m + 1, order_c).scale(n - 1)
-            )
+            c_direct = _add(_add(_scale(expand_sm(n, 2 * m + 3, order_c), 2 * inv),
+                                 _scale(expand_sm(n, 2 * m + 2, order_c), 3)),
+                            _scale(expand_sm(n, 2 * m + 1, order_c), n - 1))
             assert c_series == c_direct
 
 
@@ -429,18 +422,22 @@ def test_derive_ABC_matches_defining_combinations():
 # direct S_k coefficient formula in the engine.
 
 
-def _product_s0(n, order):
-    if order <= -(n - 1):
-        return S(order, [], order)
-    f = expand_F(order + n - 2)
-    return reduce(operator.mul, [f] * (n - 1))
+def _product_s0(n_max, order):
+    """[S_0(n, order) for n = 2..n_max] as powers of F, one schoolbook product
+    per n: S_0(n+1, T-1) = S_0(n, T) F(T+n-2), so one F known through
+    order + n_max - 2 serves every power."""
+    f = expand_F(order + n_max - 2)
+    powers = [f]
+    for _ in range(n_max - 2):
+        powers.append(_schoolbook_mul(powers[-1], f))
+    return [_truncate(p, order) for p in powers]
 
 
-def _chain_sk(n, top, kmax):
-    """[S_0, ..., S_kmax], S_k known through top - k."""
-    s = [_product_s0(n, top)]
+def _chain_sk(s0, kmax):
+    """[S_0, ..., S_kmax], S_k known through s0.order - k."""
+    s = [s0]
     for _ in range(kmax):
-        s.append(_differentiate(s[-1]).scale(Fraction(-1, 2)))
+        s.append(_scale(_differentiate(s[-1]), Fraction(-1, 2)))
     return s
 
 
@@ -451,26 +448,27 @@ def _reference_ABC(n, m, order=None, s=None):
     order_ab = 4 - ell if order is None else order
     order_c = -ell if order is None else order
     if s is None:
-        s = _chain_sk(n, max(order_ab + 2 * m + 1, order_c + 2 * m + 3), 2 * m + 3)
+        top = max(order_ab + 2 * m + 1, order_c + 2 * m + 3)
+        s = _chain_sk(_product_s0(n, top)[-1], 2 * m + 3)
     s_ab = [_truncate(sk, order_ab) for sk in s[: 2 * m + 2]]
     s_c = {k: _truncate(s[k], order_c) for k in range(2 * m + 1, 2 * m + 4)}
     inv = Fraction(1, n - 1)
-    a = s_ab[2 * m + 1].scale(2 * inv) + s_ab[2 * m]
-    b = s_ab[m].scale(math.comb(m, 0)) + s_ab[m + 1].scale(inv)
+    a = _add(_scale(s_ab[2 * m + 1], 2 * inv), s_ab[2 * m])
+    b = _add(s_ab[m], _scale(s_ab[m + 1], inv))
     for j in range(1, m + 1):
         cmj = math.comb(m, j)
-        b = b + s_ab[m + j].scale(cmj) + s_ab[m + j + 1].scale(cmj * inv)
-    c = s_c[2 * m + 3].scale(2 * inv) + s_c[2 * m + 2].scale(3) + s_c[2 * m + 1].scale(n - 1)
+        b = _add(_add(b, _scale(s_ab[m + j], cmj)), _scale(s_ab[m + j + 1], cmj * inv))
+    c = _add(_add(_scale(s_c[2 * m + 3], 2 * inv), _scale(s_c[2 * m + 2], 3)), _scale(s_c[2 * m + 1], n - 1))
     return a, b, c
 
 
 def test_expand_s0_matches_repeated_product():
     # == compares lo, coefficients and order; orders from -n give empty windows.
-    # One product per n, narrowed by truncate, keeps this to about a second.
+    # One chain of products, narrowed by truncate, keeps this well under a second.
+    powers = _product_s0(48, 3)
     for n in (2, 3, 4, 5, 8, 13, 21, 34, 48):
-        widest = _product_s0(n, 3)
         for order in range(-n, 4):
-            assert expand_s0(n, order) == _truncate(widest, order)
+            assert expand_s0(n, order) == _truncate(powers[n - 2], order)
 
 
 def test_expand_sm_and_derive_ABC_match_derivative_chain():
@@ -480,7 +478,7 @@ def test_expand_sm_and_derive_ABC_match_derivative_chain():
             for order in (None, 0, -ell - 2, 5):
                 assert derive_ABC(n, m, order) == _reference_ABC(n, m, order)
                 if order is not None:
-                    chain = _chain_sk(n, order + 2 * m + 3, 2 * m + 3)
+                    chain = _chain_sk(_product_s0(n, order + 2 * m + 3)[-1], 2 * m + 3)
                     for k, sk in enumerate(chain):
                         assert expand_sm(n, k, order) == _truncate(sk, order)
 
@@ -488,8 +486,8 @@ def test_expand_sm_and_derive_ABC_match_derivative_chain():
 def test_derive_ABC_matches_derivative_chain_on_benchmark_grid():
     # every (n, m) of the exact-expansions benchmark workload, default windows
     # and order 5; one chain per n, known through order 5 for every m, serves both
-    for n in range(2, 49):
-        chain = _chain_sk(n, 5 + 23, 23)
+    for n, s0 in enumerate(_product_s0(48, 5 + 23), start=2):
+        chain = _chain_sk(s0, 23)
         for m in range(1, 11):
             for order in (None, 5):
                 assert derive_ABC(n, m, order) == _reference_ABC(n, m, order, chain)
@@ -523,8 +521,8 @@ def test_expand_variances_n3_m1():
 def _reference_variances(n, m):
     """The series-arithmetic chain on derive_ABC's windows, in schoolbook Fractions."""
     a, b, c = derive_ABC(n, m)
-    q = _schoolbook_div(_schoolbook_mul(_exp_series(1, 4), a), b.scale(2))
-    var_space = _schoolbook_mul(q, q) - _constant(1, 4)
+    q = _schoolbook_div(_schoolbook_mul(_exp_series(1, 4), a), _scale(b, 2))
+    var_space = _add(_schoolbook_mul(q, q), _constant(-1, 4))
     var_momentum = _schoolbook_div(c, a)
     return var_space, var_momentum, _schoolbook_sqrt(_schoolbook_mul(var_space, var_momentum))
 
