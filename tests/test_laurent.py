@@ -245,23 +245,32 @@ def _fraction_long_division(a, b, length):
 
 
 integer_lists = st.lists(st.one_of(st.just(0), st.integers(min_value=-40, max_value=40)), max_size=7)
+# the engine strips a divisor's leading zeros first, so b_0 != 0
+divisors = st.builds(
+    lambda b0, rest: [b0] + rest,
+    st.integers(min_value=-40, max_value=40).filter(bool),
+    st.lists(st.one_of(st.just(0), st.integers(min_value=-40, max_value=40)), max_size=6),
+)
 
 
 @given(a=integer_lists, b=integer_lists, length=st.integers(min_value=0, max_value=8))
 @example(a=[0, 0, 3, 1], b=[0, 5, 2], length=6)
 @example(a=[], b=[7], length=3)
-@example(a=[0, 0, 0, 5], b=[-3, 0, 1, 2], length=4)
-def test_integer_kernels_match_fraction_arithmetic(a, b, length):
+def test_mul_matches_schoolbook(a, b, length):
     # _convolve: the first `length` coefficients of a * b, leading zeros and
     # lists shorter than `length` included
     assert laurent._convolve(a, b, length) == _fraction_convolution(a, b, length)
-    # _divide: as many quotient coefficients as both windows know, over b_0^length;
-    # the engine strips a divisor's leading zeros first, so b_0 != 0 here
-    if b and b[0]:
-        known = min(length, len(a), len(b))
-        xs, scale = laurent._divide(a, b, known)
-        assert scale == b[0] ** known
-        assert [Fraction(x, scale) for x in xs] == _fraction_long_division(a, b, known)
+
+
+@given(a=integer_lists, b=divisors, length=st.integers(min_value=0, max_value=8))
+@example(a=[0, 0, 3, 1], b=[5, 2], length=6)
+@example(a=[0, 0, 0, 5], b=[-3, 0, 1, 2], length=4)
+def test_div_matches_schoolbook(a, b, length):
+    # _divide: as many quotient coefficients as both windows know, over b_0^length
+    known = min(length, len(a), len(b))
+    xs, scale = laurent._divide(a, b, known)
+    assert scale == b[0] ** known
+    assert [Fraction(x, scale) for x in xs] == _fraction_long_division(a, b, known)
 
 
 # ---------------------------------------------------------------------------
