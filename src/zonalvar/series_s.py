@@ -20,11 +20,17 @@ reference.  It is one of three callers of :func:`_sum_blocks`, with the
 coefficient sums of :mod:`zonalvar.variance` and
 :func:`zonalvar.zonal.zonal_eval`: rows of terms are formed over blocks of
 degrees with numpy, each block is added to the running sums with
-math.fsum, and one stop rule is decided degree by degree.  For small rho
+math.fsum, and one stop rule is decided degree by degree.  The first block
+is 256 degrees; each later one is sized from the decay of the stop values
+in the block before, to end a little past the predicted stop, and is at
+most the geometric size (x4 per block, up to 4096).  The coefficient sums
+and zonal_eval form terms that do not depend on where a block starts, so
+their sums and stop degrees do not depend on this schedule.  For small rho
 the terms of S_m climb over many decades before peaking near
 l* = (n - 2 + m) / (2 rho), and their binomial weights may pass the double
 range, so each block takes its weights relative to its first degree and
-that degree's weight enters through its logarithm.
+that degree's weight enters through its logarithm; the last bits of
+:func:`s_m_sum` therefore do depend on the schedule.
 """
 
 from __future__ import annotations
@@ -71,11 +77,15 @@ class SeriesTruncation:
 
 DEFAULT_TRUNCATION = SeriesTruncation()
 
-# Degree blocks start small, so that short large-rho series pay little
-# fixed cost, and grow geometrically up to a cap that bounds memory.
-_FIRST_BLOCK = 64
+# The first block is wide enough to spread a block's fixed cost; a later
+# block covers _MARGIN times the degrees predicted still to go plus _SLACK,
+# and at most the geometric size, which grows by _BLOCK_GROWTH up to a cap
+# that bounds memory.
+_FIRST_BLOCK = 256
 _BLOCK_GROWTH = 4
 _MAX_BLOCK = 4096
+_MARGIN = 1.25
+_SLACK = 64
 _FSUM_WIDTH = 256  # wider blocks are folded to this many columns before math.fsum
 _WEIGHT_CHECK = 1.7e308  # float weights from here up are redone exactly
 ZERO_RUN = 1024  # a series whose first ZERO_RUN terms are all zero stops
@@ -118,9 +128,18 @@ def _sum_blocks(
     first s rows as an (s, k) array, each at least |term|, and a pending
     error, or None.  Short of the whole block (k < l1 - l0) there must be
     an error; it is raised once the degrees before l0 + k are summed
-    without a stop, and at once if k = 0.  Blocks start at
-    ``_FIRST_BLOCK`` degrees and grow by ``_BLOCK_GROWTH`` up to
-    ``_MAX_BLOCK``.
+    without a stop, and at once if k = 0.
+
+    The first block is ``_FIRST_BLOCK`` degrees.  After a block the
+    degrees still needed are predicted by :func:`_degrees_to_stop`, and
+    the next block covers ``_MARGIN`` times them (counting at least those
+    up to degree ``min_terms``) plus ``_SLACK`` degrees, but never more
+    than the geometric size, which grows by ``_BLOCK_GROWTH`` per block up
+    to ``_MAX_BLOCK`` and is used alone while the prediction is inf.  The
+    schedule decides only where blocks start: a source whose terms do not
+    depend on that gets the same stop degree and, the sums being exactly
+    rounded, the same sums from any schedule, up to the rounding of the
+    in-block partial sums that the stop test reads.
 
     Degree l is small in a stop row when its stop value is below the
     row's running peak and at most ``rel_tol`` times |running sum| of the
@@ -144,10 +163,10 @@ def _sum_blocks(
     """
     rel_tol = trunc.rel_tol
     last = trunc.max_terms + 1  # degrees 0 .. max_terms are summed
-    l0, size = 0, _FIRST_BLOCK
+    l0, l1, size = 0, _FIRST_BLOCK, _FIRST_BLOCK
     with np.errstate(all="ignore"):
         while l0 < last:
-            l1 = min(l0 + size, last)
+            l1 = min(l1, last)
             terms, stop, error = source(l0, l1)
             if terms.shape[1] == 0:
                 raise error
@@ -188,8 +207,36 @@ def _sum_blocks(
             if error is not None:
                 raise error
             _add_blocks(hi, lo, terms)
-            l0, size = l1, min(size * _BLOCK_GROWTH, _MAX_BLOCK)
+            size = min(size * _BLOCK_GROWTH, _MAX_BLOCK)
+            ahead = max(_degrees_to_stop(stop, hi, done, rel_tol), trunc.min_terms - l1)
+            l0, l1 = l1, l1 + int(min(_MARGIN * ahead + _SLACK, size))
     raise TruncationError(f"{name} did not settle within {trunc.max_terms} terms")
+
+
+def _degrees_to_stop(stop: np.ndarray, hi: list[float], done: np.ndarray, rel_tol: float) -> float:
+    """Degrees past a block until every stop row still running is predicted to stop.
+
+    Each row's stop values are extrapolated on a log scale, from the middle
+    to the end of the block, to the degree where they reach rel_tol |sum|
+    (with the sums ``hi`` after the block).  Unless every such row decays
+    there, the prediction is inf.  Two columns are read as Python floats,
+    so the prediction costs no numpy pass over the block.
+    """
+    k = stop.shape[1]
+    mid = k // 2
+    ahead = 0.0
+    for v_mid, v_end, total, finished in zip(
+        stop[:, mid].tolist(), stop[:, -1].tolist(), hi, done.tolist()
+    ):
+        if finished:
+            continue
+        target = rel_tol * abs(total)
+        if not (0.0 < v_end < v_mid and target > 0.0):
+            return math.inf
+        if v_end > target:
+            decay = math.log(v_mid / v_end) / (k - 1 - mid)  # per degree
+            ahead = max(ahead, math.log(v_end / target) / decay)
+    return ahead
 
 
 def _cannot_stop(stop: np.ndarray, sums: np.ndarray, rel_tol: float) -> np.ndarray:

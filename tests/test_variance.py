@@ -18,9 +18,10 @@ from zonalvar import (
     poisson_wavelet_spec,
     sphere_dim,
     uncertainty_product,
+    zonal_eval,
 )
-from zonalvar import series_s, variance
-from zonalvar.zonal import _PoissonRule
+from zonalvar import cli, series_s, variance
+from zonalvar.zonal import _PoissonRule, _block_form
 
 
 def rescaled_wavelet(spec):
@@ -379,6 +380,115 @@ def test_stop_degree_does_not_depend_on_block_form():
             assert abs(got[1] - sums[1]) <= 2 * (m + 6) * eps * sums[0]
 
 
+class Recording(Forwarding):
+    """A copy of a rule, with its ``log_ratio`` if it has one, whose
+    ``block`` method records each requested (l0, l1)."""
+
+    def __init__(self, rule):
+        super().__init__(rule, *[name for name in ("log_ratio",) if hasattr(rule, name)])
+        self.fetch = _block_form(rule)
+        self.requests = []
+
+    def block(self, l0, l1):
+        self.requests.append((l0, l1))
+        return self.fetch(l0, l1)
+
+
+def outcome(call):
+    """What ``call()`` returns, or the type and message of what it raises."""
+    try:
+        return call()
+    except (DegenerateInputError, DomainError, TruncationError) as exc:
+        return type(exc), str(exc)
+
+
+SCHEDULE_CASES = [
+    (3, poisson_wavelet_coefficients(poisson_wavelet_spec(3, 2, 0.05)).coeff, SeriesTruncation()),
+    # past several 4096-wide blocks, so the fold and the scan skip run
+    (5, poisson_wavelet_coefficients(poisson_wavelet_spec(5, 1, 2e-3)).coeff, SeriesTruncation()),
+    (2, lambda l: 0.9**l + 1e-6 * 0.999**l, SeriesTruncation()),
+    # an all-zero row: M here, every row below
+    (3, lambda l: 1.0 if l == 0 else 0.0, SeriesTruncation()),
+    (3, lambda l: 0.0 if l < 1100 else 0.5 ** (l - 1100), SeriesTruncation()),
+    (3, lambda l: 0.0 if l < 1000 else 0.99 ** (l - 1000), SeriesTruncation()),
+    (3, lambda l: 1e-3**l, SeriesTruncation(min_terms=300)),
+    (3, lambda l: math.nan if l == 700 else 0.999**l, SeriesTruncation()),
+    # the binomial weight, and so the zonal series term, overflows
+    (1000, rescaled_wavelet(poisson_wavelet_spec(1000, 3, 0.1)).coeff, SeriesTruncation()),
+    (3, lambda l: 0.999**l, SeriesTruncation(max_terms=2000)),
+]
+
+
+@pytest.mark.parametrize("n, rule, trunc", SCHEDULE_CASES)
+def test_block_schedule_does_not_change_results(monkeypatch, n, rule, trunc):
+    f = ZonalFunction(sphere_dim(n), rule)
+
+    def results():
+        diag = {}
+        value = outcome(lambda: zonal_eval(f, 1.1, trunc, diag))
+        return outcome(lambda: variance._coefficient_sums(f, trunc)), value, diag
+
+    expected = results()
+    schedules = [
+        {"_FIRST_BLOCK": 16},
+        {"_FIRST_BLOCK": 64},
+        {"_FIRST_BLOCK": 4096},
+        {"_FIRST_BLOCK": 16, "_MAX_BLOCK": 256},
+        {"_degrees_to_stop": lambda *args: math.inf},  # the geometric schedule alone
+    ]
+    # first blocks that end at the stop degree d = terms - 1, on the degrees
+    # d - 2, d - 1 of its run of small degrees, at the degree before the run,
+    # and one past the stop
+    coef, _, diag = expected
+    stops = [got["terms"] for got in (coef[-1], diag) if isinstance(got, dict) and "terms" in got]
+    schedules += [{"_FIRST_BLOCK": t + k} for t in stops for k in range(-4, 2)]
+    for schedule in schedules:
+        with monkeypatch.context() as patch:
+            for name, value in schedule.items():
+                patch.setattr(series_s, name, value)
+            assert results() == expected, schedule
+
+
+def test_fetched_degrees_stay_within_budget():
+    # the predicted blocks fetch little past the stop on the verify grid.
+    # The log-scale extrapolation overshoots where the decay steepens with
+    # l (polynomial times exponential terms), so one point may fetch up to
+    # about 1.6 times its degrees past the first block; the grid as a whole
+    # stays within 1.3.  Each request also carries f_hat(l1) for N - D.
+    fetched = summed = points = 0
+    for n in cli.PATH_GRID_N:
+        for m in cli.PATH_GRID_M:
+            for rho in cli.PATH_GRID_RHO:
+                f = poisson_wavelet_coefficients(poisson_wavelet_spec(n, m, rho))
+                rule = Recording(f.coeff)
+                *_, info = variance._coefficient_sums(ZonalFunction(f.dim, rule), SeriesTruncation())
+                got = sum(l1 - 1 - l0 for l0, l1 in rule.requests)
+                assert got <= 2 * info["terms"] + series_s._FIRST_BLOCK
+                fetched += got
+                summed += info["terms"]
+                points += 1
+    assert fetched <= 1.3 * summed + points * series_s._FIRST_BLOCK
+
+
+def test_block_count_stays_bounded_when_decay_slows(monkeypatch):
+    # a fast decay predicts an early stop and a slower one behind it moves
+    # the stop on; that must not turn the series into many short blocks
+    def blocks(rule):
+        recorded = Recording(rule)
+        variance._coefficient_sums(ZonalFunction(sphere_dim(3), recorded), SeriesTruncation())
+        return len(recorded.requests)
+
+    rules = [
+        lambda l: 0.97**l + 1e-6 * 0.9995**l,
+        lambda l: 0.5**l + 1e-2 * 0.9**l + 1e-4 * 0.99**l + 1e-6 * 0.999**l,
+        lambda l: 1.0 / (l + 1) ** 3,
+    ]
+    predicted = [blocks(rule) for rule in rules]
+    monkeypatch.setattr(series_s, "_degrees_to_stop", lambda *args: math.inf)
+    geometric = [blocks(rule) for rule in rules]
+    assert all(p <= g + 1 for p, g in zip(predicted, geometric)), (predicted, geometric)
+
+
 def exact_sum(values) -> Fraction:
     """Exact sum of floats; every float is a multiple of 2^-1074."""
     total = 0
@@ -393,9 +503,13 @@ def test_folded_block_overflow_is_degenerate():
     with pytest.raises(DegenerateInputError, match="double range"):
         series_s._add_blocks([0.0] * 3, [0.0] * 3, terms)
     # every term is finite, but the M terms (about 1e308 each) overflow
-    # once added in pairs; the first block wider than _FSUM_WIDTH starts at
-    # `start`, so the overflow happens in a fold
-    start = series_s._FIRST_BLOCK * (1 + series_s._BLOCK_GROWTH)
+    # once added in pairs.  An all-zero rule gets the blocks of any rule that
+    # is zero up to their start, so the first block wider than _FSUM_WIDTH
+    # starts at `start`, and the overflow happens in a fold.
+    zeros = Recording(lambda l: 0.0)
+    variance._coefficient_sums(ZonalFunction(sphere_dim(3), zeros), SeriesTruncation())
+    start = next(l0 for l0, l1 in zeros.requests if l1 - 1 - l0 > series_s._FSUM_WIDTH)
+    assert start < series_s.ZERO_RUN
     f = ZonalFunction(sphere_dim(3), lambda l: 1e154 / l if l >= start else 0.0)
     with pytest.raises(DegenerateInputError, match="double range"):
         uncertainty_product(f)
