@@ -31,6 +31,13 @@ l* = (n - 2 + m) / (2 rho), and their binomial weights may pass the double
 range, so each block takes its weights relative to its first degree and
 that degree's weight enters through its logarithm; the last bits of
 :func:`s_m_sum` therefore do depend on the schedule.
+
+Memory stays one block per series, apart from a bounded memo that holds,
+per dimension n, the first block's rows that depend only on n: binomial
+weights, the N and M weights of the coefficient sums, and the lambda-only
+rows of the Poisson rules (:func:`_first_block_rows`).  Short series are
+summed in that one block, so for them the memo removes most of the work
+that does not depend on the rule.
 """
 
 from __future__ import annotations
@@ -118,6 +125,58 @@ def _binomial_weights(n: int, ls: np.ndarray) -> tuple[np.ndarray, int | None]:
     return w, None
 
 
+@dataclass(frozen=True)
+class _FirstBlockRows:
+    """Rows over the degrees 0 <= l <= width of the first block (with the
+    one past it, whose f_hat the coefficient sums also fetch) that depend
+    only on the dimension n, lambda = (n - 1)/2.  Each row is formed with
+    the expression its reader uses for a later block, so its values are
+    bitwise those.  The arrays are read-only.
+    """
+
+    l: np.ndarray  # the degrees as floats
+    weight: np.ndarray  # C(l + n - 2, l) from _binomial_weights ...
+    overflow: int | None  # ... and the index of its first overflowing weight
+    n_weight: np.ndarray  # lambda/(l + lambda) C(l + n - 2, l), the N weight
+    m_weight: np.ndarray  # l (l + 2 lambda), the M weight over the N weight
+    lift: np.ndarray  # (l + lambda)/lambda, the Poisson rule's factor
+    log_lift: np.ndarray  # log1p(lambda/(l + lambda))
+    log_step: np.ndarray  # log1p(1/l), inf at l = 0
+
+
+@lru_cache(maxsize=32)
+def _dimension_rows(n: int, width: int) -> _FirstBlockRows:
+    """The :class:`_FirstBlockRows` of dimension n for a first block of ``width`` degrees."""
+    lam = (n - 1) / 2
+    ls = np.arange(width + 1, dtype=float)
+    with np.errstate(all="ignore"):  # weights past the double range, log1p(1/0)
+        weight, overflow = _binomial_weights(n, ls)
+        l_lam = ls + lam
+        rows = _FirstBlockRows(
+            l=ls,
+            weight=weight,
+            overflow=overflow,
+            n_weight=(lam / l_lam) * weight,
+            m_weight=ls * (ls + 2.0 * lam),
+            lift=l_lam / lam,
+            log_lift=np.log1p(lam / l_lam),
+            log_step=np.log1p(1.0 / ls),
+        )
+    for row in vars(rows).values():
+        if isinstance(row, np.ndarray):
+            row.flags.writeable = False
+    return rows
+
+
+def _first_block_rows(n: int, l0: int, l1: int) -> _FirstBlockRows | None:
+    """The memoised rows of dimension n if the degrees l0 <= l < l1 lie in
+    the first block or are the one past it, else None: later blocks form
+    their rows themselves, so the memo holds one block per dimension."""
+    if l0 == 0 and l1 <= _FIRST_BLOCK + 1:
+        return _dimension_rows(n, _FIRST_BLOCK)
+    return None
+
+
 def _sum_blocks(
     source: Callable[[int, int], tuple], trunc: SeriesTruncation, name: str
 ) -> tuple[list[float], int]:
@@ -153,7 +212,9 @@ def _sum_blocks(
 
     Each block is added to a carried (hi, lo) pair per row by
     :func:`_add_blocks`, so each sum is accurate to about one rounding of
-    its terms whatever their number, and memory stays one block.  A block
+    its terms whatever their number, and memory stays one block, apart
+    from a bounded memo of the first block's rows per dimension
+    (:func:`_first_block_rows`).  A block
     wider than ``_FSUM_WIDTH`` in which no stop row still running can
     pass the small-degree test (:func:`_cannot_stop`) is not scanned
     degree by degree; the stop degrees are those of the full scan.
@@ -199,7 +260,7 @@ def _sum_blocks(
                 stopped = stops.any(axis=1)
                 if (done | stopped).all():
                     end = int(np.where(done, 0, stops.argmax(axis=1)).max()) + 1
-                    _add_blocks(hi, lo, terms[:, :end])
+                    _add_blocks(hi, lo, terms[:, :end], final=True)
                     return hi, l0 + end
                 peak = running_peak[:, -1:]
                 recent = small[:, -2:]
@@ -250,7 +311,7 @@ def _cannot_stop(stop: np.ndarray, sums: np.ndarray, rel_tol: float) -> np.ndarr
     return stop.min(axis=1) > 2.0 * rel_tol * (np.abs(sums) + stop.sum(axis=1))
 
 
-def _add_blocks(hi: list[float], lo: list[float], terms: np.ndarray) -> None:
+def _add_blocks(hi: list[float], lo: list[float], terms: np.ndarray, final: bool = False) -> None:
     """Add each row of ``terms`` to the (hi, lo) sums with math.fsum.
 
     For a block of at most ``_FSUM_WIDTH`` columns hi becomes the exactly
@@ -264,7 +325,8 @@ def _add_blocks(hi: list[float], lo: list[float], terms: np.ndarray) -> None:
     itself; hi + lo is then within that of the exact total, and hi is the
     exactly rounded total unless that total lies so close to a rounding
     boundary.  A non-finite fold or an overflowing sum raises
-    :class:`DegenerateInputError`.
+    :class:`DegenerateInputError`.  For the ``final`` block of a series
+    only hi is updated: nothing reads the residual after the stop.
     """
     width = terms.shape[1]
     if width > _FSUM_WIDTH:
@@ -286,8 +348,9 @@ def _add_blocks(hi: list[float], lo: list[float], terms: np.ndarray) -> None:
         row += (hi[r], lo[r])
         try:
             hi[r] = math.fsum(row)
-            row.append(-hi[r])
-            lo[r] = math.fsum(row)
+            if not final:
+                row.append(-hi[r])
+                lo[r] = math.fsum(row)
         except OverflowError:
             raise DegenerateInputError("coefficient sums left the double range") from None
 

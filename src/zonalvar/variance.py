@@ -33,6 +33,7 @@ from .series_s import (
     DEFAULT_TRUNCATION,
     SeriesTruncation,
     _binomial_weights,
+    _first_block_rows,
     _s_m_polynomial,
     _scaled_value,
     _sum_blocks,
@@ -77,7 +78,9 @@ def _coefficient_sums(f: ZonalFunction, trunc: SeriesTruncation) -> tuple[float,
     the factor 1 - ratio is -expm1(log ratio).  Its error is then a few
     ulps of the log ratio's parts, not the last bits of f_hat(l) and
     f_hat(l+1), which N - D = O(N rho^2) would amplify about 1/rho^2 times.
-    Binomial weights come from :func:`zonalvar.series_s._binomial_weights`.
+    Binomial weights come from :func:`zonalvar.series_s._binomial_weights`;
+    the first block's weights, with the N and M weights, are read from the
+    memo :func:`zonalvar.series_s._first_block_rows`.
 
     Values fetched past the stop degree are ignored.  Up to it, a
     non-finite rule value raises :class:`DomainError`, and a binomial
@@ -97,26 +100,35 @@ def _coefficient_sums(f: ZonalFunction, trunc: SeriesTruncation) -> tuple[float,
         if not np.isfinite(fv).all():
             limit = max(int(np.flatnonzero(~np.isfinite(fv))[0]) - 1, 0)
             error = DomainError(f"coefficient rule returned a non-finite value near l={l0 + limit}")
-        ls = np.arange(l0, l0 + limit, dtype=float)
-        w, over = _binomial_weights(n, ls)
-        if over is not None:
-            limit, ls = over, ls[:over]
+        rows = _first_block_rows(n, l0, l1)
+        if rows is None:
+            ls = np.arange(l0, l0 + limit, dtype=float)
+            w, over = _binomial_weights(n, ls)
+            n_weight, m_weight = (lam / (ls + lam)) * w, ls * (ls + two_lam)
+        else:
+            ls, over, n_weight, m_weight = rows.l, rows.overflow, rows.n_weight, rows.m_weight
+        if over is not None and over < limit:
+            limit = over
             error = DegenerateInputError(
                 f"binomial weight C({l0 + over + n - 2}, {l0 + over}) exceeds the double "
                 f"range; n={n} is too large for the coefficient sums at this rho"
             )
-        fc, fn = fv[:limit], fv[1 : limit + 1]
+        fc = fv[:limit]
         terms = np.empty((3, limit))
-        t_n = terms[0]
-        l_lam = ls + lam
-        l_two_lam = ls + two_lam
-        np.multiply((lam / l_lam) * w[:limit] * fc, fc, out=t_n)
-        if log_ratio is None:
-            factor = 1.0 - (l_two_lam / (l_lam + 1.0)) * (fn / fc)
-        else:
-            factor = -np.expm1(np.asarray(log_ratio(l0, l0 + limit), dtype=float))
-        np.copyto(terms[1], np.where(fc == 0.0, 0.0, t_n * factor))
-        np.multiply(ls * l_two_lam, t_n, out=terms[2])
+        t_n, t_nd, t_m = terms
+        np.multiply(n_weight[:limit], fc, out=t_n)
+        t_n *= fc
+        if log_ratio is None:  # the factor 1 - ratio
+            ls = ls[:limit]
+            np.divide(fv[1 : limit + 1], fc, out=t_nd)
+            t_nd *= (ls + two_lam) / ((ls + lam) + 1.0)
+            np.subtract(1.0, t_nd, out=t_nd)
+        else:  # the factor -expm1(log ratio)
+            np.expm1(np.asarray(log_ratio(l0, l0 + limit), dtype=float), out=t_nd)
+            np.negative(t_nd, out=t_nd)
+        t_nd *= t_n
+        t_nd[fc == 0.0] = 0.0
+        np.multiply(m_weight[:limit], t_n, out=t_m)
         if not np.isfinite(terms).all():
             limit = int(np.flatnonzero(~np.isfinite(terms).all(axis=0))[0])
             terms = terms[:, :limit]

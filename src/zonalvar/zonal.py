@@ -16,7 +16,13 @@ from typing import Callable
 import numpy as np
 
 from .errors import DegenerateInputError, DomainError
-from .series_s import DEFAULT_TRUNCATION, SeriesTruncation, _binomial_weights, _sum_blocks
+from .series_s import (
+    DEFAULT_TRUNCATION,
+    SeriesTruncation,
+    _binomial_weights,
+    _first_block_rows,
+    _sum_blocks,
+)
 from .special_functions import SphereDim, _gegenbauer_recurrence, sphere_dim
 
 __all__ = [
@@ -104,7 +110,9 @@ class _PoissonRule:
     the values for l0 <= l < l1 as an array through the same formula; both
     forms take exp(-rho l) from ``np.exp``, so they agree bitwise.
     :meth:`log_ratio` gives the coefficient sums the log ratio of
-    consecutive degrees from its closed form.
+    consecutive degrees from its closed form.  In the first block both
+    read their rows that depend only on lambda from the memo
+    :func:`zonalvar.series_s._first_block_rows`.
     """
 
     lam: float
@@ -113,19 +121,27 @@ class _PoissonRule:
     scale: float = 1.0
     step: float = 1.0
 
-    def _values(self, l, e):
-        v = self.scale * ((l + self.lam) / self.lam) * e
+    def _values(self, l, lift):
+        v = self.scale * lift * np.exp(-self.rho * l)
         x = self.step * l
         for _ in range(self.m):
             v *= x
         return v
 
+    def _first_block(self, l0: int, l1: int):
+        """The memoised first-block rows of this rule's dimension, or None."""
+        n = 2.0 * self.lam + 1.0
+        return _first_block_rows(int(n), l0, l1) if n.is_integer() else None
+
     def __call__(self, l: int) -> float:
-        return float(self._values(l, np.exp(-self.rho * l)))
+        return float(self._values(l, (l + self.lam) / self.lam))
 
     def block(self, l0: int, l1: int) -> np.ndarray:
+        rows = self._first_block(l0, l1)
+        if rows is not None:
+            return self._values(rows.l[:l1], rows.lift[:l1])
         ls = np.arange(l0, l1, dtype=float)
-        return self._values(ls, np.exp(-self.rho * ls))
+        return self._values(ls, (ls + self.lam) / self.lam)
 
     def log_ratio(self, l0: int, l1: int) -> np.ndarray:
         """log((l + 2 lam)/(l + lam + 1) f_hat(l+1)/f_hat(l)) for l0 <= l < l1,
@@ -135,6 +151,12 @@ class _PoissonRule:
         of the rule's values.  (Subtracting rho first gave the smallest
         var_space error at rho = 1e-4 of the three orders of the sum.)
         """
+        rows = self._first_block(l0, l1)
+        if rows is not None:
+            r = rows.log_lift[:l1] - self.rho
+            if self.m:
+                r += self.m * rows.log_step[:l1]
+            return r
         ls = np.arange(l0, l1, dtype=float)
         r = np.log1p(self.lam / (ls + self.lam)) - self.rho
         if self.m:
@@ -238,10 +260,14 @@ def zonal_eval(
         nonlocal env_last
         a = np.asarray(fetch(l0, l1), dtype=float)
         c = np.fromiter(itertools.islice(gegenbauer, l1 - l0), float, l1 - l0)
-        w, over = _binomial_weights(n, np.arange(l0, l1, dtype=float))
+        rows = _first_block_rows(n, l0, l1)
+        if rows is None:
+            w, over = _binomial_weights(n, np.arange(l0, l1, dtype=float))
+        else:
+            w, over = rows.weight[:l1], rows.overflow
         terms = np.array([np.abs(a) * w, a * c])
         bad = ~np.isfinite(terms).all(axis=0)
-        if over is not None:
+        if over is not None and over < l1 - l0:
             bad[over] = True
         error = None
         if bad.any():

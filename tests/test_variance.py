@@ -1,7 +1,12 @@
 """Variance functionals: hand-sum oracles, path equivalence, bound, degeneracies."""
 
+import json
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,7 +25,8 @@ from zonalvar import (
     uncertainty_product,
     zonal_eval,
 )
-from zonalvar import cli, series_s, variance
+import zonalvar
+from zonalvar import cli, series_s, variance, zonal
 from zonalvar.zonal import _PoissonRule, _block_form
 
 
@@ -419,16 +425,17 @@ SCHEDULE_CASES = [
 ]
 
 
+def engine_results(f, trunc):
+    """The coefficient sums and zonal_eval at theta = 1.1 with its diagnostics."""
+    diag = {}
+    value = outcome(lambda: zonal_eval(f, 1.1, trunc, diag))
+    return outcome(lambda: variance._coefficient_sums(f, trunc)), value, diag
+
+
 @pytest.mark.parametrize("n, rule, trunc", SCHEDULE_CASES)
 def test_block_schedule_does_not_change_results(monkeypatch, n, rule, trunc):
     f = ZonalFunction(sphere_dim(n), rule)
-
-    def results():
-        diag = {}
-        value = outcome(lambda: zonal_eval(f, 1.1, trunc, diag))
-        return outcome(lambda: variance._coefficient_sums(f, trunc)), value, diag
-
-    expected = results()
+    expected = engine_results(f, trunc)
     schedules = [
         {"_FIRST_BLOCK": 16},
         {"_FIRST_BLOCK": 64},
@@ -446,7 +453,90 @@ def test_block_schedule_does_not_change_results(monkeypatch, n, rule, trunc):
         with monkeypatch.context() as patch:
             for name, value in schedule.items():
                 patch.setattr(series_s, name, value)
-            assert results() == expected, schedule
+            assert engine_results(f, trunc) == expected, schedule
+
+
+def direct_rows(n, k):
+    """The memoised rows for the degrees 0 <= l < k, each formed as its
+    reader forms it for a later block."""
+    lam = float(sphere_dim(n).lam)
+    ls = np.arange(k, dtype=float)
+    weight, overflow = series_s._binomial_weights(n, ls)
+    with np.errstate(divide="ignore"):
+        log_step = np.log1p(1.0 / ls)
+    return {
+        "l": ls,
+        "weight": weight,
+        "overflow": overflow,
+        "n_weight": (lam / (ls + lam)) * weight,
+        "m_weight": ls * (ls + 2.0 * lam),
+        "lift": (ls + lam) / lam,
+        "log_lift": np.log1p(lam / (ls + lam)),
+        "log_step": log_step,
+    }
+
+
+def test_first_block_memo_is_the_direct_computation():
+    for width in (16, 64, 256):
+        for n in range(2, 61):
+            rows = series_s._dimension_rows(n, width)
+            for k in (1, width // 2 + 1, width, width + 1):
+                for name, expected in direct_rows(n, k).items():
+                    got = getattr(rows, name)
+                    if name == "overflow":
+                        assert got is None and expected is None
+                    else:
+                        assert got[:k].tobytes() == expected.tobytes(), (name, n, width, k)
+    # the weights leave the double range at l = 309 for n = 1000, l = 219 for n = 2000
+    for n, width, overflow in ((1000, 256, None), (1000, 1024, 309), (2000, 256, 219)):
+        rows = series_s._dimension_rows(n, width)
+        with np.errstate(over="ignore", invalid="ignore"):
+            expected = direct_rows(n, width + 1)
+        assert rows.overflow == expected["overflow"] == overflow
+        for name in ("weight", "n_weight"):
+            assert getattr(rows, name)[:overflow].tobytes() == expected[name][:overflow].tobytes()
+
+
+def test_first_block_memo_is_read_only_and_bounded():
+    rows = series_s._dimension_rows(5, 64)
+    arrays = [v for v in vars(rows).values() if isinstance(v, np.ndarray)]
+    assert len(arrays) == 7
+    for array in arrays:
+        with pytest.raises(ValueError):
+            array[0] = 1.0
+    maxsize = series_s._dimension_rows.cache_info().maxsize
+    assert maxsize is not None and maxsize <= 64
+
+
+@pytest.mark.parametrize("n, rule, trunc", SCHEDULE_CASES)
+def test_first_block_memo_does_not_change_results(monkeypatch, n, rule, trunc):
+    # a cold memo, a warm one and none at all give the same results
+    f = ZonalFunction(sphere_dim(n), rule)
+    series_s._dimension_rows.cache_clear()
+    cold = engine_results(f, trunc)
+    assert series_s._dimension_rows.cache_info().currsize == 1
+    warm = engine_results(f, trunc)
+    for module in (variance, zonal):
+        monkeypatch.setattr(module, "_first_block_rows", lambda *args: None)
+    assert cold == warm == engine_results(f, trunc)
+
+
+def test_import_fills_no_memo():
+    # memos are filled on first use, so importing costs no set-up time
+    code = (
+        "import json, sys, zonalvar, zonalvar.cli\n"
+        "memos = {f'{v.__module__}.{v.__name__}': v.cache_info().currsize\n"
+        "         for name, module in list(sys.modules.items()) if name.startswith('zonalvar')\n"
+        "         for v in vars(module).values() if hasattr(v, 'cache_info')}\n"
+        "print(json.dumps(memos))\n"
+    )
+    src = str(Path(zonalvar.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    memos = json.loads(done.stdout)
+    assert "zonalvar.series_s._dimension_rows" in memos and len(memos) >= 6, memos
+    assert not any(memos.values()), memos
 
 
 def test_fetched_degrees_stay_within_budget():
