@@ -26,7 +26,7 @@ from functools import lru_cache
 from fractions import Fraction
 from typing import Iterable
 
-from .errors import DomainError
+from .errors import DomainError, _require_at_least
 
 __all__ = [
     "NormalizedRadicalSeries",
@@ -249,8 +249,7 @@ def expand_s0(n: int, order: int) -> TruncatedLaurentSeries:
     The S_k combinations do not call this per request: they read it once per
     (n, order) into the cached integer table :class:`_SRows`.
     """
-    if n < 2:
-        raise DomainError("n must be >= 2")
+    _require_at_least("n", n, 2)
     a = n - 1
     length = order + a
     if length <= 0:
@@ -360,8 +359,7 @@ def _series(lo: int, xs: list[int], order: int, den: int) -> TruncatedLaurentSer
 
 def expand_sm(n: int, m: int, order: int) -> TruncatedLaurentSeries:
     """S_m(rho) = (-1/2 d/d rho)^m S_0(rho) with window [-(n-1+m), order)."""
-    if m < 0:
-        raise DomainError("m must be >= 0")
+    _require_at_least("m", m, 0)
     (window,), den = _s_numerators(n, [([(m, 1)], order)], 1)
     return _series(*window, den)
 
@@ -371,10 +369,8 @@ def _abc_numerators(n: int, m: int, order: int | None) -> tuple[tuple[tuple[int,
     """The windows of A, B and C (see :func:`derive_ABC`) as integer
     numerators over one shared denominator, also returned; memoised, so
     :func:`derive_ABC` and :func:`expand_variances` share one build per (n, m)."""
-    if n < 2:
-        raise DomainError("n must be >= 2")
-    if m < 1:
-        raise DomainError("m must be >= 1")
+    _require_at_least("n", n, 2)
+    _require_at_least("m", m, 1)
     ell = n + 2 * m
     order_ab = 4 - ell if order is None else order
     order_c = -ell if order is None else order

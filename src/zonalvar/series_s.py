@@ -32,24 +32,24 @@ range, so each block takes its weights relative to its first degree and
 that degree's weight enters through its logarithm; the last bits of
 :func:`s_m_sum` therefore do depend on the schedule.
 
-Memory stays one block per series, apart from a bounded memo that holds,
-per dimension n, the first block's rows that depend only on n: binomial
-weights, the N and M weights of the coefficient sums, and the lambda-only
-rows of the Poisson rules (:func:`_first_block_rows`).  Short series are
-summed in that one block, so for them the memo removes most of the work
-that does not depend on the rule.
+Rows that depend only on the dimension n come from three row functions
+of (n, l0, l1), :func:`_weight_rows`, :func:`_lift_rows` and
+:func:`_log_rows`, which serve the first block from one bounded memo and
+form later blocks directly.  Memory stays one block per series apart from
+that memo.  Short series are summed in the first block, so for them the
+memo removes most of the work that does not depend on the rule.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, wraps
 from typing import Callable
 
 import numpy as np
 
-from .errors import DegenerateInputError, DomainError, TruncationError
+from .errors import DegenerateInputError, DomainError, TruncationError, _require_at_least
 
 __all__ = [
     "DEFAULT_TRUNCATION",
@@ -125,56 +125,56 @@ def _binomial_weights(n: int, ls: np.ndarray) -> tuple[np.ndarray, int | None]:
     return w, None
 
 
-@dataclass(frozen=True)
-class _FirstBlockRows:
-    """Rows over the degrees 0 <= l <= width of the first block (with the
-    one past it, whose f_hat the coefficient sums also fetch) that depend
-    only on the dimension n, lambda = (n - 1)/2.  Each row is formed with
-    the expression its reader uses for a later block, so its values are
-    bitwise those.  The arrays are read-only.
-    """
-
-    l: np.ndarray  # the degrees as floats
-    weight: np.ndarray  # C(l + n - 2, l) from _binomial_weights ...
-    overflow: int | None  # ... and the index of its first overflowing weight
-    n_weight: np.ndarray  # lambda/(l + lambda) C(l + n - 2, l), the N weight
-    m_weight: np.ndarray  # l (l + 2 lambda), the M weight over the N weight
-    lift: np.ndarray  # (l + lambda)/lambda, the Poisson rule's factor
-    log_lift: np.ndarray  # log1p(lambda/(l + lambda))
-    log_step: np.ndarray  # log1p(1/l), inf at l = 0
-
-
-@lru_cache(maxsize=32)
-def _dimension_rows(n: int, width: int) -> _FirstBlockRows:
-    """The :class:`_FirstBlockRows` of dimension n for a first block of ``width`` degrees."""
-    lam = (n - 1) / 2
-    ls = np.arange(width + 1, dtype=float)
-    with np.errstate(all="ignore"):  # weights past the double range, log1p(1/0)
-        weight, overflow = _binomial_weights(n, ls)
-        l_lam = ls + lam
-        rows = _FirstBlockRows(
-            l=ls,
-            weight=weight,
-            overflow=overflow,
-            n_weight=(lam / l_lam) * weight,
-            m_weight=ls * (ls + 2.0 * lam),
-            lift=l_lam / lam,
-            log_lift=np.log1p(lam / l_lam),
-            log_step=np.log1p(1.0 / ls),
-        )
-    for row in vars(rows).values():
+@lru_cache(maxsize=64)
+def _first_block_memo(rows: Callable, n: int, width: int) -> tuple:
+    """rows(n, 0, width + 1) with read-only arrays: the first block and the
+    degree past it, whose f_hat the coefficient sums also fetch."""
+    out = rows(n, 0, width + 1)
+    for row in out:
         if isinstance(row, np.ndarray):
             row.flags.writeable = False
-    return rows
+    return out
 
 
-def _first_block_rows(n: int, l0: int, l1: int) -> _FirstBlockRows | None:
-    """The memoised rows of dimension n if the degrees l0 <= l < l1 lie in
-    the first block or are the one past it, else None: later blocks form
-    their rows themselves, so the memo holds one block per dimension."""
-    if l0 == 0 and l1 <= _FIRST_BLOCK + 1:
-        return _dimension_rows(n, _FIRST_BLOCK)
-    return None
+def _first_block_memoised(rows: Callable) -> Callable:
+    """Serve the first block of rows(n, l0, l1) from :func:`_first_block_memo`;
+    its rows may run past l1, so readers slice them to l1 - l0."""
+
+    @wraps(rows)
+    def serve(n: int, l0: int, l1: int) -> tuple:
+        if l0 == 0 and l1 <= _FIRST_BLOCK + 1:
+            return _first_block_memo(rows, n, _FIRST_BLOCK)
+        return rows(n, l0, l1)
+
+    return serve
+
+
+@_first_block_memoised
+def _weight_rows(n: int, l0: int, l1: int) -> tuple:
+    """The degrees l as floats, C(l + n - 2, l) from :func:`_binomial_weights`
+    with the index of its first overflowing weight, the N weight
+    lambda/(l + lambda) C(l + n - 2, l) and the M weight l (l + 2 lambda)."""
+    lam = (n - 1) / 2
+    ls = np.arange(l0, l1, dtype=float)
+    weight, overflow = _binomial_weights(n, ls)
+    return ls, weight, overflow, (lam / (ls + lam)) * weight, ls * (ls + 2.0 * lam)
+
+
+@_first_block_memoised
+def _lift_rows(n: int, l0: int, l1: int) -> tuple:
+    """The degrees l as floats and the Poisson rule's factor (l + lambda)/lambda."""
+    lam = (n - 1) / 2
+    ls = np.arange(l0, l1, dtype=float)
+    return ls, (ls + lam) / lam
+
+
+@_first_block_memoised
+def _log_rows(n: int, l0: int, l1: int) -> tuple:
+    """log1p(lambda/(l + lambda)) and log1p(1/l), inf at l = 0."""
+    lam = (n - 1) / 2
+    ls = np.arange(l0, l1, dtype=float)
+    with np.errstate(divide="ignore"):
+        return np.log1p(lam / (ls + lam)), np.log1p(1.0 / ls)
 
 
 def _sum_blocks(
@@ -213,10 +213,9 @@ def _sum_blocks(
     Each block is added to a carried (hi, lo) pair per row by
     :func:`_add_blocks`, so each sum is accurate to about one rounding of
     its terms whatever their number, and memory stays one block, apart
-    from a bounded memo of the first block's rows per dimension
-    (:func:`_first_block_rows`).  A block
-    wider than ``_FSUM_WIDTH`` in which no stop row still running can
-    pass the small-degree test (:func:`_cannot_stop`) is not scanned
+    from the first block's rows per dimension in :func:`_first_block_memo`.
+    A block wider than ``_FSUM_WIDTH`` in which no stop row still running
+    can pass the small-degree test (:func:`_cannot_stop`) is not scanned
     degree by degree; the stop degrees are those of the full scan.
 
     Returns the exactly rounded sums of the rows (see :func:`_add_blocks`)
@@ -356,10 +355,8 @@ def _add_blocks(hi: list[float], lo: list[float], terms: np.ndarray, final: bool
 
 
 def _validate_smn(n: int, m: int, rho: float) -> None:
-    if n < 2:
-        raise DomainError("n must be >= 2")
-    if m < 0:
-        raise DomainError("m must be >= 0")
+    _require_at_least("n", n, 2)
+    _require_at_least("m", m, 0)
     if not (rho > 0.0 and math.isfinite(rho)):
         raise DomainError("rho must be positive and finite")
 
@@ -456,6 +453,14 @@ def _scaled_value(coeffs: tuple[int, ...], num: int, e: int) -> int:
     return acc
 
 
+def _w_parts(rho: float) -> tuple[float, int, int]:
+    """base = -expm1(-2 rho) and w = exp(-2 rho) / base = num / 2^e as
+    (base, num, e); OverflowError where w is inf (rho below about 1e-308)."""
+    base = -math.expm1(-2.0 * rho)
+    num, den = (math.exp(-2.0 * rho) / base).as_integer_ratio()
+    return base, num, den.bit_length() - 1  # den = 2^e
+
+
 def s_m_eval(n: int, m: int, rho: float) -> float:
     """S_m(rho) = P_m(w) / base^(n-1), correctly rounded, for the floats
     base = -expm1(-2 rho) and w = exp(-2 rho) / base.
@@ -466,12 +471,9 @@ def s_m_eval(n: int, m: int, rho: float) -> float:
     :class:`DegenerateInputError` when S_m(rho) exceeds the double range.
     """
     _validate_smn(n, m, rho)
-    base = -math.expm1(-2.0 * rho)
-    w = math.exp(-2.0 * rho) / base
     coeffs = _s_m_polynomial(n, m)
     try:
-        num, den = w.as_integer_ratio()
-        e = den.bit_length() - 1  # den = 2^e
+        base, num, e = _w_parts(rho)
         b_num, b_den = base.as_integer_ratio()
         return (_scaled_value(coeffs, num, e) * b_den ** (n - 1)) / (
             b_num ** (n - 1) << (e * (len(coeffs) - 1))

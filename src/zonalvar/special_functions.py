@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
 
-from .errors import DegenerateInputError, DomainError
+from .errors import DegenerateInputError, DomainError, _require_at_least
 
 __all__ = [
     "SphereDim",
@@ -96,8 +96,7 @@ class SphereDim:
 
 def sphere_dim(n: int) -> SphereDim:
     """Build the dimension bundle for S^n, n >= 2."""
-    if n < 2:
-        raise DomainError("n must be >= 2")
+    _require_at_least("n", n, 2)
     return SphereDim(n=n, lam=Fraction(n - 1, 2))
 
 

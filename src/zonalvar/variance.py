@@ -32,11 +32,11 @@ from .laurent import _abc_weights
 from .series_s import (
     DEFAULT_TRUNCATION,
     SeriesTruncation,
-    _binomial_weights,
-    _first_block_rows,
     _s_m_polynomial,
     _scaled_value,
     _sum_blocks,
+    _w_parts,
+    _weight_rows,
 )
 from .zonal import PoissonWaveletSpec, ZonalFunction, _block_form
 
@@ -78,9 +78,9 @@ def _coefficient_sums(f: ZonalFunction, trunc: SeriesTruncation) -> tuple[float,
     the factor 1 - ratio is -expm1(log ratio).  Its error is then a few
     ulps of the log ratio's parts, not the last bits of f_hat(l) and
     f_hat(l+1), which N - D = O(N rho^2) would amplify about 1/rho^2 times.
-    Binomial weights come from :func:`zonalvar.series_s._binomial_weights`;
-    the first block's weights, with the N and M weights, are read from the
-    memo :func:`zonalvar.series_s._first_block_rows`.
+    The binomial weights' overflow index and the N and M weights are the
+    rows of :func:`zonalvar.series_s._weight_rows`, which serves the first
+    block from the one memo of rows per dimension.
 
     Values fetched past the stop degree are ignored.  Up to it, a
     non-finite rule value raises :class:`DomainError`, and a binomial
@@ -100,13 +100,7 @@ def _coefficient_sums(f: ZonalFunction, trunc: SeriesTruncation) -> tuple[float,
         if not np.isfinite(fv).all():
             limit = max(int(np.flatnonzero(~np.isfinite(fv))[0]) - 1, 0)
             error = DomainError(f"coefficient rule returned a non-finite value near l={l0 + limit}")
-        rows = _first_block_rows(n, l0, l1)
-        if rows is None:
-            ls = np.arange(l0, l0 + limit, dtype=float)
-            w, over = _binomial_weights(n, ls)
-            n_weight, m_weight = (lam / (ls + lam)) * w, ls * (ls + two_lam)
-        else:
-            ls, over, n_weight, m_weight = rows.l, rows.overflow, rows.n_weight, rows.m_weight
+        ls, _, over, n_weight, m_weight = _weight_rows(n, l0, l1)
         if over is not None and over < limit:
             limit = over
             error = DegenerateInputError(
@@ -224,18 +218,16 @@ def poisson_uncertainty_via_s(spec: PoissonWaveletSpec) -> UncertaintyResult:
     """
     n = spec.dim.n
     rho = spec.rho
-    w = math.exp(-2.0 * rho) / -math.expm1(-2.0 * rho)
-    if not w > _DENOM_FLOOR:
-        raise DegenerateInputError(
-            "w = 1/(e^(2 rho) - 1) underflowed; the wavelet is numerically null at this rho"
-        )
     try:
-        num, den = w.as_integer_ratio()
-        e = den.bit_length() - 1  # den = 2^e
-        # each scaled by the same 2^(e (2m + 3)); 1 + w = (den + num) / den
+        _, num, e = _w_parts(rho)
+        if not math.ldexp(num, -e) > _DENOM_FLOOR:
+            raise DegenerateInputError(
+                "w = 1/(e^(2 rho) - 1) underflowed; the wavelet is numerically null at this rho"
+            )
+        # each scaled by the same 2^(e (2m + 3)); 1 + w = (2^e + num) / 2^e
         a, b, c = (_scaled_value(poly, num, e) for poly in _wavelet_polynomials(n, spec.m))
         wb2 = 4 * num * b * b
-        var_s = ((den + num) * a * a - wb2) / wb2
+        var_s = (((1 << e) + num) * a * a - wb2) / wb2
         var_m = c / a
     except OverflowError:
         var_s = var_m = math.inf

@@ -15,13 +15,14 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DegenerateInputError, DomainError
+from .errors import DegenerateInputError, DomainError, _require_at_least
 from .series_s import (
     DEFAULT_TRUNCATION,
     SeriesTruncation,
-    _binomial_weights,
-    _first_block_rows,
+    _lift_rows,
+    _log_rows,
     _sum_blocks,
+    _weight_rows,
 )
 from .special_functions import SphereDim, _gegenbauer_recurrence, sphere_dim
 
@@ -88,8 +89,7 @@ class PoissonWaveletSpec:
     r: float = field(init=False)
 
     def __post_init__(self) -> None:
-        if self.m < 1:
-            raise DomainError("wavelet order m must be >= 1")
+        _require_at_least("wavelet order m", self.m, 1)
         if not (self.rho > 0.0 and math.isfinite(self.rho)):
             raise DomainError("rho must be positive and finite")
         object.__setattr__(self, "r", math.exp(-self.rho))
@@ -102,7 +102,8 @@ def poisson_wavelet_spec(n: int, m: int, rho: float) -> PoissonWaveletSpec:
 
 @dataclass(frozen=True)
 class _PoissonRule:
-    """The coefficient rule l -> scale ((l + lam) / lam) exp(-rho l) (step l)^m.
+    """The coefficient rule l -> scale ((l + lam) / lam) exp(-rho l) (step l)^m
+    on S^n, lam = (n - 1)/2.
 
     The power is applied by repeated multiplication, so the value at l = 0
     is exactly 0.0 for m >= 1 and the order recursion
@@ -110,12 +111,13 @@ class _PoissonRule:
     the values for l0 <= l < l1 as an array through the same formula; both
     forms take exp(-rho l) from ``np.exp``, so they agree bitwise.
     :meth:`log_ratio` gives the coefficient sums the log ratio of
-    consecutive degrees from its closed form.  In the first block both
-    read their rows that depend only on lambda from the memo
-    :func:`zonalvar.series_s._first_block_rows`.
+    consecutive degrees from its closed form.  Both take their rows that
+    depend only on n from :func:`zonalvar.series_s._lift_rows` and
+    :func:`zonalvar.series_s._log_rows`, which serve the first block from
+    the one memo of rows per dimension.
     """
 
-    lam: float
+    n: int
     rho: float
     m: int
     scale: float = 1.0
@@ -128,20 +130,13 @@ class _PoissonRule:
             v *= x
         return v
 
-    def _first_block(self, l0: int, l1: int):
-        """The memoised first-block rows of this rule's dimension, or None."""
-        n = 2.0 * self.lam + 1.0
-        return _first_block_rows(int(n), l0, l1) if n.is_integer() else None
-
     def __call__(self, l: int) -> float:
-        return float(self._values(l, (l + self.lam) / self.lam))
+        lam = (self.n - 1) / 2
+        return float(self._values(l, (l + lam) / lam))
 
     def block(self, l0: int, l1: int) -> np.ndarray:
-        rows = self._first_block(l0, l1)
-        if rows is not None:
-            return self._values(rows.l[:l1], rows.lift[:l1])
-        ls = np.arange(l0, l1, dtype=float)
-        return self._values(ls, (ls + self.lam) / self.lam)
+        ls, lift = _lift_rows(self.n, l0, l1)
+        return self._values(ls[: l1 - l0], lift[: l1 - l0])
 
     def log_ratio(self, l0: int, l1: int) -> np.ndarray:
         """log((l + 2 lam)/(l + lam + 1) f_hat(l+1)/f_hat(l)) for l0 <= l < l1,
@@ -151,17 +146,10 @@ class _PoissonRule:
         of the rule's values.  (Subtracting rho first gave the smallest
         var_space error at rho = 1e-4 of the three orders of the sum.)
         """
-        rows = self._first_block(l0, l1)
-        if rows is not None:
-            r = rows.log_lift[:l1] - self.rho
-            if self.m:
-                r += self.m * rows.log_step[:l1]
-            return r
-        ls = np.arange(l0, l1, dtype=float)
-        r = np.log1p(self.lam / (ls + self.lam)) - self.rho
+        log_lift, log_step = _log_rows(self.n, l0, l1)
+        r = log_lift[: l1 - l0] - self.rho
         if self.m:
-            with np.errstate(divide="ignore"):
-                r += self.m * np.log1p(1.0 / ls)
+            r += self.m * log_step[: l1 - l0]
         return r
 
 
@@ -171,7 +159,7 @@ def poisson_kernel_coefficients(dim: SphereDim, rho: float) -> ZonalFunction:
     """
     if not (rho > 0.0 and math.isfinite(rho)):
         raise DomainError("rho must be positive and finite")
-    rule = _PoissonRule(float(dim.lam), rho, 0, scale=1.0 / dim.surface)
+    rule = _PoissonRule(dim.n, rho, 0, scale=1.0 / dim.surface)
     return ZonalFunction(dim, rule, label=f"poisson-kernel(n={dim.n}, rho={rho})")
 
 
@@ -182,7 +170,7 @@ def poisson_wavelet_coefficients(spec: PoissonWaveletSpec) -> ZonalFunction:
     recursion g_hat_(m+1)(l) = (rho l) g_hat_m(l) holds bitwise.
     """
     dim, m, rho = spec.dim, spec.m, spec.rho
-    rule = _PoissonRule(float(dim.lam), rho, m, scale=1.0 / dim.surface, step=rho)
+    rule = _PoissonRule(dim.n, rho, m, scale=1.0 / dim.surface, step=rho)
     return ZonalFunction(dim, rule, label=f"poisson-wavelet(n={dim.n}, m={m}, rho={rho})")
 
 
@@ -203,7 +191,7 @@ def capped_wavelet_coefficients(spec: PoissonWaveletSpec) -> ZonalFunction:
         scale = min(1.0, 1.0 / dim.surface)
     except DegenerateInputError:  # sigma(S^n) is below the normal double range, far below 1
         scale = 1.0
-    rule = _PoissonRule(float(dim.lam), rho, m, scale=scale, step=rho)
+    rule = _PoissonRule(dim.n, rho, m, scale=scale, step=rho)
     return ZonalFunction(dim, rule, label=f"capped-wavelet(n={dim.n}, m={m}, rho={rho})")
 
 
@@ -260,12 +248,8 @@ def zonal_eval(
         nonlocal env_last
         a = np.asarray(fetch(l0, l1), dtype=float)
         c = np.fromiter(itertools.islice(gegenbauer, l1 - l0), float, l1 - l0)
-        rows = _first_block_rows(n, l0, l1)
-        if rows is None:
-            w, over = _binomial_weights(n, np.arange(l0, l1, dtype=float))
-        else:
-            w, over = rows.weight[:l1], rows.overflow
-        terms = np.array([np.abs(a) * w, a * c])
+        _, w, over, _, _ = _weight_rows(n, l0, l1)
+        terms = np.array([np.abs(a) * w[: l1 - l0], a * c])
         bad = ~np.isfinite(terms).all(axis=0)
         if over is not None and over < l1 - l0:
             bad[over] = True

@@ -26,13 +26,13 @@ from zonalvar import (
     zonal_eval,
 )
 import zonalvar
-from zonalvar import cli, series_s, variance, zonal
+from zonalvar import cli, series_s, variance
 from zonalvar.zonal import _PoissonRule, _block_form
 
 
 def rescaled_wavelet(spec):
     """The wavelet's rule times sigma(S^n) rho^-m: ((l + lambda)/lambda) l^m e^(-rho l)."""
-    return ZonalFunction(spec.dim, _PoissonRule(float(spec.dim.lam), spec.rho, spec.m))
+    return ZonalFunction(spec.dim, _PoissonRule(spec.dim.n, spec.rho, spec.m))
 
 
 # ---------------------------------------------------------------------------
@@ -456,55 +456,79 @@ def test_block_schedule_does_not_change_results(monkeypatch, n, rule, trunc):
             assert engine_results(f, trunc) == expected, schedule
 
 
-def direct_rows(n, k):
-    """The memoised rows for the degrees 0 <= l < k, each formed as its
-    reader forms it for a later block."""
+ROW_FUNCTIONS = (series_s._weight_rows, series_s._lift_rows, series_s._log_rows)
+
+
+def direct_rows(n, l0, k):
+    """The independent reference for the row functions: each of their rows
+    over the degrees l0 <= l < l0 + k, from the expression that defines it."""
     lam = float(sphere_dim(n).lam)
-    ls = np.arange(k, dtype=float)
-    weight, overflow = series_s._binomial_weights(n, ls)
-    with np.errstate(divide="ignore"):
-        log_step = np.log1p(1.0 / ls)
-    return {
-        "l": ls,
-        "weight": weight,
-        "overflow": overflow,
-        "n_weight": (lam / (ls + lam)) * weight,
-        "m_weight": ls * (ls + 2.0 * lam),
-        "lift": (ls + lam) / lam,
-        "log_lift": np.log1p(lam / (ls + lam)),
-        "log_step": log_step,
-    }
+    ls = np.arange(l0, l0 + k, dtype=float)
+    with np.errstate(over="ignore", divide="ignore"):
+        weight, overflow = series_s._binomial_weights(n, ls)
+        return {
+            series_s._weight_rows: (ls, weight, overflow, (lam / (ls + lam)) * weight, ls * (ls + 2.0 * lam)),
+            series_s._lift_rows: (ls, (ls + lam) / lam),
+            series_s._log_rows: (np.log1p(lam / (ls + lam)), np.log1p(1.0 / ls)),
+        }
+
+
+def assert_rows_equal(got, expected, k, context):
+    """The first k degrees of each row bitwise, and the overflow index."""
+    assert len(got) == len(expected), context
+    for row, want in zip(got, expected):
+        if isinstance(want, np.ndarray):
+            assert row[:k].tobytes() == want.tobytes(), context
+        else:
+            assert row == want, context
 
 
 def test_first_block_memo_is_the_direct_computation():
     for width in (16, 64, 256):
         for n in range(2, 61):
-            rows = series_s._dimension_rows(n, width)
-            for k in (1, width // 2 + 1, width, width + 1):
-                for name, expected in direct_rows(n, k).items():
-                    got = getattr(rows, name)
-                    if name == "overflow":
-                        assert got is None and expected is None
-                    else:
-                        assert got[:k].tobytes() == expected.tobytes(), (name, n, width, k)
-    # the weights leave the double range at l = 309 for n = 1000, l = 219 for n = 2000
-    for n, width, overflow in ((1000, 256, None), (1000, 1024, 309), (2000, 256, 219)):
-        rows = series_s._dimension_rows(n, width)
-        with np.errstate(over="ignore", invalid="ignore"):
-            expected = direct_rows(n, width + 1)
-        assert rows.overflow == expected["overflow"] == overflow
-        for name in ("weight", "n_weight"):
-            assert getattr(rows, name)[:overflow].tobytes() == expected[name][:overflow].tobytes()
+            for rows in ROW_FUNCTIONS:
+                memo = series_s._first_block_memo(rows.__wrapped__, n, width)
+                for k in (1, width // 2 + 1, width, width + 1):
+                    assert_rows_equal(memo, direct_rows(n, 0, k)[rows], k, (rows.__name__, n, width, k))
+    # the first block is served from the memo, up to the degree past it
+    for n in (2, 3, 12, 60):
+        for rows in ROW_FUNCTIONS:
+            first = rows(n, 0, series_s._FIRST_BLOCK + 1)
+            for k in (1, 100, series_s._FIRST_BLOCK):
+                assert rows(n, 0, k) is first
+                assert_rows_equal(first, direct_rows(n, 0, k)[rows], k, (rows.__name__, n, k))
+    # later blocks are formed by the row functions themselves, with the same expressions
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n in (2, 3, 12, 60, 1000):
+            for l0 in (1, 257, 4000, 65530):
+                for k in (1, 64, 300):
+                    expected = direct_rows(n, l0, k)
+                    for rows in ROW_FUNCTIONS:
+                        got = rows(n, l0, l0 + k)
+                        assert all(len(row) == k for row in got if isinstance(row, np.ndarray))
+                        assert_rows_equal(got, expected[rows], k, (rows.__name__, n, l0, k))
+        # the weights leave the double range at l = 309 for n = 1000, l = 219 for n = 2000
+        assert series_s._weight_rows(1000, 300, 400)[2] == direct_rows(1000, 300, 100)[series_s._weight_rows][2] == 9
+        for n, width, overflow in ((1000, 256, None), (1000, 1024, 309), (2000, 256, 219)):
+            memo = series_s._first_block_memo(series_s._weight_rows.__wrapped__, n, width)
+            expected = direct_rows(n, 0, width + 1)[series_s._weight_rows]
+            assert memo[2] == expected[2] == overflow
+            for i in (1, 3):  # the weights and the N weights
+                assert memo[i][:overflow].tobytes() == expected[i][:overflow].tobytes()
 
 
 def test_first_block_memo_is_read_only_and_bounded():
-    rows = series_s._dimension_rows(5, 64)
-    arrays = [v for v in vars(rows).values() if isinstance(v, np.ndarray)]
-    assert len(arrays) == 7
+    arrays = [v for rows in ROW_FUNCTIONS for v in rows(5, 0, 64) if isinstance(v, np.ndarray)]
+    assert len(arrays) == 8
     for array in arrays:
         with pytest.raises(ValueError):
             array[0] = 1.0
-    maxsize = series_s._dimension_rows.cache_info().maxsize
+    # later blocks are not memoised
+    size = series_s._first_block_memo.cache_info().currsize
+    for rows in ROW_FUNCTIONS:
+        assert rows(5, 1, 64) is not rows(5, 1, 64)
+    assert series_s._first_block_memo.cache_info().currsize == size
+    maxsize = series_s._first_block_memo.cache_info().maxsize
     assert maxsize is not None and maxsize <= 64
 
 
@@ -512,12 +536,12 @@ def test_first_block_memo_is_read_only_and_bounded():
 def test_first_block_memo_does_not_change_results(monkeypatch, n, rule, trunc):
     # a cold memo, a warm one and none at all give the same results
     f = ZonalFunction(sphere_dim(n), rule)
-    series_s._dimension_rows.cache_clear()
+    series_s._first_block_memo.cache_clear()
     cold = engine_results(f, trunc)
-    assert series_s._dimension_rows.cache_info().currsize == 1
+    # the weight rows, and the Poisson rule's lift and log rows
+    assert series_s._first_block_memo.cache_info().currsize == (3 if isinstance(rule, _PoissonRule) else 1)
     warm = engine_results(f, trunc)
-    for module in (variance, zonal):
-        monkeypatch.setattr(module, "_first_block_rows", lambda *args: None)
+    monkeypatch.setattr(series_s, "_first_block_memo", lambda rows, n, width: rows(n, 0, width + 1))
     assert cold == warm == engine_results(f, trunc)
 
 
@@ -535,7 +559,7 @@ def test_import_fills_no_memo():
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
     memos = json.loads(done.stdout)
-    assert "zonalvar.series_s._dimension_rows" in memos and len(memos) >= 6, memos
+    assert "zonalvar.series_s._first_block_memo" in memos and len(memos) >= 6, memos
     assert not any(memos.values()), memos
 
 

@@ -20,6 +20,7 @@ from zonalvar import (
     sphere_surface,
     zonal_eval,
 )
+import zonalvar
 from zonalvar.zonal import _PoissonRule
 
 
@@ -134,7 +135,7 @@ def test_wavelet_order_recursion_exact():
 
 def test_rescaled_rule_formula():
     lam = 1.5
-    rule = _PoissonRule(lam, 0.6, 2)
+    rule = _PoissonRule(4, 0.6, 2)
     assert rule(0) == 0.0
     for l in range(1, 50):
         expected = ((l + lam) / lam) * math.exp(-0.6 * l)
@@ -145,7 +146,7 @@ def test_rescaled_rule_formula():
 def test_rescaling_relates_wavelet_and_rescaled_rules():
     spec = poisson_wavelet_spec(5, 2, 0.4)
     g = poisson_wavelet_coefficients(spec).coeff
-    f = _PoissonRule(float(spec.dim.lam), spec.rho, spec.m)
+    f = _PoissonRule(spec.dim.n, spec.rho, spec.m)
     scale = spec.dim.surface / spec.rho**spec.m
     for l in range(1, 40):
         assert scale * g(l) == pytest.approx(f(l), rel=1e-13)
@@ -160,7 +161,7 @@ def test_capped_rule_is_the_wavelet_while_sigma_is_at_least_one():
     for n in (18, 120, 343, 400, 438):  # sigma(S^n) < 1; below the normal double range at n = 438
         spec = poisson_wavelet_spec(n, 3, 0.2)
         f = capped_wavelet_coefficients(spec).coeff
-        r = _PoissonRule(float(spec.dim.lam), spec.rho, spec.m)
+        r = _PoissonRule(spec.dim.n, spec.rho, spec.m)
         for l in range(1, 200):
             assert f(l) == pytest.approx(0.2**3 * r(l), rel=1e-13)
 
@@ -171,7 +172,7 @@ def test_block_form_matches_scalar_rule_bitwise(n, m, rho):
     rules = (
         poisson_kernel_coefficients(spec.dim, rho).coeff,
         poisson_wavelet_coefficients(spec).coeff,
-        _PoissonRule(float(spec.dim.lam), rho, m),
+        _PoissonRule(spec.dim.n, rho, m),
         capped_wavelet_coefficients(spec).coeff,
     )
     for rule in rules:
@@ -189,7 +190,7 @@ def test_log_ratio_matches_exact_reference(lam, m, rho):
     # log((l + 2 lam)/(l + lam + 1) f_hat(l+1)/f_hat(l)) of the rule's own
     # formula at 40 digits; an error within a few ulps of the parts'
     # magnitudes is what lets the N - D terms ignore f_hat's last bit
-    rule = _PoissonRule(lam, rho, m, scale=0.3, step=rho)
+    rule = _PoissonRule(round(2 * lam + 1), rho, m, scale=0.3, step=rho)
     eps = 2.0**-52
     ranges = ((1, 200), (999, 1010), (65_530, 65_540), (999_990, 1_000_001))
     with mpmath.workdps(40):
@@ -216,6 +217,25 @@ def test_spec_constructor_guards():
         poisson_wavelet_spec(3, 1, math.nan)
     spec = poisson_wavelet_spec(3, 1, 0.25)
     assert spec.r == math.exp(-0.25)
+
+
+@pytest.mark.parametrize(
+    "name, args",
+    [
+        ("poisson_wavelet_spec", (3, 1.5, 0.1)),
+        ("poisson_wavelet_spec", (3.0, 1, 0.1)),
+        ("sphere_dim", (2.5,)),
+        ("s_m_eval", (3, 1.5, 0.1)),
+        ("s_m_sum", (2.5, 1, 0.1)),
+        ("expand_variances", (3.0, 1)),
+        ("derive_ABC", (3, 1.0)),
+        ("expand_s0", (2.5, 4)),
+        ("expand_sm", (3, 0.5, 0)),
+    ],
+)
+def test_non_integer_dimension_or_order_is_a_domain_error(name, args):
+    with pytest.raises(DomainError, match="must be an integer"):
+        getattr(zonalvar, name)(*args)
 
 
 # ---------------------------------------------------------------------------
