@@ -16,9 +16,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
-from .errors import DomainError
+from .errors import DomainError, _require_at_least
 from .laurent import expand_variances
 from .variance import poisson_uncertainty_via_s
 from .zonal import poisson_wavelet_spec
@@ -52,8 +50,7 @@ EXPANSION_TARGETS = (
 
 
 def _check_nm(n: int, m: int, n_min: int = 2) -> None:
-    if n < n_min:
-        raise DomainError(f"n must be >= {n_min}")
+    _require_at_least("n", n, n_min)
     if m < 1:
         raise DomainError("m must be >= 1")
 
@@ -223,8 +220,7 @@ def f_function(n: int, m):
 
     Poles sit at m = (1-n)/2 and m = (2-n)/2.
     """
-    if n < 2:
-        raise DomainError("n must be >= 2")
+    _require_at_least("n", n, 2)
     if isinstance(m, (int, Fraction)):
         num, den = _f_terms(n, m.numerator, m.denominator)
         if den == 0:
@@ -246,8 +242,7 @@ def _f_terms(n: int, p: int, q: int = 1) -> tuple[int, int]:
 
 def f_derivative(n: int, m):
     """Stated closed form of dF/dm, exact for rational m."""
-    if n < 2:
-        raise DomainError("n must be >= 2")
+    _require_at_least("n", n, 2)
     exact = isinstance(m, (int, Fraction))
     mv = Fraction(m) if exact else float(m)
     den = (n + 2 * mv - 1) ** 2 * (n + 2 * mv - 2) ** 2
@@ -319,8 +314,7 @@ def minimize_limit_over_order(n: int) -> MinimizationResult:
     (L-1)(L-2) are positive, compared cross-multiplied; only the returned
     radicand becomes a ``Fraction``.
     """
-    if n < 2:
-        raise DomainError("n must be >= 2")
+    _require_at_least("n", n, 2)
     f = [_f_terms(n, m) for m in range(1, 4 * n + 1)]
     best = 0
     for i, (num, den) in enumerate(f):
@@ -368,6 +362,14 @@ class ResidualFit:
     residuals: tuple[float, ...]
 
 
+def _slope(xs: list[float], ys: list[float]) -> float:
+    """Least-squares slope of ys against xs, from the centred sums."""
+    x_mean = math.fsum(xs) / len(xs)
+    y_mean = math.fsum(ys) / len(ys)
+    dx = [x - x_mean for x in xs]
+    return math.fsum(d * (y - y_mean) for d, y in zip(dx, ys)) / math.fsum(d * d for d in dx)
+
+
 def _residual_fits(n: int, m: int) -> dict[str, ResidualFit]:
     """The :class:`ResidualFit` of each of "varS", "varM" and "U" (see
     :func:`residual_order_check`), from one S-path evaluation per rho."""
@@ -387,7 +389,7 @@ def _residual_fits(n: int, m: int) -> dict[str, ResidualFit]:
                 vacuous = True
                 residual = floor
             residuals.append(residual)
-        slope = float(np.polyfit(np.log(np.asarray(_RESIDUAL_GRID)), np.log(np.asarray(residuals)), 1)[0])
+        slope = _slope([math.log(rho) for rho in _RESIDUAL_GRID], [math.log(r) for r in residuals])
         fits[quantity] = ResidualFit(quantity, slope, vacuous, _RESIDUAL_GRID, tuple(residuals))
     return fits
 

@@ -20,7 +20,8 @@ reference.  It is one of three callers of :func:`_sum_blocks`, with the
 coefficient sums of :mod:`zonalvar.variance` and
 :func:`zonalvar.zonal.zonal_eval`: rows of terms are formed over blocks of
 degrees with numpy, each block is added to the running sums with
-math.fsum, and one stop rule is decided degree by degree.  The first block
+math.fsum, and one stop rule is decided degree by degree, from the first
+degree in a block where a stop can fall.  The first block
 is 256 degrees; each later one is sized from the decay of the stop values
 in the block before, to end a little past the predicted stop, and is at
 most the geometric size (x4 per block, up to 4096).  The coefficient sums
@@ -112,8 +113,9 @@ def _binomial_weights(n: int, ls: np.ndarray) -> tuple[np.ndarray, int | None]:
     float(C(l + n - 2, l)).  Its index is returned, or None.
     """
     w = np.ones_like(ls)
+    factor = np.empty_like(ls)
     for j in range(1, n - 1):
-        w *= ls + j
+        w *= np.add(ls, j, out=factor)
         w /= j
     if w.size and not w[-1] < _WEIGHT_CHECK:
         for i in np.flatnonzero(~(w < _WEIGHT_CHECK)).tolist():
@@ -214,9 +216,12 @@ def _sum_blocks(
     :func:`_add_blocks`, so each sum is accurate to about one rounding of
     its terms whatever their number, and memory stays one block, apart
     from the first block's rows per dimension in :func:`_first_block_memo`.
-    A block wider than ``_FSUM_WIDTH`` in which no stop row still running
-    can pass the small-degree test (:func:`_cannot_stop`) is not scanned
-    degree by degree; the stop degrees are those of the full scan.
+    A block wider than ``_FSUM_WIDTH`` is scanned degree by degree only
+    from the first column at which a stop row still running can pass the
+    small-degree test (:func:`_scan_start`); the degrees before it enter
+    the running sums as one sum and the running peaks as one max, and a
+    block with no such column is not scanned.  The stop degrees are those
+    of the full scan, up to the rounding of the running sums.
 
     Returns the exactly rounded sums of the rows (see :func:`_add_blocks`)
     and the number of degrees summed, the stop degree plus one.
@@ -238,27 +243,34 @@ def _sum_blocks(
                 recent = np.zeros((s, 2), dtype=bool)  # small flags of the last two degrees
                 done = np.zeros(s, dtype=bool)
             sums = np.add(hi[:s], lo[:s])
-            if terms.shape[1] > _FSUM_WIDTH and (done | _cannot_stop(stop, sums, rel_tol)).all():
-                # no stop row still running can stop in this block
+            # a narrow block is scanned whole: the search would cost more than it saves
+            start = _scan_start(stop, sums, done, rel_tol) if terms.shape[1] > _FSUM_WIDTH else 0
+            if start is None:  # no stop row still running can stop in this block
                 peak = np.maximum(peak, stop.max(axis=1, keepdims=True))
                 recent[:] = False
             else:
-                partial = np.cumsum(terms[:s], axis=1)
+                if start:  # the degrees before start enter as one sum and one max
+                    sums += terms[:s, :start].sum(axis=1)
+                    peak = np.maximum(peak, stop[:, :start].max(axis=1, keepdims=True))
+                    recent[:] = False
+                l_start = l0 + start
+                scanned = stop[:, start:]
+                partial = np.cumsum(terms[:s, start:], axis=1)
                 partial += sums[:, None]
-                running_peak = np.maximum.accumulate(stop, axis=1)
+                running_peak = np.maximum.accumulate(scanned, axis=1)
                 np.maximum(running_peak, peak, out=running_peak)
                 small = np.concatenate(
-                    (recent, (stop < running_peak) & (stop <= rel_tol * np.abs(partial))), axis=1
+                    (recent, (scanned < running_peak) & (scanned <= rel_tol * np.abs(partial))), axis=1
                 )
                 stops = small[:, 2:] & small[:, 1:-1] & small[:, :-2]  # three in a row
                 if not peak.all():  # all-zero rows stop from degree ZERO_RUN - 1 on
-                    first = max(ZERO_RUN - 1 - l0, 0)
+                    first = max(ZERO_RUN - 1 - l_start, 0)
                     stops[:, first:] |= running_peak[:, first:] == 0.0
-                if trunc.min_terms - 1 > l0:
-                    stops[:, : trunc.min_terms - 1 - l0] = False
+                if trunc.min_terms - 1 > l_start:
+                    stops[:, : trunc.min_terms - 1 - l_start] = False
                 stopped = stops.any(axis=1)
                 if (done | stopped).all():
-                    end = int(np.where(done, 0, stops.argmax(axis=1)).max()) + 1
+                    end = start + int(np.where(done, 0, stops.argmax(axis=1)).max()) + 1
                     _add_blocks(hi, lo, terms[:, :end], final=True)
                     return hi, l0 + end
                 peak = running_peak[:, -1:]
@@ -299,15 +311,24 @@ def _degrees_to_stop(stop: np.ndarray, hi: list[float], done: np.ndarray, rel_to
     return ahead
 
 
-def _cannot_stop(stop: np.ndarray, sums: np.ndarray, rel_tol: float) -> np.ndarray:
-    """Stop rows of a block none of whose degrees can pass the small-degree test.
+def _scan_start(stop: np.ndarray, sums: np.ndarray, done: np.ndarray, rel_tol: float) -> int | None:
+    """First column of a block at which a stop row still running can pass
+    the small-degree test, or None if there is none.
 
     A degree is small only when its stop value v <= rel_tol |partial sum|,
     and every running partial sum in the block is at most
     |sums| + sum|t| <= |sums| + sum v up to the rounding of the cumulative
     sum, which the factor 2 covers.
     """
-    return stop.min(axis=1) > 2.0 * rel_tol * (np.abs(sums) + stop.sum(axis=1))
+    bounds = 2.0 * rel_tol * (np.abs(sums) + stop.sum(axis=1))
+    starts = []
+    for row, bound, finished in zip(stop, bounds.tolist(), done.tolist()):
+        if not finished:
+            candidate = row <= bound
+            first = int(candidate.argmax())
+            if candidate[first]:
+                starts.append(first)
+    return min(starts, default=None)
 
 
 def _add_blocks(hi: list[float], lo: list[float], terms: np.ndarray, final: bool = False) -> None:
@@ -337,8 +358,12 @@ def _add_blocks(hi: list[float], lo: list[float], terms: np.ndarray, final: bool
                     aside.append(terms[:, -1:])
                 a, b = terms[:, :half], terms[:, half : 2 * half]
                 terms = a + b
-                b_virtual = terms - a
-                err += ((a - (terms - b_virtual)) + (b - b_virtual)).sum(axis=1, keepdims=True)
+                err_b = terms - a  # b_virtual, then b's rounding error
+                err_a = terms - err_b  # a_virtual, then a's rounding error
+                np.subtract(a, err_a, out=err_a)
+                np.subtract(b, err_b, out=err_b)
+                err_a += err_b
+                err += err_a.sum(axis=1, keepdims=True)
                 width = half
             terms = np.concatenate((terms, *aside, err), axis=1)
             if not np.isfinite(terms).all():

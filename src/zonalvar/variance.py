@@ -66,10 +66,16 @@ class UncertaintyResult:
 def _coefficient_sums(f: ZonalFunction, trunc: SeriesTruncation) -> tuple[float, float, float, dict]:
     """Accumulate (N, N - D, M) for the coefficient rule f.
 
-    The three series are the rows of one :func:`zonalvar.series_s._sum_blocks`
-    run, each block one vector pass over a (3, B) array of terms, and each
-    row stops by its own |terms|; the sums stop at the degree where the
-    last of them stops.  The rule's values come from its optional
+    The three series are the rows (N - D, M, N) of one
+    :func:`zonalvar.series_s._sum_blocks` run, each block one vector pass
+    over a (3, B) array of terms.  Two rows decide the stop, N - D by its
+    |terms| and M by its terms, and the sums stop at the degree where the
+    later of them stops.  N needs no stop test of its own: its terms are
+    never negative and M's weight l (l + 2 lambda) never decreases, so
+    t_M(l) <= rel_tol S_M(l) <= rel_tol l (l + 2 lambda) S_N(l) gives
+    t_N(l) <= rel_tol S_N(l), and an M term below M's running peak is an
+    N term below N's.  Every degree small for M is small for N, so N never
+    stops after M.  The rule's values come from its optional
     ``block(l0, l1)`` method (see :class:`ZonalFunction`), else from scalar
     calls.  The N - D series forms each term as tN * (1 - ratio) with
     ratio = (l + 2 lambda)/(l + lambda + 1) * f_hat(l+1)/f_hat(l), which keeps
@@ -109,7 +115,7 @@ def _coefficient_sums(f: ZonalFunction, trunc: SeriesTruncation) -> tuple[float,
             )
         fc = fv[:limit]
         terms = np.empty((3, limit))
-        t_n, t_nd, t_m = terms
+        t_nd, t_m, t_n = terms
         np.multiply(n_weight[:limit], fc, out=t_n)
         t_n *= fc
         if log_ratio is None:  # the factor 1 - ratio
@@ -130,9 +136,9 @@ def _coefficient_sums(f: ZonalFunction, trunc: SeriesTruncation) -> tuple[float,
                 f"coefficient-sum term at l={l0 + limit} is not finite; "
                 "the coefficient rule leaves the double range"
             )
-        return terms, np.abs(terms), error
+        return terms, np.abs(terms[:2]), error  # stop rows N - D and M (whose terms are >= 0)
 
-    (big_n, n_minus_d, big_m), terms = _sum_blocks(
+    (n_minus_d, big_m, big_n), terms = _sum_blocks(
         source, trunc, f"coefficient sums for {f.label or 'coefficient rule'}"
     )
     return big_n, n_minus_d, big_m, {"terms": terms, "path": "coefficient-sum"}

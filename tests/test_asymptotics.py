@@ -4,6 +4,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -20,6 +21,7 @@ from zonalvar import (
     residual_order_check,
     theorem_expansion,
 )
+from zonalvar import asymptotics, cli
 
 
 # ---------------------------------------------------------------------------
@@ -89,6 +91,29 @@ def test_limit_guards():
         limit_uncertainty(1, 1)
     with pytest.raises(DomainError):
         limit_uncertainty(3, 0)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda n: asymptotics.numerator_coefficient_table(n, 1),
+        lambda n: asymptotics.denominator_coefficient_table(n, 1),
+        lambda n: asymptotics.momentum_numerator_coefficient_table(n, 1),
+        lambda n: theorem_expansion(n, 1),
+        lambda n: engine_expansion(n, 1),
+        lambda n: compare_expansion(n, 1),
+        lambda n: limit_uncertainty(n, 1),
+        lambda n: f_function(n, 1),
+        lambda n: f_function(n, 1.5),
+        lambda n: f_derivative(n, Fraction(3, 2)),
+        lambda n: f_sign_probes(n),
+        lambda n: minimize_limit_over_order(n),
+        lambda n: residual_order_check(n, 1, "U"),
+    ],
+)
+def test_non_integer_dimension_is_a_domain_error(call):
+    with pytest.raises(DomainError, match="n must be an integer"):
+        call(5.5)
 
 
 # ---------------------------------------------------------------------------
@@ -249,6 +274,16 @@ def test_residual_fit_structure():
     assert not fit.vacuous
     assert len(fit.residuals) == 5
     assert fit.quantity == "varS"
+
+
+def test_residual_slope_matches_polyfit():
+    # the closed-form least-squares slope agrees with numpy's polyfit to
+    # rounding on every pair the verify residual section fits
+    log_rho = np.log(np.asarray(asymptotics._RESIDUAL_GRID))
+    for n, m in cli.RESIDUAL_GRID_NM:
+        for fit in asymptotics._residual_fits(n, m).values():
+            expected = np.polyfit(log_rho, np.log(np.asarray(fit.residuals)), 1)[0]
+            assert abs(fit.slope - expected) <= 1e-12, (n, m, fit.quantity)
 
 
 def test_residual_rejects_unknown_quantity():

@@ -324,7 +324,7 @@ def loop_sums(f, trunc=SeriesTruncation()):
         (lambda n: ZonalFunction(sphere_dim(n), lambda l: 0.9**l if l % 3 else 0.0), SeriesTruncation()),
         (lambda n: ZonalFunction(sphere_dim(n), lambda l: 1e-3**l), SeriesTruncation(min_terms=100)),
         (lambda n: ZonalFunction(sphere_dim(n), lambda l: 1e-3**l), SeriesTruncation(min_terms=30)),
-        # stops past several 4096-wide blocks, so the fold and the scan skip run
+        # stops past several 4096-wide blocks, so the fold and the scan window run
         (lambda n: poisson_wavelet_coefficients(poisson_wavelet_spec(n, 1, 2e-3)), SeriesTruncation()),
         (lambda n: rescaled_wavelet(poisson_wavelet_spec(n, 2, 1e-3)), SeriesTruncation()),
         # leading zero runs that cross the 1024-degree zero-run stop and the block edges
@@ -410,7 +410,7 @@ def outcome(call):
 
 SCHEDULE_CASES = [
     (3, poisson_wavelet_coefficients(poisson_wavelet_spec(3, 2, 0.05)).coeff, SeriesTruncation()),
-    # past several 4096-wide blocks, so the fold and the scan skip run
+    # past several 4096-wide blocks, so the fold and the scan window run
     (5, poisson_wavelet_coefficients(poisson_wavelet_spec(5, 1, 2e-3)).coeff, SeriesTruncation()),
     (2, lambda l: 0.9**l + 1e-6 * 0.999**l, SeriesTruncation()),
     # an all-zero row: M here, every row below
@@ -422,6 +422,9 @@ SCHEDULE_CASES = [
     # the binomial weight, and so the zonal series term, overflows
     (1000, rescaled_wavelet(poisson_wavelet_spec(1000, 3, 0.1)).coeff, SeriesTruncation()),
     (3, lambda l: 0.999**l, SeriesTruncation(max_terms=2000)),
+    # the rule's values decide both stops (71 and 280 terms) before the
+    # weight overflows at l = 309; at rho = 5 the sums stop at min_terms
+    (1000, rescaled_wavelet(poisson_wavelet_spec(1000, 3, 2.0)).coeff, SeriesTruncation()),
 ]
 
 
@@ -632,16 +635,20 @@ def test_folded_block_overflow_is_degenerate():
 def test_scan_skip_allows_for_rounding_of_running_sums():
     # Every running sum 1 + k v rounds up by almost v, so the running sums
     # outgrow the exact total 1 + (B - 1) v by about (B - 1) v.  The last
-    # terms are then small against them, and the skip test must not rule
-    # that out.
+    # terms are then small against them, and the scan window must not
+    # start past the first of them in any row.
     v = 2.0**-53 * (1.0 + 2.0**-10)
     terms = np.full((3, series_s._MAX_BLOCK), v)
     terms[:, 0] = 1.0
     rel_tol = v / (1.0 + 3000 * 2.0**-52)
     sums = np.zeros(3)
     partial = np.cumsum(terms, axis=1) + sums[:, None]
-    assert (terms <= rel_tol * np.abs(partial)).any(axis=1).all()
-    assert not series_s._cannot_stop(np.abs(terms), sums, rel_tol).any()
+    small = terms <= rel_tol * np.abs(partial)
+    assert small.any(axis=1).all()
+    for row in range(3):
+        done = np.arange(3) != row
+        start = series_s._scan_start(np.abs(terms), sums, done, rel_tol)
+        assert start is not None and start <= small[row].argmax()
 
 
 # ---------------------------------------------------------------------------
@@ -670,6 +677,40 @@ def test_add_blocks_is_accurate_at_every_width(width, seed, zeros, hi0, lo0):
         assert abs(Fraction(hi[r]) + Fraction(lo[r]) - exact) <= scale / 2**96
 
 
+@given(
+    n=st.sampled_from([2, 3, 5]),
+    decays=st.lists(
+        st.tuples(st.floats(min_value=1e-6, max_value=1.0), st.floats(min_value=0.3, max_value=0.98)),
+        min_size=1,
+        max_size=3,
+    ),
+    power=st.integers(min_value=0, max_value=3),
+    flip=st.sampled_from([0, 1, 2, 5]),
+    zeros=st.tuples(st.integers(min_value=0, max_value=60), st.integers(min_value=0, max_value=60)),
+    min_terms=st.integers(min_value=1, max_value=400),
+)
+def test_two_stop_rows_match_loop_reference(n, decays, power, flip, zeros, min_terms):
+    # the engine decides the stop on the N - D and M rows only; the loop
+    # reference stops on all three, so equal stop degrees show that N never
+    # stops after M, in floating point too
+    start, length = zeros
+
+    def rule(l):
+        if start <= l < start + length:
+            return 0.0
+        value = (l + 1.0) ** power * math.fsum(a * q**l for a, q in decays)
+        return -value if flip and (l // flip) % 2 else value
+
+    f = ZonalFunction(sphere_dim(n), rule)
+    trunc = SeriesTruncation(min_terms=min_terms)
+    expected, scale, terms = loop_sums(f, trunc)
+    *got, info = variance._coefficient_sums(f, trunc)
+    assert info["terms"] == terms
+    if n <= 3:
+        assert got == expected
+    else:
+        for g, e, sc in zip(got, expected, scale):
+            assert abs(g - e) <= 1e-13 * sc
 
 
 @given(
