@@ -1,105 +1,26 @@
 """Variance functionals and uncertainty products of zonal functions on the
 unit n-sphere, specialized fast paths for Poisson multipole wavelets, and an
-exact-rational engine for their small-scale asymptotic expansions."""
+exact-rational engine for their small-scale asymptotic expansions.
 
-from .asymptotics import (
-    EXPANSION_TARGETS,
-    EXPECTED_PROBE_SIGNS,
-    ExpansionCase,
-    MinimizationResult,
-    ResidualFit,
-    compare_expansion,
-    denominator_coefficient_table,
-    engine_expansion,
-    f_derivative,
-    f_function,
-    f_sign_probes,
-    limit_uncertainty,
-    minimize_limit_over_order,
-    momentum_numerator_coefficient_table,
-    numerator_coefficient_table,
-    residual_order_check,
-    theorem_expansion,
-)
-from .errors import BoundViolationError, DegenerateInputError, DomainError, TruncationError
-from .laurent import (
-    NormalizedRadicalSeries,
-    TruncatedLaurentSeries,
-    derive_ABC,
-    expand_F,
-    expand_s0,
-    expand_sm,
-    expand_variances,
-)
-from .series_s import DEFAULT_TRUNCATION, SeriesTruncation, s_m_eval, s_m_sum
-from .special_functions import (
-    SphereDim,
-    binomial,
-    gegenbauer_eval,
-    sphere_dim,
-    sphere_surface,
-)
-from .variance import UncertaintyResult, poisson_uncertainty_via_s, uncertainty_product
-from .zonal import (
-    PoissonWaveletSpec,
-    ZonalFunction,
-    capped_wavelet_coefficients,
-    poisson_kernel_coefficients,
-    poisson_kernel_eval,
-    poisson_wavelet_coefficients,
-    poisson_wavelet_spec,
-    zonal_eval,
-)
+The public names are those of each module's ``__all__``, re-exported here."""
+
+from . import asymptotics, errors, laurent, series_s, special_functions, variance, zonal
+from .asymptotics import *
+from .errors import *
+from .laurent import *
+from .series_s import *
+from .special_functions import *
+from .variance import *
+from .zonal import *
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BoundViolationError",
-    "EXPANSION_TARGETS",
-    "EXPECTED_PROBE_SIGNS",
-    "DEFAULT_TRUNCATION",
-    "DegenerateInputError",
-    "DomainError",
-    "ExpansionCase",
-    "MinimizationResult",
-    "NormalizedRadicalSeries",
-    "PoissonWaveletSpec",
-    "ResidualFit",
-    "SeriesTruncation",
-    "SphereDim",
-    "TruncatedLaurentSeries",
-    "TruncationError",
-    "UncertaintyResult",
-    "ZonalFunction",
-    "binomial",
-    "capped_wavelet_coefficients",
-    "compare_expansion",
-    "denominator_coefficient_table",
-    "derive_ABC",
-    "engine_expansion",
-    "expand_F",
-    "expand_s0",
-    "expand_sm",
-    "expand_variances",
-    "f_derivative",
-    "f_function",
-    "f_sign_probes",
-    "gegenbauer_eval",
-    "limit_uncertainty",
-    "minimize_limit_over_order",
-    "momentum_numerator_coefficient_table",
-    "numerator_coefficient_table",
-    "poisson_kernel_coefficients",
-    "poisson_kernel_eval",
-    "poisson_uncertainty_via_s",
-    "poisson_wavelet_coefficients",
-    "poisson_wavelet_spec",
-    "residual_order_check",
-    "s_m_eval",
-    "s_m_sum",
-    "sphere_dim",
-    "sphere_surface",
-    "theorem_expansion",
-    "uncertainty_product",
-    "zonal_eval",
+    *asymptotics.__all__,
+    *errors.__all__,
+    *laurent.__all__,
+    *series_s.__all__,
+    *special_functions.__all__,
+    *variance.__all__,
+    *zonal.__all__,
 ]

@@ -22,6 +22,8 @@ from .variance import poisson_uncertainty_via_s
 from .zonal import poisson_wavelet_spec
 
 __all__ = [
+    "EXPANSION_TARGETS",
+    "EXPECTED_PROBE_SIGNS",
     "ExpansionCase",
     "MinimizationResult",
     "ResidualFit",
@@ -49,10 +51,11 @@ EXPANSION_TARGETS = (
 )
 
 
-def _check_nm(n: int, m: int, n_min: int = 2) -> None:
-    _require_at_least("n", n, n_min)
+def _check_nm(n: int, m: int, n_min: int = 2) -> int:
+    n = _require_at_least("n", n, n_min)
     if m < 1:
         raise DomainError("m must be >= 1")
+    return n
 
 
 def numerator_coefficient_table(n: int, m: int) -> list[Fraction]:
@@ -60,7 +63,7 @@ def numerator_coefficient_table(n: int, m: int) -> list[Fraction]:
 
     The closed forms hold for n >= 5.
     """
-    _check_nm(n, m, n_min=5)
+    n = _check_nm(n, m, n_min=5)
     ell = n + 2 * m
     return [
         Fraction(2 * math.factorial(ell - 1), math.factorial(n - 1)),
@@ -73,7 +76,7 @@ def numerator_coefficient_table(n: int, m: int) -> list[Fraction]:
 
 def denominator_coefficient_table(n: int, m: int) -> list[Fraction]:
     """Stated leading coefficients of 2^L * B at rho^-L .. rho^(3-L), n >= 5."""
-    _check_nm(n, m, n_min=5)
+    n = _check_nm(n, m, n_min=5)
     ell = n + 2 * m
     fact_n1 = math.factorial(n - 1)
     b2_poly = (
@@ -98,7 +101,7 @@ def denominator_coefficient_table(n: int, m: int) -> list[Fraction]:
 
 def momentum_numerator_coefficient_table(n: int, m: int) -> list[Fraction]:
     """Stated leading coefficients of 2^(L+2) * C at rho^-(L+2), rho^-(L+1), n >= 3."""
-    _check_nm(n, m, n_min=3)
+    n = _check_nm(n, m, n_min=3)
     ell = n + 2 * m
     return [
         Fraction(2 * math.factorial(ell + 1), math.factorial(n - 1)),
@@ -134,7 +137,7 @@ class ExpansionCase:
 def theorem_expansion(n: int, m: int) -> ExpansionCase:
     """The stated per-case expansion coefficients (cases n >= 5 with n = 2,
     n = 3, and n = 4 written separately, as in the source tables)."""
-    _check_nm(n, m)
+    n = _check_nm(n, m)
     ell = n + 2 * m
     var_m2 = Fraction(ell * (ell + 1), 4)
     var_m1 = Fraction((n - 1) * m * ell, ell - 1)
@@ -170,7 +173,7 @@ def theorem_expansion(n: int, m: int) -> ExpansionCase:
 
 def engine_expansion(n: int, m: int) -> ExpansionCase:
     """The same six coefficients derived by the exact expansion engine."""
-    _check_nm(n, m)
+    n = _check_nm(n, m)
     var_space, var_momentum, product = expand_variances(n, m)
     return ExpansionCase(
         "engine",
@@ -207,7 +210,7 @@ def limit_uncertainty(n: int, m: int) -> tuple[Fraction, float]:
     U_inf^2 = F(m) / 4 with F from :func:`f_function`; it always lies at or
     above the bound (n/2)^2.
     """
-    _check_nm(n, m)
+    n = _check_nm(n, m)
     radicand = f_function(n, m) / 4
     return radicand, math.sqrt(radicand)
 
@@ -220,7 +223,7 @@ def f_function(n: int, m):
 
     Poles sit at m = (1-n)/2 and m = (2-n)/2.
     """
-    _require_at_least("n", n, 2)
+    n = _require_at_least("n", n, 2)
     if isinstance(m, (int, Fraction)):
         num, den = _f_terms(n, m.numerator, m.denominator)
         if den == 0:
@@ -242,7 +245,7 @@ def _f_terms(n: int, p: int, q: int = 1) -> tuple[int, int]:
 
 def f_derivative(n: int, m):
     """Stated closed form of dF/dm, exact for rational m."""
-    _require_at_least("n", n, 2)
+    n = _require_at_least("n", n, 2)
     exact = isinstance(m, (int, Fraction))
     mv = Fraction(m) if exact else float(m)
     den = (n + 2 * mv - 1) ** 2 * (n + 2 * mv - 2) ** 2
@@ -314,7 +317,7 @@ def minimize_limit_over_order(n: int) -> MinimizationResult:
     (L-1)(L-2) are positive, compared cross-multiplied; only the returned
     radicand becomes a ``Fraction``.
     """
-    _require_at_least("n", n, 2)
+    n = _require_at_least("n", n, 2)
     f = [_f_terms(n, m) for m in range(1, 4 * n + 1)]
     best = 0
     for i, (num, den) in enumerate(f):
@@ -373,7 +376,7 @@ def _slope(xs: list[float], ys: list[float]) -> float:
 def _residual_fits(n: int, m: int) -> dict[str, ResidualFit]:
     """The :class:`ResidualFit` of each of "varS", "varM" and "U" (see
     :func:`residual_order_check`), from one S-path evaluation per rho."""
-    _check_nm(n, m)
+    n = _check_nm(n, m)
     results = [poisson_uncertainty_via_s(poisson_wavelet_spec(n, m, rho)) for rho in _RESIDUAL_GRID]
     fits = {}
     for quantity, field, expansion in zip(

@@ -19,6 +19,7 @@ input, 3 series truncation failure, 64 usage error.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -66,15 +67,11 @@ def _check(cond: bool, message: str) -> None:
         raise click.UsageError(message)
 
 
-def _truncation(rel_tol: float | None, min_terms: int | None, max_terms: int | None) -> SeriesTruncation:
-    if rel_tol is None and min_terms is None and max_terms is None:
-        return DEFAULT_TRUNCATION
+def _truncation(options: dict) -> SeriesTruncation:
+    """DEFAULT_TRUNCATION with the series options that were given."""
+    overrides = {name: value for name, value in options.items() if value is not None}
     try:
-        return SeriesTruncation(
-            rel_tol=DEFAULT_TRUNCATION.rel_tol if rel_tol is None else rel_tol,
-            min_terms=DEFAULT_TRUNCATION.min_terms if min_terms is None else min_terms,
-            max_terms=DEFAULT_TRUNCATION.max_terms if max_terms is None else max_terms,
-        )
+        return dataclasses.replace(DEFAULT_TRUNCATION, **overrides)
     except DomainError as exc:
         raise click.UsageError(str(exc)) from exc
 
@@ -160,7 +157,7 @@ def cli() -> None:
 
 
 _output = click.option("--output", "-o", default=None, help="output file (stdout if omitted)")
-_common = [
+_common = [  # the series options reach a command as **series, named after SeriesTruncation's fields
     click.option("--rel-tol", type=float, default=None, help="series stop tolerance"),
     click.option("--min-terms", type=int, default=None, help="minimum series terms"),
     click.option("--max-terms", type=int, default=None, help="series term budget"),
@@ -180,12 +177,12 @@ def _with_common(fn):
 @click.option("--rho", type=float, required=True, help="scale parameter")
 @click.option("--format", "fmt", type=click.Choice(["json", "csv"]), default="json")
 @_with_common
-def compute(n, m, rho, fmt, rel_tol, min_terms, max_terms, output):
+def compute(n, m, rho, fmt, output, **series):
     """Uncertainty product of one wavelet, cross-checked over both paths."""
     _check(n >= 2, "n must be >= 2")
     _check(m >= 1, "m must be >= 1")
     _check(rho > 0, "rho must be > 0")
-    trunc = _truncation(rel_tol, min_terms, max_terms)
+    trunc = _truncation(series)
     fast, deviations = _compare_paths(poisson_wavelet_spec(n, m, rho), trunc)
     agreement = max(deviations.values())
     _, limit_value = limit_uncertainty(n, m)
@@ -200,8 +197,7 @@ def compute(n, m, rho, fmt, rel_tol, min_terms, max_terms, output):
         "bound": 0.5 * n,
         "path_agreement": agreement,
     }
-    meta = _meta("compute", {"n": n, "m": m, "rho": rho, "rel_tol": trunc.rel_tol,
-                             "min_terms": trunc.min_terms, "max_terms": trunc.max_terms})
+    meta = _meta("compute", {"n": n, "m": m, "rho": rho, **dataclasses.asdict(trunc)})
     if fmt == "json":
         _emit(_json_text({"meta": meta, **record}), output)
     else:
@@ -532,8 +528,7 @@ def build_verify_report(trunc: SeriesTruncation = DEFAULT_TRUNCATION) -> tuple[d
         and flagged_confirmed
     )
     report = {
-        "meta": _meta("verify", {"rel_tol": trunc.rel_tol, "min_terms": trunc.min_terms,
-                                 "max_terms": trunc.max_terms}),
+        "meta": _meta("verify", dataclasses.asdict(trunc)),
         "appendix_ABC": appendix,
         "theorem_coefficients": theorem,
         "path_equivalence": path_section,
@@ -552,9 +547,9 @@ def build_verify_report(trunc: SeriesTruncation = DEFAULT_TRUNCATION) -> tuple[d
 
 @cli.command()
 @_with_common
-def verify(rel_tol, min_terms, max_terms, output):
+def verify(output, **series):
     """Run the internal verification suite and emit its JSON report."""
-    trunc = _truncation(rel_tol, min_terms, max_terms)
+    trunc = _truncation(series)
     report, code = build_verify_report(trunc)
     _emit(_json_text(report), output)
     return code

@@ -1,6 +1,8 @@
 """Exception types shared across the package."""
 
-from numbers import Integral
+import operator
+
+__all__ = ["BoundViolationError", "DegenerateInputError", "DomainError", "TruncationError"]
 
 
 class DomainError(ValueError):
@@ -21,9 +23,13 @@ class BoundViolationError(RuntimeError):
     tolerance, which signals a defect in the computation, not in the input."""
 
 
-def _require_at_least(name: str, value: object, low: int) -> None:
-    """Raise :class:`DomainError` unless ``value`` is an integer >= low."""
-    if not isinstance(value, (int, Integral)):  # int first: isinstance against the ABC alone is slow
-        raise DomainError(f"{name} must be an integer")
+def _require_at_least(name: str, value: object, low: int) -> int:
+    """``value`` as a plain ``int`` (by ``operator.index``, so numpy integers
+    qualify); :class:`DomainError` unless it is an integer >= low."""
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise DomainError(f"{name} must be an integer") from None
     if value < low:
         raise DomainError(f"{name} must be >= {low}")
+    return value

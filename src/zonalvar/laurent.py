@@ -249,7 +249,7 @@ def expand_s0(n: int, order: int) -> TruncatedLaurentSeries:
     The S_k combinations do not call this per request: they read it once per
     (n, order) into the cached integer table :class:`_SRows`.
     """
-    _require_at_least("n", n, 2)
+    n = _require_at_least("n", n, 2)
     a = n - 1
     length = order + a
     if length <= 0:
@@ -359,7 +359,7 @@ def _series(lo: int, xs: list[int], order: int, den: int) -> TruncatedLaurentSer
 
 def expand_sm(n: int, m: int, order: int) -> TruncatedLaurentSeries:
     """S_m(rho) = (-1/2 d/d rho)^m S_0(rho) with window [-(n-1+m), order)."""
-    _require_at_least("m", m, 0)
+    m = _require_at_least("m", m, 0)
     (window,), den = _s_numerators(n, [([(m, 1)], order)], 1)
     return _series(*window, den)
 
@@ -369,8 +369,8 @@ def _abc_numerators(n: int, m: int, order: int | None) -> tuple[tuple[tuple[int,
     """The windows of A, B and C (see :func:`derive_ABC`) as integer
     numerators over one shared denominator, also returned; memoised, so
     :func:`derive_ABC` and :func:`expand_variances` share one build per (n, m)."""
-    _require_at_least("n", n, 2)
-    _require_at_least("m", m, 1)
+    n = _require_at_least("n", n, 2)
+    m = _require_at_least("m", m, 1)
     ell = n + 2 * m
     order_ab = 4 - ell if order is None else order
     order_c = -ell if order is None else order

@@ -379,11 +379,12 @@ def _add_blocks(hi: list[float], lo: list[float], terms: np.ndarray, final: bool
             raise DegenerateInputError("coefficient sums left the double range") from None
 
 
-def _validate_smn(n: int, m: int, rho: float) -> None:
-    _require_at_least("n", n, 2)
-    _require_at_least("m", m, 0)
+def _validate_smn(n: int, m: int, rho: float) -> tuple[int, int]:
+    n = _require_at_least("n", n, 2)
+    m = _require_at_least("m", m, 0)
     if not (rho > 0.0 and math.isfinite(rho)):
         raise DomainError("rho must be positive and finite")
+    return n, m
 
 
 def s_m_sum(
@@ -412,7 +413,7 @@ def s_m_sum(
     Raises :class:`DegenerateInputError` when a term exceeds the double
     range.
     """
-    _validate_smn(n, m, rho)
+    n, m = _validate_smn(n, m, rho)
     two_rho = 2.0 * rho
     tail_weight = 2.0 / -math.expm1(-two_rho)
 
@@ -495,7 +496,7 @@ def s_m_eval(n: int, m: int, rho: float) -> float:
     geometric-series power (1 - exp(-2 rho))^-(n-1).  Raises
     :class:`DegenerateInputError` when S_m(rho) exceeds the double range.
     """
-    _validate_smn(n, m, rho)
+    n, m = _validate_smn(n, m, rho)
     coeffs = _s_m_polynomial(n, m)
     try:
         base, num, e = _w_parts(rho)

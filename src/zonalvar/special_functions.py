@@ -96,7 +96,7 @@ class SphereDim:
 
 def sphere_dim(n: int) -> SphereDim:
     """Build the dimension bundle for S^n, n >= 2."""
-    _require_at_least("n", n, 2)
+    n = _require_at_least("n", n, 2)
     return SphereDim(n=n, lam=Fraction(n - 1, 2))
 
 

@@ -173,13 +173,9 @@ def uncertainty_product(f: ZonalFunction, trunc: SeriesTruncation = DEFAULT_TRUN
     q_minus_1 = n_minus_d / d
     var_s = q_minus_1 * (q_minus_1 + 2.0)
     if var_s < 0.0:
-        if var_s < -1e-12:
-            raise DegenerateInputError(
-                f"space variance evaluated to {var_s}, beyond the negative "
-                "rounding band; the coefficient rule is numerically degenerate"
-            )
-        info["var_space_clamped"] = var_s
-        var_s = 0.0
+        raise DegenerateInputError(
+            f"space variance evaluated to {var_s}; the coefficient rule is numerically degenerate"
+        )
     return _assemble(f.dim.n, var_s, big_m / big_n, info)
 
 

@@ -89,7 +89,7 @@ class PoissonWaveletSpec:
     r: float = field(init=False)
 
     def __post_init__(self) -> None:
-        _require_at_least("wavelet order m", self.m, 1)
+        object.__setattr__(self, "m", _require_at_least("wavelet order m", self.m, 1))
         if not (self.rho > 0.0 and math.isfinite(self.rho)):
             raise DomainError("rho must be positive and finite")
         object.__setattr__(self, "r", math.exp(-self.rho))

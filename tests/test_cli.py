@@ -106,11 +106,12 @@ def test_compute_small_rho_high_order_stays_in_range(capsys, n, m, rho):
         ["compute", "--n", "400", "--m", "2", "--rho", "0.1"],
         ["compute", "--n", "2", "--m", "100", "--rho", "1"],
         ["compute", "--n", "2", "--m", "150", "--rho", "1"],
+        ["compute", "--n", "3", "--m", "1", "--rho", "1e-160"],
     ],
 )
 def test_compute_beyond_double_range_is_degenerate(capsys, argv):
-    # a coefficient-path term, the binomial weight or sigma(S^n) leaves the
-    # double range
+    # a coefficient-path term, the binomial weight, sigma(S^n) or an S-path
+    # functional leaves the double range
     code, out, err = run(capsys, argv)
     assert code == 2
     assert out == ""

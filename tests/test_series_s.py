@@ -171,9 +171,11 @@ def test_high_orders_match_direct_sum():
     # span more than 2^960; at large rho the lowest coefficients dominate.
     # At (250, 1, 0.1) the binomial weight leaves the double range from
     # l = 1498 on, before the series settles at l = 1833; at (400, 1, 0.5)
-    # it reaches 1e240.
+    # it reaches 1e240.  At (1500, 1, 1.0) the in-block ratios pass 1e300
+    # in the first block and are folded into the log.
     cases = ((100, 100, 1.0), (100, 140, 1.0), (100, 140, 5.0), (100, 140, 50.0),
-             (250, 130, 2.0), (250, 130, 300.0), (250, 200, 50.0), (250, 1, 0.1), (400, 1, 0.5))
+             (250, 130, 2.0), (250, 130, 300.0), (250, 200, 50.0), (250, 1, 0.1), (400, 1, 0.5),
+             (1500, 1, 1.0))
     for n, m, rho in cases:
         # s_m_sum's exp(log term) carries |log term| * 2^-53, about 7e-14 at rho = 300
         assert s_m_eval(n, m, rho) == pytest.approx(s_m_sum(n, m, rho), rel=1e-13, abs=0.0)

@@ -188,6 +188,18 @@ def test_non_finite_product_is_rejected():
             variance._assemble(3, var_s, var_m, {})
 
 
+def test_negative_space_variance_is_degenerate(monkeypatch, capsys):
+    # N - D just below 0 gives var_space of about -2e-13, which no rule has;
+    # it is reported as degenerate input, not clamped to a product of 0
+    monkeypatch.setattr(
+        variance, "_coefficient_sums", lambda f, trunc: (1.0, -1e-13, 1e6, {"path": "coefficient-sum"})
+    )
+    with pytest.raises(DegenerateInputError, match="space variance evaluated to"):
+        uncertainty_product(rescaled_wavelet(poisson_wavelet_spec(3, 1, 0.1)))
+    assert cli.main(["compute", "--n", "3", "--m", "1", "--rho", "0.1"]) == 2
+    assert capsys.readouterr().err.startswith("degenerate input: space variance evaluated to")
+
+
 def test_overflowing_sum_is_degenerate():
     # every term is finite, but their sum exceeds the double range
     f = ZonalFunction(sphere_dim(3), lambda l: 1e154 if l < 200 else 0.0)
