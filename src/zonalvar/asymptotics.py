@@ -13,6 +13,7 @@ two and treats the engine as authoritative when they disagree.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -51,11 +52,8 @@ EXPANSION_TARGETS = (
 )
 
 
-def _check_nm(n: int, m: int, n_min: int = 2) -> int:
-    n = _require_at_least("n", n, n_min)
-    if m < 1:
-        raise DomainError("m must be >= 1")
-    return n
+def _check_nm(n: int, m: int, n_min: int = 2) -> tuple[int, int]:
+    return _require_at_least("n", n, n_min), _require_at_least("m", m, 1)
 
 
 def numerator_coefficient_table(n: int, m: int) -> list[Fraction]:
@@ -63,7 +61,7 @@ def numerator_coefficient_table(n: int, m: int) -> list[Fraction]:
 
     The closed forms hold for n >= 5.
     """
-    n = _check_nm(n, m, n_min=5)
+    n, m = _check_nm(n, m, n_min=5)
     ell = n + 2 * m
     return [
         Fraction(2 * math.factorial(ell - 1), math.factorial(n - 1)),
@@ -76,7 +74,7 @@ def numerator_coefficient_table(n: int, m: int) -> list[Fraction]:
 
 def denominator_coefficient_table(n: int, m: int) -> list[Fraction]:
     """Stated leading coefficients of 2^L * B at rho^-L .. rho^(3-L), n >= 5."""
-    n = _check_nm(n, m, n_min=5)
+    n, m = _check_nm(n, m, n_min=5)
     ell = n + 2 * m
     fact_n1 = math.factorial(n - 1)
     b2_poly = (
@@ -101,7 +99,7 @@ def denominator_coefficient_table(n: int, m: int) -> list[Fraction]:
 
 def momentum_numerator_coefficient_table(n: int, m: int) -> list[Fraction]:
     """Stated leading coefficients of 2^(L+2) * C at rho^-(L+2), rho^-(L+1), n >= 3."""
-    n = _check_nm(n, m, n_min=3)
+    n, m = _check_nm(n, m, n_min=3)
     ell = n + 2 * m
     return [
         Fraction(2 * math.factorial(ell + 1), math.factorial(n - 1)),
@@ -137,7 +135,7 @@ class ExpansionCase:
 def theorem_expansion(n: int, m: int) -> ExpansionCase:
     """The stated per-case expansion coefficients (cases n >= 5 with n = 2,
     n = 3, and n = 4 written separately, as in the source tables)."""
-    n = _check_nm(n, m)
+    n, m = _check_nm(n, m)
     ell = n + 2 * m
     var_m2 = Fraction(ell * (ell + 1), 4)
     var_m1 = Fraction((n - 1) * m * ell, ell - 1)
@@ -173,7 +171,7 @@ def theorem_expansion(n: int, m: int) -> ExpansionCase:
 
 def engine_expansion(n: int, m: int) -> ExpansionCase:
     """The same six coefficients derived by the exact expansion engine."""
-    n = _check_nm(n, m)
+    n, m = _check_nm(n, m)
     var_space, var_momentum, product = expand_variances(n, m)
     return ExpansionCase(
         "engine",
@@ -194,14 +192,10 @@ def compare_expansion(n: int, m: int) -> dict[str, dict]:
     Returns a mapping target -> {engine, stated, match}; values are exact
     Fractions.  The engine side is authoritative.
     """
-    stated = theorem_expansion(n, m)
-    engine = engine_expansion(n, m)
-    out: dict[str, dict] = {}
-    for name in EXPANSION_TARGETS:
-        ev = getattr(engine, name)
-        sv = getattr(stated, name)
-        out[name] = {"engine": ev, "stated": sv, "match": ev == sv}
-    return out
+    stated = theorem_expansion(n, m).coefficients
+    engine = engine_expansion(n, m).coefficients
+    return {name: {"engine": engine[name], "stated": stated[name], "match": engine[name] == stated[name]}
+            for name in EXPANSION_TARGETS}
 
 
 def limit_uncertainty(n: int, m: int) -> tuple[Fraction, float]:
@@ -210,30 +204,37 @@ def limit_uncertainty(n: int, m: int) -> tuple[Fraction, float]:
     U_inf^2 = F(m) / 4 with F from :func:`f_function`; it always lies at or
     above the bound (n/2)^2.
     """
-    n = _check_nm(n, m)
+    n, m = _check_nm(n, m)
     radicand = f_function(n, m) / 4
     return radicand, math.sqrt(radicand)
 
 
+def _at_order(n: int, m, terms, name: str):
+    """``name`` at order m = p/q from its integer pair terms(n, p, q): a Fraction
+    for an integer or Fraction m, else the exact value rounded once.  Integers
+    pass ``operator.index``, so numpy integers never compute in int64."""
+    n = _require_at_least("n", n, 2)
+    try:
+        p, q, exact = operator.index(m), 1, True
+    except TypeError:
+        exact = isinstance(m, Fraction)
+        p, q = (m if exact else float(m)).as_integer_ratio()
+    num, den = terms(n, p, q)
+    if den == 0:
+        raise DomainError(f"{name} has a pole at m = {m}")
+    return Fraction(num, den) if exact else num / den
+
+
 def f_function(n: int, m):
     """F(m) = 4 U_inf^2 as a function of a real (not necessarily integer)
-    order parameter m, exact when m is an int or Fraction:
+    order parameter m, exact (a Fraction) for an integer or Fraction m, and
+    the exact value rounded once for a float m:
 
         F(m) = L (L+1) (n^2 - 3n + 2(m+1)) / ((L-1)(L-2)),  L = n + 2m.
 
     Poles sit at m = (1-n)/2 and m = (2-n)/2.
     """
-    n = _require_at_least("n", n, 2)
-    if isinstance(m, (int, Fraction)):
-        num, den = _f_terms(n, m.numerator, m.denominator)
-        if den == 0:
-            raise DomainError(f"F has a pole at m = {Fraction(m)}")
-        return Fraction(num, den)
-    ell = n + 2.0 * m
-    den = (ell - 1.0) * (ell - 2.0)
-    if den == 0.0:
-        raise DomainError(f"F has a pole at m = {m}")
-    return ell * (ell + 1.0) * (n * n - 3.0 * n + 2.0 * (m + 1.0)) / den
+    return _at_order(n, m, _f_terms, "F")
 
 
 def _f_terms(n: int, p: int, q: int = 1) -> tuple[int, int]:
@@ -244,23 +245,20 @@ def _f_terms(n: int, p: int, q: int = 1) -> tuple[int, int]:
 
 
 def f_derivative(n: int, m):
-    """Stated closed form of dF/dm, exact for rational m."""
-    n = _require_at_least("n", n, 2)
-    exact = isinstance(m, (int, Fraction))
-    mv = Fraction(m) if exact else float(m)
-    den = (n + 2 * mv - 1) ** 2 * (n + 2 * mv - 2) ** 2
-    if den == 0:
-        raise DomainError(f"F' has a pole at m = {mv}")
+    """Stated closed form of dF/dm, exact or rounded once like :func:`f_function`."""
+    return _at_order(n, m, _f_derivative_terms, "F'")
+
+
+def _f_derivative_terms(n: int, p: int, q: int) -> tuple[int, int]:
+    """dF/dm at m = p/q as the unreduced integer pair of the closed form times q^4."""
     num = (
-        16 * mv**4
-        + 16 * mv**3 * (2 * n - 3)
-        + 4 * mv**2 * (2 * n * n - 2 * n - 5)
-        - 4 * mv * (2 * n**3 - 9 * n * n + 13 * n - 6)
-        - (n - 2) ** 2 * (3 * n * n - 2 * n - 1)
+        16 * p**4
+        + 16 * p**3 * q * (2 * n - 3)
+        + 4 * p**2 * q**2 * (2 * n * n - 2 * n - 5)
+        - 4 * p * q**3 * (2 * n**3 - 9 * n * n + 13 * n - 6)
+        - q**4 * (n - 2) ** 2 * (3 * n * n - 2 * n - 1)
     )
-    if exact:
-        return 2 * Fraction(num, den)
-    return 2.0 * num / den
+    return 2 * num, (n * q + 2 * p - q) ** 2 * (n * q + 2 * p - 2 * q) ** 2
 
 
 _PROBE_OFFSETS = (
@@ -376,7 +374,7 @@ def _slope(xs: list[float], ys: list[float]) -> float:
 def _residual_fits(n: int, m: int) -> dict[str, ResidualFit]:
     """The :class:`ResidualFit` of each of "varS", "varM" and "U" (see
     :func:`residual_order_check`), from one S-path evaluation per rho."""
-    n = _check_nm(n, m)
+    n, m = _check_nm(n, m)
     results = [poisson_uncertainty_via_s(poisson_wavelet_spec(n, m, rho)) for rho in _RESIDUAL_GRID]
     fits = {}
     for quantity, field, expansion in zip(

@@ -1,5 +1,6 @@
 """Exception types shared across the package."""
 
+import math
 import operator
 
 __all__ = ["BoundViolationError", "DegenerateInputError", "DomainError", "TruncationError"]
@@ -32,4 +33,11 @@ def _require_at_least(name: str, value: object, low: int) -> int:
         raise DomainError(f"{name} must be an integer") from None
     if value < low:
         raise DomainError(f"{name} must be >= {low}")
+    return value
+
+
+def _require_positive(name: str, value: float) -> float:
+    """``value`` unchanged; :class:`DomainError` unless it is positive and finite."""
+    if not (value > 0.0 and math.isfinite(value)):
+        raise DomainError(f"{name} must be positive and finite")
     return value

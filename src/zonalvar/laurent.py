@@ -26,7 +26,7 @@ from functools import lru_cache
 from fractions import Fraction
 from typing import Iterable
 
-from .errors import DomainError, _require_at_least
+from .errors import DomainError, _require_at_least, _require_positive
 
 __all__ = [
     "NormalizedRadicalSeries",
@@ -126,8 +126,7 @@ class TruncatedLaurentSeries:
 
     def evaluate(self, rho: float) -> float:
         """Numeric value of the stored window at a given rho."""
-        if not (rho > 0.0 and math.isfinite(rho)):
-            raise DomainError("evaluation requires a positive, finite rho")
+        _require_positive("rho", rho)
         return math.fsum(float(c) * rho ** (self.lo + i) for i, c in enumerate(self.coeffs))
 
     def __str__(self) -> str:

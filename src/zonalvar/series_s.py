@@ -50,7 +50,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DegenerateInputError, DomainError, TruncationError, _require_at_least
+from .errors import DegenerateInputError, DomainError, TruncationError, _require_at_least, _require_positive
 
 __all__ = [
     "DEFAULT_TRUNCATION",
@@ -77,8 +77,8 @@ class SeriesTruncation:
     def __post_init__(self) -> None:
         if not (0.0 < self.rel_tol <= 1e-6):
             raise DomainError("rel_tol must lie in (0, 1e-6]")
-        if self.min_terms < 1:
-            raise DomainError("min_terms must be >= 1")
+        object.__setattr__(self, "min_terms", _require_at_least("min_terms", self.min_terms, 1))
+        object.__setattr__(self, "max_terms", _require_at_least("max_terms", self.max_terms, 1))
         if self.max_terms < self.min_terms:
             raise DomainError("max_terms must be >= min_terms")
 
@@ -379,12 +379,8 @@ def _add_blocks(hi: list[float], lo: list[float], terms: np.ndarray, final: bool
             raise DegenerateInputError("coefficient sums left the double range") from None
 
 
-def _validate_smn(n: int, m: int, rho: float) -> tuple[int, int]:
-    n = _require_at_least("n", n, 2)
-    m = _require_at_least("m", m, 0)
-    if not (rho > 0.0 and math.isfinite(rho)):
-        raise DomainError("rho must be positive and finite")
-    return n, m
+def _validate_smn(n: int, m: int, rho: float) -> tuple[int, int, float]:
+    return _require_at_least("n", n, 2), _require_at_least("m", m, 0), _require_positive("rho", rho)
 
 
 def s_m_sum(
@@ -413,7 +409,7 @@ def s_m_sum(
     Raises :class:`DegenerateInputError` when a term exceeds the double
     range.
     """
-    n, m = _validate_smn(n, m, rho)
+    n, m, rho = _validate_smn(n, m, rho)
     two_rho = 2.0 * rho
     tail_weight = 2.0 / -math.expm1(-two_rho)
 
@@ -496,7 +492,7 @@ def s_m_eval(n: int, m: int, rho: float) -> float:
     geometric-series power (1 - exp(-2 rho))^-(n-1).  Raises
     :class:`DegenerateInputError` when S_m(rho) exceeds the double range.
     """
-    n, m = _validate_smn(n, m, rho)
+    n, m, rho = _validate_smn(n, m, rho)
     coeffs = _s_m_polynomial(n, m)
     try:
         base, num, e = _w_parts(rho)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
 
-from .errors import DegenerateInputError, DomainError, _require_at_least
+from .errors import DegenerateInputError, DomainError, _require_at_least, _require_positive
 
 __all__ = [
     "SphereDim",
@@ -26,30 +26,9 @@ __all__ = [
 
 def binomial(a: int, b: int) -> int:
     """Exact binomial coefficient C(a, b); zero when b > a."""
-    if a < 0 or b < 0:
-        raise DomainError("binomial arguments must be nonnegative integers")
-    if b > a:
-        return 0
+    a = _require_at_least("a", a, 0)
+    b = _require_at_least("b", b, 0)
     return math.comb(a, b)
-
-
-def _gamma_half_integer(two_x: int) -> float:
-    """Gamma(two_x / 2) for a positive integer two_x.
-
-    Uses Gamma(k) = (k-1)! for even two_x and
-    Gamma(j + 1/2) = (2j)! sqrt(pi) / (4^j j!) for odd two_x.
-    """
-    if two_x <= 0:
-        raise DomainError("Gamma(two_x / 2) needs a positive integer two_x")
-    try:
-        if two_x % 2 == 0:
-            return float(math.factorial(two_x // 2 - 1))
-        j = (two_x - 1) // 2
-        # Exact rational first, one correctly rounded conversion after.
-        ratio = Fraction(math.factorial(2 * j), 4**j * math.factorial(j))
-        return float(ratio) * math.sqrt(math.pi)
-    except OverflowError:
-        raise DegenerateInputError(f"Gamma({two_x}/2) exceeds the double range") from None
 
 
 _PI_LOW = 1.2246467991473532e-16  # pi - float(pi), rounded to a double
@@ -58,24 +37,20 @@ _PI_LOW = 1.2246467991473532e-16  # pi - float(pi), rounded to a double
 def sphere_surface(k: int) -> float:
     """Surface area 2 pi^e / Gamma(e), e = (k+1)/2, of the unit sphere S^k in
     R^(k+1), valid for k >= 1; k = 1 (a circle) weighs zonal integrals over S^2.
-    From k = 343, where Gamma overflows, it is pi^j R, j = floor(e), with the
-    exact R = 2 / (j-1)! or 2 4^j j! / (2j)! (sqrt(pi) cancels) rounded once,
-    and pi^j corrected for float(pi)'s own error to first order (within about
-    3e-16 of the true value).  From k = 438 it is below the normal double
-    range and raises."""
-    if k < 1:
-        raise DomainError("sphere_surface needs k >= 1")
-    e, rem = divmod(k + 1, 2)
-    if k <= 342:
-        pi_pow = math.pi**e * (math.sqrt(math.pi) if rem else 1.0)
-        return 2.0 * pi_pow / _gamma_half_integer(k + 1)
+    It is pi^j R, j = floor(e), with the exact R = 2 / (j-1)! or
+    2 4^j j! / (2j)! (sqrt(pi) cancels) rounded once, and pi^j corrected for
+    float(pi)'s own error to first order, which leaves a few ulps.  From
+    k = 438 it is below the normal double range and raises."""
+    k = _require_at_least("k", k, 1)
     if k >= 438:
         raise DegenerateInputError(f"sigma(S^{k}) is below the normal double range")
-    ratio = Fraction(2 * 4**e * math.factorial(e), math.factorial(2 * e)) if rem else Fraction(2, math.factorial(e - 1))
-    shift = ratio.denominator.bit_length() - ratio.numerator.bit_length()
+    e, rem = divmod(k + 1, 2)
+    num, den = (2 * 4**e * math.factorial(e), math.factorial(2 * e)) if rem else (2, math.factorial(e - 1))
+    # R 2^shift lies in (1/2, 4]: the int / int division rounds it once, in range
+    shift = max(den.bit_length() - num.bit_length(), 0)
     # pi^e = float(pi)^e (1 + e (pi - float(pi)) / float(pi) + O(e^2 2^-104))
     pi_pow = math.pi**e * (1.0 + e * _PI_LOW / math.pi)
-    return math.ldexp(pi_pow * float(ratio * 2**shift), -shift)
+    return math.ldexp(pi_pow * ((num << shift) / den), -shift)
 
 
 @dataclass(frozen=True)
@@ -100,15 +75,6 @@ def sphere_dim(n: int) -> SphereDim:
     return SphereDim(n=n, lam=Fraction(n - 1, 2))
 
 
-def _check_gegenbauer_args(l: int, lam_f: float, t: float) -> None:
-    if l < 0:
-        raise DomainError("degree l must be >= 0")
-    if not (lam_f > 0.0 and math.isfinite(lam_f)):
-        raise DomainError("lambda must be positive")
-    if not -1.0 <= t <= 1.0:
-        raise DomainError("t must lie in [-1, 1]")
-
-
 def _gegenbauer_recurrence(lam: float, t: float) -> Iterator[float]:
     """Yield C_0^lambda(t), C_1^lambda(t), ... by the forward three-term recurrence
     l C_l = 2 (l + lambda - 1) t C_(l-1) - (l + 2 lambda - 2) C_(l-2)."""
@@ -129,6 +95,8 @@ def gegenbauer_eval(l: int, lam: Fraction | float | int, t: float) -> float:
     The recurrence is stable enough in double precision for l up to a few
     hundred.
     """
-    lam_f = float(lam)
-    _check_gegenbauer_args(l, lam_f, t)
+    l = _require_at_least("degree l", l, 0)
+    lam_f = _require_positive("lambda", float(lam))
+    if not -1.0 <= t <= 1.0:
+        raise DomainError("t must lie in [-1, 1]")
     return next(itertools.islice(_gegenbauer_recurrence(lam_f, t), l, None))

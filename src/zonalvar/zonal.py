@@ -15,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DegenerateInputError, DomainError, _require_at_least
+from .errors import DegenerateInputError, DomainError, _require_at_least, _require_positive
 from .series_s import (
     DEFAULT_TRUNCATION,
     SeriesTruncation,
@@ -90,8 +90,7 @@ class PoissonWaveletSpec:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "m", _require_at_least("wavelet order m", self.m, 1))
-        if not (self.rho > 0.0 and math.isfinite(self.rho)):
-            raise DomainError("rho must be positive and finite")
+        _require_positive("rho", self.rho)
         object.__setattr__(self, "r", math.exp(-self.rho))
 
 
@@ -157,8 +156,7 @@ def poisson_kernel_coefficients(dim: SphereDim, rho: float) -> ZonalFunction:
     """Coefficient rule of the Poisson kernel p_rho on S^n:
     p_hat(l) = (1 / sigma(S^n)) ((l + lambda) / lambda) exp(-rho l).
     """
-    if not (rho > 0.0 and math.isfinite(rho)):
-        raise DomainError("rho must be positive and finite")
+    _require_positive("rho", rho)
     rule = _PoissonRule(dim.n, rho, 0, scale=1.0 / dim.surface)
     return ZonalFunction(dim, rule, label=f"poisson-kernel(n={dim.n}, rho={rho})")
 
@@ -195,6 +193,11 @@ def capped_wavelet_coefficients(spec: PoissonWaveletSpec) -> ZonalFunction:
     return ZonalFunction(dim, rule, label=f"capped-wavelet(n={dim.n}, m={m}, rho={rho})")
 
 
+def _check_theta(theta: float) -> None:
+    if not 0.0 <= theta <= math.pi:
+        raise DomainError("theta must lie in [0, pi]")
+
+
 def poisson_kernel_eval(dim: SphereDim, rho: float, theta: float) -> float:
     """Closed-form Poisson kernel value
     p_rho(theta) = (1 / sigma(S^n)) (1 - r^2) / (1 - 2 r cos theta + r^2)^((n+1)/2)
@@ -204,10 +207,8 @@ def poisson_kernel_eval(dim: SphereDim, rho: float, theta: float) -> float:
     1 - r, 1 - r^2 come from expm1, so small rho loses no accuracy to
     cancellation.
     """
-    if not (rho > 0.0 and math.isfinite(rho)):
-        raise DomainError("rho must be positive and finite")
-    if not 0.0 <= theta <= math.pi:
-        raise DomainError("theta must lie in [0, pi]")
+    _require_positive("rho", rho)
+    _check_theta(theta)
     r = math.exp(-rho)
     one_minus_r = -math.expm1(-rho)
     s = math.sin(0.5 * theta)
@@ -237,8 +238,7 @@ def zonal_eval(
     mass.  The rule's values come from its optional ``block`` method, else
     from scalar calls; values fetched past the stop degree are ignored.
     """
-    if not 0.0 <= theta <= math.pi:
-        raise DomainError("theta must lie in [0, pi]")
+    _check_theta(theta)
     n = f.dim.n
     fetch = _block_form(f.coeff)
     gegenbauer = _gegenbauer_recurrence(float(f.dim.lam), math.cos(theta))

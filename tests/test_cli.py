@@ -70,6 +70,14 @@ def test_compute_rejects_low_dimension(capsys):
     assert "n must be >= 2" in err
 
 
+def test_compute_infinite_scale_is_an_invalid_argument(capsys):
+    # passes the command's own checks and reaches the library's DomainError
+    code, out, err = run(capsys, ["compute", "--n", "3", "--m", "1", "--rho", "inf"])
+    assert code == 64
+    assert out == ""
+    assert err == "invalid argument: rho must be positive and finite\n"
+
+
 def test_compute_degenerate_scale_exit_code(capsys):
     code, out, err = run(capsys, ["compute", "--n", "3", "--m", "1", "--rho", "800"])
     assert code == 2

@@ -7,6 +7,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import zonalvar
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -61,6 +63,41 @@ def test_numpy_integers_are_plain_integers():
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
+
+
+def test_numpy_integer_orders_are_plain_integers():
+    # in a fresh process, with warnings as errors, so that an order
+    # computing in int64 shows as an overflow warning or a float result
+    code = (
+        "import warnings\n"
+        "from fractions import Fraction\n"
+        "import numpy as np\n"
+        "from zonalvar import *\n"
+        "warnings.simplefilter('error')\n"
+        "radicand, _ = limit_uncertainty(5, np.int64(2))\n"
+        "assert type(radicand) is Fraction and radicand == Fraction(45, 7), radicand\n"
+        "assert theorem_expansion(3, np.int64(20000)) == theorem_expansion(3, 20000)\n"
+        "assert f_derivative(5, np.int64(2)) == f_derivative(5, 2)\n"
+    )
+    src = str(Path(zonalvar.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+
+
+def test_non_integer_arguments_are_domain_errors():
+    calls = [
+        lambda: zonalvar.sphere_surface(3.0),
+        lambda: zonalvar.binomial(2.5, 1),
+        lambda: zonalvar.binomial(3, 1.0),
+        lambda: zonalvar.gegenbauer_eval(2.0, 1, 0.3),
+        lambda: zonalvar.SeriesTruncation(min_terms=2.5),
+        lambda: zonalvar.SeriesTruncation(max_terms=1e6),
+        lambda: zonalvar.limit_uncertainty(5, 1.5),
+    ]
+    for call in calls:
+        with pytest.raises(zonalvar.DomainError, match="must be an integer"):
+            call()
 
 
 def _stated(comment):

@@ -1,4 +1,4 @@
-"""Primitive layer: binomials, half-integer Gamma, sphere surfaces, Gegenbauer."""
+"""Primitive layer: binomials, sphere surfaces, Gegenbauer."""
 
 import math
 import sys
@@ -16,7 +16,7 @@ from zonalvar import (
     sphere_dim,
     sphere_surface,
 )
-from zonalvar.special_functions import _gamma_half_integer
+from zonalvar.series_s import SeriesTruncation
 
 
 # ---------------------------------------------------------------------------
@@ -74,29 +74,7 @@ def test_binomial_rejects_negative_arguments():
 
 
 # ---------------------------------------------------------------------------
-# Gamma at half integers and sphere surfaces
-
-
-def test_gamma_half_integer_low_values():
-    sqrt_pi = math.sqrt(math.pi)
-    assert _gamma_half_integer(1) == pytest.approx(sqrt_pi, rel=1e-15)
-    assert _gamma_half_integer(2) == 1.0
-    assert _gamma_half_integer(3) == pytest.approx(0.5 * sqrt_pi, rel=1e-15)
-    assert _gamma_half_integer(4) == 1.0
-    assert _gamma_half_integer(5) == pytest.approx(0.75 * sqrt_pi, rel=1e-15)
-    assert _gamma_half_integer(8) == 6.0
-
-
-def test_gamma_half_integer_matches_math_gamma():
-    for two_x in range(1, 41):
-        assert _gamma_half_integer(two_x) == pytest.approx(
-            math.gamma(two_x / 2.0), rel=1e-14
-        )
-
-
-def test_gamma_half_integer_rejects_nonpositive():
-    with pytest.raises(DomainError):
-        _gamma_half_integer(0)
+# sphere surfaces
 
 
 def test_sphere_surface_known_values():
@@ -113,26 +91,15 @@ def test_sphere_surface_two_step_recurrence():
         )
 
 
-def test_sphere_surface_keeps_the_gamma_formula_while_gamma_is_finite():
-    # bitwise the 2 pi^((k+1)/2) / Gamma((k+1)/2) formula up to k = 342
-    for k in range(1, 343):
-        e, rem = divmod(k + 1, 2)
-        pi_pow = math.pi**e * (math.sqrt(math.pi) if rem else 1.0)
-        assert sphere_surface(k) == 2.0 * pi_pow / _gamma_half_integer(k + 1)
-    with pytest.raises(DegenerateInputError):
-        _gamma_half_integer(344)
-
-
-@pytest.mark.parametrize("k", [342, 343, 400, 437])
-def test_sphere_surface_matches_oracle_past_gamma_overflow(k):
-    # the Gamma formula (k <= 342) carries float(pi)'s own error raised to
-    # the power (k+1)/2, about (k+1)/2 * 3.9e-17; past the overflow pi^j is
-    # corrected for it, leaving a few ulps
-    tol = 1e-14 if k <= 342 else 1e-15
+def test_sphere_surface_matches_oracle_within_three_ulps():
+    # pi^j times the exact rational R rounded once, with pi^j corrected for
+    # float(pi)'s own error; the worst k is about 2.9 ulps off
     with mpmath.workdps(60):
-        half = mpmath.mpf(k + 1) / 2
-        exact = 2 * mpmath.pi**half / mpmath.gamma(half)
-        assert abs(mpmath.mpf(sphere_surface(k)) / exact - 1) <= tol
+        for k in range(1, 438):
+            value = sphere_surface(k)
+            half = mpmath.mpf(k + 1) / 2
+            exact = 2 * mpmath.pi**half / mpmath.gamma(half)
+            assert abs(mpmath.mpf(value) - exact) <= 3 * mpmath.mpf(math.ulp(value)), k
 
 
 def test_sphere_surface_raises_below_the_normal_range():
