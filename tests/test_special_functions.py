@@ -91,6 +91,38 @@ def test_sphere_surface_two_step_recurrence():
         )
 
 
+def gamma_formula_surface(k: int) -> float:
+    """2 pi^e / Gamma(e), e = (k+1)/2, with Gamma(k) = (k-1)! for integer
+    arguments and Gamma(j + 1/2) = (2j)! sqrt(pi) / (4^j j!); raises
+    OverflowError once Gamma(e) leaves the double range (k >= 343)."""
+    e, rem = divmod(k + 1, 2)
+    if rem:
+        gamma = float(Fraction(math.factorial(2 * e), 4**e * math.factorial(e))) * math.sqrt(math.pi)
+    else:
+        gamma = float(math.factorial(e - 1))
+    pi_pow = math.pi**e * (math.sqrt(math.pi) if rem else 1.0)
+    return 2.0 * pi_pow / gamma
+
+
+def test_sphere_surface_keeps_the_gamma_formula_while_gamma_is_finite():
+    # the 2 pi^e / Gamma(e) formula carries float(pi)'s own error raised to
+    # the power e, about e * 3.9e-17, so the two agree to that while Gamma is
+    # finite; the worst k is 6.7e-15 apart
+    for k in range(1, 343):
+        assert sphere_surface(k) == pytest.approx(gamma_formula_surface(k), rel=1e-14), k
+    with pytest.raises(OverflowError):
+        gamma_formula_surface(343)
+
+
+@pytest.mark.parametrize("k", [342, 343, 400, 437])
+def test_sphere_surface_matches_oracle_past_gamma_overflow(k):
+    # the same exact-ratio formula on both sides of Gamma's overflow at k = 343
+    with mpmath.workdps(60):
+        half = mpmath.mpf(k + 1) / 2
+        exact = 2 * mpmath.pi**half / mpmath.gamma(half)
+        assert abs(mpmath.mpf(sphere_surface(k)) / exact - 1) <= 1e-15
+
+
 def test_sphere_surface_matches_oracle_within_three_ulps():
     # pi^j times the exact rational R rounded once, with pi^j corrected for
     # float(pi)'s own error; the worst k is about 2.9 ulps off
