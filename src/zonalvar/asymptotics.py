@@ -218,7 +218,9 @@ def _at_order(n: int, m, terms, name: str):
         p, q, exact = operator.index(m), 1, True
     except TypeError:
         exact = isinstance(m, Fraction)
-        p, q = (m if exact else float(m)).as_integer_ratio()
+        if not (exact or math.isfinite(m := float(m))):
+            raise DomainError(f"{name} needs a finite order m, got {m}")
+        p, q = m.as_integer_ratio()
     num, den = terms(n, p, q)
     if den == 0:
         raise DomainError(f"{name} has a pole at m = {m}")

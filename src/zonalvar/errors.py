@@ -24,7 +24,7 @@ class BoundViolationError(RuntimeError):
     tolerance, which signals a defect in the computation, not in the input."""
 
 
-def _require_at_least(name: str, value: object, low: int) -> int:
+def _require_at_least(name: str, value: object, low: float) -> int:
     """``value`` as a plain ``int`` (by ``operator.index``, so numpy integers
     qualify); :class:`DomainError` unless it is an integer >= low."""
     try:

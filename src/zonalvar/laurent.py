@@ -228,6 +228,7 @@ def expand_F(order: int) -> TruncatedLaurentSeries:
     For order <= -1 the requested window is empty and the all-unknown
     series O(rho^order) is returned (true, since F = Theta(rho^-1)).
     """
+    order = _require_at_least("order", order, -math.inf)  # any integer
     if order <= -1:
         return TruncatedLaurentSeries.make(order, [], order)
     return TruncatedLaurentSeries.make(-1, [
@@ -249,6 +250,7 @@ def expand_s0(n: int, order: int) -> TruncatedLaurentSeries:
     (n, order) into the cached integer table :class:`_SRows`.
     """
     n = _require_at_least("n", n, 2)
+    order = _require_at_least("order", order, -math.inf)
     a = n - 1
     length = order + a
     if length <= 0:
@@ -359,6 +361,7 @@ def _series(lo: int, xs: list[int], order: int, den: int) -> TruncatedLaurentSer
 def expand_sm(n: int, m: int, order: int) -> TruncatedLaurentSeries:
     """S_m(rho) = (-1/2 d/d rho)^m S_0(rho) with window [-(n-1+m), order)."""
     m = _require_at_least("m", m, 0)
+    order = _require_at_least("order", order, -math.inf)
     (window,), den = _s_numerators(n, [([(m, 1)], order)], 1)
     return _series(*window, den)
 
@@ -371,8 +374,10 @@ def _abc_numerators(n: int, m: int, order: int | None) -> tuple[tuple[tuple[int,
     n = _require_at_least("n", n, 2)
     m = _require_at_least("m", m, 1)
     ell = n + 2 * m
-    order_ab = 4 - ell if order is None else order
-    order_c = -ell if order is None else order
+    if order is None:
+        order_ab, order_c = 4 - ell, -ell
+    else:
+        order_ab = order_c = _require_at_least("order", order, -math.inf)
     return _s_numerators(n, list(zip(_abc_weights(n, m), (order_ab, order_ab, order_c))), n - 1)
 
 

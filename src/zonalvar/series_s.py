@@ -1,14 +1,13 @@
 """The radial sums S_m(rho) = sum_{l>=0} C(l+n-2, l) l^m exp(-2 rho l), and
 the block summation engine that every series of the package is summed with.
 
-Every S_m is a finite rational function of x = exp(-2 rho).  Applying
-(x d/dx)^m = sum_j S(m, j) x^j D^j (Stirling numbers of the second kind)
-to sum_l C(l+n-2, l) x^l = (1-x)^-(n-1) gives, with w = x/(1-x) =
-1/(e^(2 rho) - 1),
+Every S_m is a finite rational function of x = exp(-2 rho).  With
+w = x/(1-x) = 1/(e^(2 rho) - 1), S_0 = sum_l C(l+n-2, l) x^l = (1 + w)^(n-1),
+and S_(m+1) = -1/2 dS_m/drho = w (1 + w) dS_m/dw keeps that factor:
 
-    S_m(rho) = (1 + w)^(n-1) P_m(w),   P_m(w) = sum_j S(m, j) (n-1)_j w^j,
+    S_m(rho) = (1 + w)^(n-1) P_m(w),   [w^j] P_(m+1) = j p_j + (n-2+j) p_(j-1),
 
-where (a)_j is the rising factorial.  P_m has integer coefficients, so
+from P_0 = 1 (:func:`_p_polynomials`).  P_m has integer coefficients, so
 at the float w = num / 2^e it is evaluated exactly in integers
 (:func:`_scaled_value`), and :func:`s_m_eval` divides once, with Python's
 correctly rounded int / int, for every n, m and rho.  The S path of
@@ -46,7 +45,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache, wraps
-from typing import Callable
+from itertools import islice
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -440,28 +440,13 @@ def s_m_sum(
     return total
 
 
-def _stirling2_row(k: int) -> tuple[int, ...]:
-    """Stirling numbers of the second kind S(k, j) for j = 0..k."""
-    row = (1,)
-    for i in range(1, k + 1):
-        prev = row + (0,)
-        row = tuple(j * prev[j] + (prev[j - 1] if j else 0) for j in range(i + 1))
-    return row
-
-
-@lru_cache(maxsize=None)
-def _s_m_polynomial(n: int, m: int) -> tuple[int, ...]:
-    """Coefficients of P_m(w) = sum_j S(m, j) (n-1)_j w^j, lowest degree first.
-
-    S_m(rho) = (1 + w)^(n-1) P_m(w) with w = 1/(e^(2 rho) - 1); every
-    coefficient is a non-negative integer.
-    """
-    coeffs = []
-    rising = 1  # (n-1)_j
-    for j, stirling in enumerate(_stirling2_row(m)):
-        coeffs.append(stirling * rising)
-        rising *= n - 1 + j
-    return tuple(coeffs)
+def _p_polynomials(n: int) -> Iterator[tuple[int, ...]]:
+    """P_0, P_1, ... of S_k = (1 + w)^(n-1) P_k(w), lowest degree first: from
+    S_(k+1) = w (1 + w) dS_k/dw, P_0 = 1 and [w^j] P_(k+1) = j p_j + (n-2+j) p_(j-1)."""
+    p = (1,)
+    while True:
+        yield p
+        p = tuple(j * hi + (n - 2 + j) * lo for j, (hi, lo) in enumerate(zip(p + (0,), (0,) + p)))
 
 
 def _scaled_value(coeffs: tuple[int, ...], num: int, e: int) -> int:
@@ -493,7 +478,7 @@ def s_m_eval(n: int, m: int, rho: float) -> float:
     :class:`DegenerateInputError` when S_m(rho) exceeds the double range.
     """
     n, m, rho = _validate_smn(n, m, rho)
-    coeffs = _s_m_polynomial(n, m)
+    coeffs = next(islice(_p_polynomials(n), m, None))
     try:
         base, num, e = _w_parts(rho)
         b_num, b_den = base.as_integer_ratio()

@@ -32,7 +32,7 @@ from .laurent import _abc_weights
 from .series_s import (
     DEFAULT_TRUNCATION,
     SeriesTruncation,
-    _s_m_polynomial,
+    _p_polynomials,
     _scaled_value,
     _sum_blocks,
     _w_parts,
@@ -179,22 +179,24 @@ def uncertainty_product(f: ZonalFunction, trunc: SeriesTruncation = DEFAULT_TRUN
     return _assemble(f.dim.n, var_s, big_m / big_n, info)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def _wavelet_polynomials(n: int, m: int) -> tuple[tuple[int, ...], ...]:
     """Integer polynomials (a, b, c) in w, all of length 2m + 4, lowest degree first.
 
     With P_k from S_k = (1 + w)^(n-1) P_k(w), a = (n-1) A, b = (n-1) B and
     c = (n-1) C divided by the common factor (1 + w)^(n-1) are the sums of
-    w P_k on the weight table :func:`zonalvar.laurent._abc_weights`.
+    w P_k on the weight table :func:`zonalvar.laurent._abc_weights`, each
+    P_k added in as :func:`zonalvar.series_s._p_polynomials` steps past it.
     """
-    polys = []
-    for terms in _abc_weights(n, m):
-        coeffs = [0] * (2 * m + 4)
-        for k, weight in terms:
-            for j, coeff in enumerate(_s_m_polynomial(n, k)):
-                coeffs[j] += weight * coeff
-        polys.append(tuple(coeffs))
-    return tuple(polys)
+    tables = [dict(terms) for terms in _abc_weights(n, m)]
+    polys = [[0] * (2 * m + 4) for _ in tables]
+    for k, p in zip(range(2 * m + 4), _p_polynomials(n)):
+        for table, coeffs in zip(tables, polys):
+            weight = table.get(k)
+            if weight is not None:
+                for j, coeff in enumerate(p):
+                    coeffs[j] += weight * coeff
+    return tuple(map(tuple, polys))
 
 
 def poisson_uncertainty_via_s(spec: PoissonWaveletSpec) -> UncertaintyResult:

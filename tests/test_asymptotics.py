@@ -197,6 +197,13 @@ def test_f_function_pole_rejected():
         f_function(5, Fraction(-3, 2))
 
 
+@pytest.mark.parametrize("call", [f_function, f_derivative])
+@pytest.mark.parametrize("m", [math.inf, -math.inf, math.nan])
+def test_non_finite_order_is_a_domain_error(call, m):
+    with pytest.raises(DomainError, match="finite order"):
+        call(5, m)
+
+
 def test_f_sign_probes_expected_pattern():
     for n in (5, 7, 10, 12):
         signs = [sign for _, sign in f_sign_probes(n)]

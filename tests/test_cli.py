@@ -5,10 +5,15 @@ import hashlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import zonalvar
 from zonalvar import laurent, poisson_uncertainty_via_s, poisson_wavelet_spec
 from zonalvar.cli import build_verify_report, main
 
@@ -76,6 +81,20 @@ def test_compute_infinite_scale_is_an_invalid_argument(capsys):
     assert code == 64
     assert out == ""
     assert err == "invalid argument: rho must be positive and finite\n"
+
+
+def test_module_run_matches_main(capsys):
+    src = str(Path(zonalvar.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    for argv, expected_code in (
+        (["compute", "--n", "3", "--m", "1", "--rho", "0.1"], 0),
+        (["compute", "--n", "3", "--m", "1", "--rho", "inf"], 64),
+    ):
+        done = subprocess.run(
+            [sys.executable, "-m", "zonalvar.cli", *argv], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert (done.returncode, done.stdout, done.stderr) == run(capsys, argv)
+        assert done.returncode == expected_code
 
 
 def test_compute_degenerate_scale_exit_code(capsys):

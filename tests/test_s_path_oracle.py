@@ -4,6 +4,7 @@ functionals, each rounded once."""
 
 import math
 from fractions import Fraction
+from itertools import islice
 
 import mpmath
 import pytest
@@ -19,7 +20,7 @@ from zonalvar import (
     s_m_eval,
     uncertainty_product,
 )
-from zonalvar import variance
+from zonalvar import laurent, series_s, variance
 
 GRID_N = (2, 3, 5, 8, 12, 40, 100, 250, 300, 400)
 GRID_M = (1, 2, 3, 4, 6, 10)
@@ -43,8 +44,9 @@ SMALL_RHO_TOLERANCE = 1e-12
 # oracle: S_k through the finite Stirling form at 60 digits
 #
 # (x d/dx)^k (1-x)^-(n-1) = sum_j S(k, j) (n-1)_j x^j (1-x)^-(n-1+j), with
-# S(k, j) from the explicit alternating formula (not the recurrence the
-# package uses).
+# S(k, j) from the explicit alternating formula.  The package uses no
+# Stirling numbers: it builds P_k of S_k = (1 + w)^(n-1) P_k(w) by a
+# recurrence in w, which is checked here against this form.
 
 
 def stirling2(k: int, j: int) -> int:
@@ -148,8 +150,34 @@ def test_coefficient_path_matches_oracle_at_small_rho():
 # one rounding: the exact rational value at the float w, rounded once
 
 
+def stirling_p(n: int, k: int) -> tuple[int, ...]:
+    """The coefficients S(k, j) (n-1)_j of P_k, lowest degree first."""
+    return tuple(stirling2(k, j) * math.prod(range(n - 1, n - 1 + j)) for j in range(k + 1))
+
+
 def exact_p(n: int, k: int, w: Fraction) -> Fraction:
-    return sum(stirling2(k, j) * math.prod(range(n - 1, n - 1 + j)) * w**j for j in range(k + 1))
+    return sum(c * w**j for j, c in enumerate(stirling_p(n, k)))
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 50, 400])
+def test_p_polynomials_match_stirling_form(n):
+    assert list(islice(series_s._p_polynomials(n), 61)) == [stirling_p(n, k) for k in range(61)]
+
+
+def test_p_polynomial_past_the_dimension_matches_stirling_form():
+    assert next(islice(series_s._p_polynomials(400), 401, None)) == stirling_p(400, 401)
+
+
+def test_wavelet_polynomials_match_stirling_build():
+    n, m = 100, 50
+    expected = []
+    for terms in laurent._abc_weights(n, m):
+        coeffs = [0] * (2 * m + 4)
+        for k, weight in terms:
+            for j, c in enumerate(stirling_p(n, k)):
+                coeffs[j] += weight * c
+        expected.append(tuple(coeffs))
+    assert variance._wavelet_polynomials(n, m) == tuple(expected)
 
 
 @given(

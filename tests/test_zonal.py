@@ -231,6 +231,10 @@ def test_spec_constructor_guards():
         ("derive_ABC", (3, 1.0)),
         ("expand_s0", (2.5, 4)),
         ("expand_sm", (3, 0.5, 0)),
+        ("expand_F", (2.5,)),
+        ("expand_s0", (3, 2.5)),
+        ("expand_sm", (3, 1, 2.5)),
+        ("derive_ABC", (3, 1, 2.5)),
     ],
 )
 def test_non_integer_dimension_or_order_is_a_domain_error(name, args):
