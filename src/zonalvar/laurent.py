@@ -10,9 +10,11 @@ common denominator (:func:`_convolve`, :func:`_divide`, :func:`_radical`) and
 reduces to a ``Fraction`` once per output coefficient; the variances are one
 integer pass over the numerators of A, B and C.
 
-The S_k numerators of S^n are built once per (n, S_0 window) in a small
-LRU cache, row k+1 from row k by one integer multiplication per entry, and
-shared by every order m.  The A, B, C numerators and
+S_0's numerators come from one integer power recurrence
+(:func:`_s0_numerators`) on Bernoulli numerators cached per window length.
+The S_k numerators of S^n are built from them once per (n, S_0 window) in
+a small LRU cache, row k+1 from row k by one integer multiplication per
+entry, and shared by every order m.  The A, B, C numerators and
 :func:`expand_variances` are memoised per (n, m) in bounded LRU caches of
 tuples and frozen objects, so repeated requests return results ``==`` to
 fresh ones that no caller can alter.
@@ -37,12 +39,6 @@ __all__ = [
     "expand_sm",
     "expand_variances",
 ]
-
-
-def _numerators(coeffs: tuple[Fraction, ...]) -> tuple[list[int], int]:
-    """(numerators, D): the coefficients as integers over their least common denominator D."""
-    den = math.lcm(*[c.denominator for c in coeffs])
-    return [c.numerator * (den // c.denominator) for c in coeffs], den
 
 
 def _convolve(a: list[int], b: list[int], length: int) -> list[int]:
@@ -237,37 +233,68 @@ def expand_F(order: int) -> TruncatedLaurentSeries:
     ])
 
 
-def expand_s0(n: int, order: int) -> TruncatedLaurentSeries:
-    """S_0(rho) = F(rho)^(n-1) = g / (2 rho)^a, a = n - 1, window [-a, order).
+@lru_cache(maxsize=64)
+def _bernoulli_numerators(length: int) -> tuple[tuple[int, ...], int]:
+    """(b, D): b_j = 2^j B_j^+ for j < length as integers over their least
+    common denominator D; memoised per window length."""
+    pairs = []
+    for j, bj in enumerate(_bernoulli(length)):
+        num = bj.numerator << j
+        g = math.gcd(num, bj.denominator)
+        pairs.append((num // g, bj.denominator // g))
+    den = math.lcm(*[d for _, d in pairs])
+    return tuple(x * (den // d) for x, d in pairs), den
 
-    With f = 2 rho F = sum_j b_j rho^j / j!, b_j = 2^j B_j^+ (see expand_F),
-    g = f^a = sum_k c_k rho^k / k! follows J.C.P. Miller's power recurrence
-    (Knuth, TAOCP vol. 2, 4.7) in exponential form: c_0 = 1 and
-    c_k = sum_{j=1..k} ((a+1) C(k-1, j-1) - C(k, j)) b_j c_(k-j).  Each c_k is
-    summed in integers over the common denominators of the b_j and of the
-    earlier c, and reduced once: O(len^2) in the window length order + a, whatever n.
-    The S_k combinations do not call this per request: they read it once per
-    (n, order) into the cached integer table :class:`_SRows`.
+
+def _s0_numerators(n: int, order: int) -> tuple[list[int], int]:
+    """S_0 = F^(n-1) on [-(n-1), order) as integer numerators over their least
+    common denominator; ([], 1) for an empty window.
+
+    With a = n - 1 and f = 2 rho F = sum_j b_j rho^j / j!, b_j = 2^j B_j^+
+    (see expand_F), g = f^a = sum_k c_k rho^k / k! follows J.C.P. Miller's
+    power recurrence (Knuth, TAOCP vol. 2, 4.7) in exponential form: c_0 = 1
+    and c_k = sum_{j=1..k} (a C(k-1, j-1) - C(k-1, j)) b_j c_(k-j).  The c are
+    kept as integers over the least common denominator of those so far; each
+    c_k is summed over that denominator times the b_j's, O(k) products, and
+    reduced once.  S_0 = g / (2 rho)^a, so its rho^(k-a) coefficient is
+    c_k / (k! 2^a).  `order` is an int.  :func:`expand_s0` and the cached
+    table :class:`_SRows` read these integers.
     """
-    n = _require_at_least("n", n, 2)
-    order = _require_at_least("order", order, -math.inf)
-    a = n - 1
+    a = _require_at_least("n", n, 2) - 1
     length = order + a
     if length <= 0:
-        return TruncatedLaurentSeries.make(order, [], order)
-    b, b_den = _numerators(tuple(bk * 2**k for k, bk in enumerate(_bernoulli(length))))
-    c = [Fraction(1)]
-    c_den = 1  # lcm of the denominators in c
+        return [], 1
+    b, b_den = _bernoulli_numerators(length)
+    c, c_den = [1], 1
+    binom = [1]  # C(k-1, j) for j = 0 .. k-1
     for k in range(1, length):
-        acc = sum(
-            ((a + 1) * math.comb(k - 1, j - 1) - math.comb(k, j)) * b[j]
-            * c[k - j].numerator * (c_den // c[k - j].denominator)
-            for j in range(1, k + 1) if b[j]
-        )
-        c.append(Fraction(acc, b_den * c_den))
-        c_den = math.lcm(c_den, c[-1].denominator)
-    g = [Fraction(ck.numerator, ck.denominator * math.factorial(k) * 2**a) for k, ck in enumerate(c)]
-    return TruncatedLaurentSeries.make(-a, g, order)
+        binom.append(0)
+        acc = sum((a * binom[j - 1] - binom[j]) * b[j] * c[k - j] for j in range(1, k + 1) if b[j])
+        den = b_den * c_den
+        g = math.gcd(acc, den)
+        acc, den = acc // g, den // g
+        grow = den // math.gcd(den, c_den)
+        if grow > 1:
+            c = [x * grow for x in c]
+            c_den *= grow
+        c.append(acc * (c_den // den))
+        binom = [1] + [binom[j - 1] + binom[j] for j in range(1, k + 1)]
+    # over c_den (length-1)! 2^a, entry k carries (length-1)! / k!
+    fall, nums = 1, [0] * length
+    for k in range(length - 1, -1, -1):
+        nums[k] = c[k] * fall
+        fall *= k or 1
+    den = c_den * fall << a
+    g = math.gcd(den, *nums)
+    return [x // g for x in nums], den // g
+
+
+def expand_s0(n: int, order: int) -> TruncatedLaurentSeries:
+    """S_0(rho) = F(rho)^(n-1) with window [-(n-1), order), from the
+    integers of :func:`_s0_numerators`."""
+    order = _require_at_least("order", order, -math.inf)
+    nums, den = _s0_numerators(n, order)
+    return _series(order - len(nums), nums, order, den)
 
 
 def _abc_weights(n: int, m: int) -> tuple[list[tuple[int, int]], ...]:
@@ -302,9 +329,8 @@ class _SRows:
     """
 
     def __init__(self, n: int, order: int) -> None:
-        s0 = expand_s0(n, order)
-        nums, self.den = _numerators(s0.coeffs)
-        self.lo = s0.lo
+        nums, self.den = _s0_numerators(n, order)
+        self.lo = order - len(nums)
         self._rows = (tuple(nums),)
 
     def upto(self, kmax: int) -> tuple[tuple[int, ...], ...]:

@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, strategies as st
 
-from zonalvar import laurent
+from zonalvar import laurent, variance
 from zonalvar import (
     DomainError,
     TruncatedLaurentSeries,
@@ -43,6 +43,12 @@ def _scale(s, factor):
 def _shift(s, k):
     """Multiply by rho^k (the window shifts rigidly)."""
     return S(s.lo + k, s.coeffs, s.order + k)
+
+
+def _numerators(coeffs):
+    """(numerators, D): the coefficients as integers over their least common denominator D."""
+    den = math.lcm(*[c.denominator for c in coeffs])
+    return [c.numerator * (den // c.denominator) for c in coeffs], den
 
 
 def _agrees(a, b):
@@ -175,8 +181,8 @@ def test_str_rendering():
 def test_multiplication_hand_convolution():
     # (1/2 rho^-1 + 1/2 + 1/6 rho)^2 = 1/4 rho^-2 + 1/2 rho^-1 + 5/12 + 1/6 rho + ...
     f = S(-1, [Fraction(1, 2), Fraction(1, 2), Fraction(1, 6)])
-    nums, den = laurent._numerators(f.coeffs)
-    assert (nums, den) == ([3, 3, 1], 6)
+    nums, den = laurent._s0_numerators(2, 2)  # F = S_0 on S^2
+    assert (nums, den) == ([3, 3, 1], 6) == _numerators(f.coeffs)
     assert laurent._convolve(nums, nums, 4) == [9, 18, 15, 6]  # over 36
     sq = _schoolbook_mul(f, f)
     assert sq.coeffs == (Fraction(1, 4), Fraction(1, 2), Fraction(5, 12))
@@ -279,7 +285,7 @@ def test_div_matches_schoolbook(a, b, length):
 
 def _radical(series):
     """The engine's square-root kernel on a series' integer numerators."""
-    return laurent._radical(series.lo, *laurent._numerators(series.coeffs))
+    return laurent._radical(series.lo, *_numerators(series.coeffs))
 
 
 def _squared(rad):
@@ -473,11 +479,15 @@ def _reference_ABC(n, m, order=None, s=None):
 
 def test_expand_s0_matches_repeated_product():
     # == compares lo, coefficients and order; orders from -n give empty windows.
+    # The engine's integers are the reference's over its least common
+    # denominator, ([], 1) when the window is empty.
     # One chain of products, narrowed by truncate, keeps this well under a second.
     powers = _product_s0(48, 3)
     for n in (2, 3, 4, 5, 8, 13, 21, 34, 48):
         for order in range(-n, 4):
-            assert expand_s0(n, order) == _truncate(powers[n - 2], order)
+            reference = _truncate(powers[n - 2], order)
+            assert expand_s0(n, order) == reference
+            assert laurent._s0_numerators(n, order) == _numerators(reference.coeffs)
 
 
 def test_expand_sm_and_derive_ABC_match_derivative_chain():
@@ -542,6 +552,37 @@ def test_expand_variances_matches_series_chain():
     cells = [(n, m) for n in range(2, 49) for m in range(1, 11)] + [(200, 3), (400, 10), (100, 100)]
     for n, m in cells:
         assert expand_variances(n, m) == _reference_variances(n, m), (n, m)
+
+
+def test_product_slope_is_negative_below_the_minimising_order():
+    # the rho^1 coefficient of U's tail is negative exactly when
+    # m < floor((n - 1) / 2), and never 0
+    for n in range(2, 41):
+        for m in range(1, 2 * n + 1):
+            slope = expand_variances(n, m)[2].tail.coefficient(1)
+            assert slope != 0 and (slope < 0) == (m < (n - 1) // 2), (n, m, slope)
+
+
+def test_s_path_polynomials_match_derive_ABC():
+    # A = F^(n-1) a(F - 1) / (n-1), and so for B and C, with a, b, c the S
+    # path's integer polynomials in w = F - 1 and F^(n-1) a chain of
+    # schoolbook products, not the engine's power recurrence
+    for n in range(2, 9):
+        f = expand_F(n + 15)  # known far enough for every window below
+        w = _add(f, _constant(-1, f.order))
+        w_powers = [_constant(1, f.order)]  # w^0 .. w^11: a, b, c have 2m + 4 <= 12 coefficients
+        for _ in range(11):
+            w_powers.append(_schoolbook_mul(w_powers[-1], w))
+        s0 = _product_s0(n, f.order - n + 2)[-1]
+        for m in range(1, 5):
+            polys = variance._wavelet_polynomials(n, m)
+            for order in (None, 0, 5):
+                for poly, series in zip(polys, derive_ABC(n, m, order)):
+                    in_w = _constant(0, f.order)
+                    for coeff, power in zip(poly, w_powers):
+                        in_w = _add(in_w, _scale(power, coeff))
+                    via_s = _scale(_schoolbook_mul(s0, in_w), Fraction(1, n - 1))
+                    assert _truncate(via_s, series.order) == series, (n, m, order)
 
 
 def test_expand_variances_numeric_agreement():

@@ -567,6 +567,7 @@ def test_import_fills_no_memo():
         "memos = {f'{v.__module__}.{v.__name__}': v.cache_info().currsize\n"
         "         for name, module in list(sys.modules.items()) if name.startswith('zonalvar')\n"
         "         for v in vars(module).values() if hasattr(v, 'cache_info')}\n"
+        "memos['zonalvar.laurent._BERNOULLI'] = len(zonalvar.laurent._BERNOULLI)  # a list, not an lru_cache\n"
         "print(json.dumps(memos))\n"
     )
     src = str(Path(zonalvar.__file__).resolve().parents[1])
@@ -575,6 +576,7 @@ def test_import_fills_no_memo():
     assert done.returncode == 0, done.stderr
     memos = json.loads(done.stdout)
     assert "zonalvar.series_s._first_block_memo" in memos and len(memos) >= 5, memos
+    assert "zonalvar.laurent._bernoulli_numerators" in memos, memos
     assert not any(memos.values()), memos
 
 
