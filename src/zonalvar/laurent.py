@@ -11,7 +11,8 @@ reduces to a ``Fraction`` once per output coefficient; the variances are one
 integer pass over the numerators of A, B and C.
 
 S_0's numerators come from one integer power recurrence
-(:func:`_s0_numerators`) on Bernoulli numerators cached per window length.
+(:func:`_s0_numerators`) on the Bernoulli numbers, which are one memoised
+table of integer pairs per window length (:func:`_bernoulli_pairs`).
 The S_k numerators of S^n are built from them once per (n, S_0 window) in
 a small LRU cache, row k+1 from row k by one integer multiplication per
 entry, and shared by every order m.  The A, B, C numerators and
@@ -191,26 +192,24 @@ def _radical(lo: int, p: list[int], den: int) -> NormalizedRadicalSeries:
     return NormalizedRadicalSeries(Fraction(p[0], den), lo // 2, TruncatedLaurentSeries(0, tuple(tail), len(p)))
 
 
-_BERNOULLI: list[Fraction] = []  # B_0, B_1^+, B_2, ..., filled on first use
-
-
-def _bernoulli(count: int) -> list[Fraction]:
-    """B_0 .. B_(count-1) with B_1^+ = 1/2, from a table rebuilt twice as long
-    when too short.  B_2i = (-1)^(i-1) 2i T_i / (4^i (4^i - 1)) with the tangent
-    numbers T_i from the Knuth-Buckholtz integer recurrence (Brent and Harvey,
-    2011); B_3, B_5, ... vanish.
+@lru_cache(maxsize=64)
+def _bernoulli_pairs(length: int) -> tuple[tuple[int, int], ...]:
+    """b_j = 2^j B_j^+ for j < length as reduced (numerator, denominator)
+    pairs; memoised per window length.  b_0 = b_1 = 1, b_2i = (-1)^(i-1) 2i
+    T_i / (4^i - 1) with the tangent numbers T_i from the Knuth-Buckholtz
+    integer recurrence (Brent and Harvey, 2011), and b_3 = b_5 = ... = 0.
     """
-    if len(_BERNOULLI) < count:
-        half = max(count, 2 * len(_BERNOULLI)) // 2
-        t = [0] + [math.factorial(k - 1) for k in range(1, half + 1)]
-        for k in range(2, half + 1):
-            for j in range(k, half + 1):
-                t[j] = (j - k) * t[j - 1] + (j - k + 2) * t[j]
-        table = [Fraction(1), Fraction(1, 2)]
-        for i in range(1, half + 1):
-            table += [Fraction((-1) ** (i - 1) * 2 * i * t[i], 4**i * (4**i - 1)), Fraction(0)]
-        _BERNOULLI[:] = table
-    return _BERNOULLI[:count]
+    half = (length - 1) // 2
+    t = [0] + [math.factorial(k - 1) for k in range(1, half + 1)]
+    for k in range(2, half + 1):
+        for j in range(k, half + 1):
+            t[j] = (j - k) * t[j - 1] + (j - k + 2) * t[j]
+    pairs = [(1, 1), (1, 1)]
+    for i in range(1, half + 1):
+        num, den = (-1) ** (i - 1) * 2 * i * t[i], 4**i - 1
+        g = math.gcd(num, den)
+        pairs += [(num // g, den // g), (0, 1)]
+    return tuple(pairs[:length])
 
 
 def expand_F(order: int) -> TruncatedLaurentSeries:
@@ -218,7 +217,8 @@ def expand_F(order: int) -> TruncatedLaurentSeries:
 
     f = 2 rho F = 2 rho / (1 - exp(-2 rho)) = sum_k 2^k B_k^+ rho^k / k! (Graham,
     Knuth and Patashnik, Concrete Mathematics, 6.5), so the rho^(k-1)
-    coefficient of F is 2^(k-1) B_k^+ / k!, and the expansion starts
+    coefficient of F is b_k / (2 k!) with b_k = 2^k B_k^+ from
+    :func:`_bernoulli_pairs`, and the expansion starts
     1/(2 rho) + 1/2 + rho/6 + 0 rho^2 - rho^3/90 + ...
 
     For order <= -1 the requested window is empty and the all-unknown
@@ -228,22 +228,8 @@ def expand_F(order: int) -> TruncatedLaurentSeries:
     if order <= -1:
         return TruncatedLaurentSeries.make(order, [], order)
     return TruncatedLaurentSeries.make(-1, [
-        Fraction(b.numerator * 2**k, 2 * b.denominator * math.factorial(k))
-        for k, b in enumerate(_bernoulli(order + 1))
+        Fraction(num, 2 * den * math.factorial(k)) for k, (num, den) in enumerate(_bernoulli_pairs(order + 1))
     ])
-
-
-@lru_cache(maxsize=64)
-def _bernoulli_numerators(length: int) -> tuple[tuple[int, ...], int]:
-    """(b, D): b_j = 2^j B_j^+ for j < length as integers over their least
-    common denominator D; memoised per window length."""
-    pairs = []
-    for j, bj in enumerate(_bernoulli(length)):
-        num = bj.numerator << j
-        g = math.gcd(num, bj.denominator)
-        pairs.append((num // g, bj.denominator // g))
-    den = math.lcm(*[d for _, d in pairs])
-    return tuple(x * (den // d) for x, d in pairs), den
 
 
 def _s0_numerators(n: int, order: int) -> tuple[list[int], int]:
@@ -251,8 +237,9 @@ def _s0_numerators(n: int, order: int) -> tuple[list[int], int]:
     common denominator; ([], 1) for an empty window.
 
     With a = n - 1 and f = 2 rho F = sum_j b_j rho^j / j!, b_j = 2^j B_j^+
-    (see expand_F), g = f^a = sum_k c_k rho^k / k! follows J.C.P. Miller's
-    power recurrence (Knuth, TAOCP vol. 2, 4.7) in exponential form: c_0 = 1
+    (see expand_F) brought to their least common denominator, g = f^a =
+    sum_k c_k rho^k / k! follows J.C.P. Miller's power recurrence (Knuth,
+    TAOCP vol. 2, 4.7) in exponential form: c_0 = 1
     and c_k = sum_{j=1..k} (a C(k-1, j-1) - C(k-1, j)) b_j c_(k-j).  The c are
     kept as integers over the least common denominator of those so far; each
     c_k is summed over that denominator times the b_j's, O(k) products, and
@@ -264,7 +251,9 @@ def _s0_numerators(n: int, order: int) -> tuple[list[int], int]:
     length = order + a
     if length <= 0:
         return [], 1
-    b, b_den = _bernoulli_numerators(length)
+    pairs = _bernoulli_pairs(length)
+    b_den = math.lcm(*[d for _, d in pairs])
+    b = [x * (b_den // d) for x, d in pairs]
     c, c_den = [1], 1
     binom = [1]  # C(k-1, j) for j = 0 .. k-1
     for k in range(1, length):

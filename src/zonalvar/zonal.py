@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -78,20 +78,15 @@ def _block_form(coeff: Callable[[int], float]) -> Callable[[int, int], np.ndarra
 
 @dataclass(frozen=True)
 class PoissonWaveletSpec:
-    """Parameters of the Poisson multipole wavelet g_rho^m on S^n.
-
-    The Poisson radius r = exp(-rho) is derived, never passed in.
-    """
+    """Parameters of the Poisson multipole wavelet g_rho^m on S^n."""
 
     dim: SphereDim
     m: int
     rho: float
-    r: float = field(init=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "m", _require_at_least("wavelet order m", self.m, 1))
         _require_positive("rho", self.rho)
-        object.__setattr__(self, "r", math.exp(-self.rho))
 
 
 def poisson_wavelet_spec(n: int, m: int, rho: float) -> PoissonWaveletSpec:
@@ -101,12 +96,12 @@ def poisson_wavelet_spec(n: int, m: int, rho: float) -> PoissonWaveletSpec:
 
 @dataclass(frozen=True)
 class _PoissonRule:
-    """The coefficient rule l -> scale ((l + lam) / lam) exp(-rho l) (step l)^m
+    """The coefficient rule l -> scale ((l + lam) / lam) exp(-rho l) (rho l)^m
     on S^n, lam = (n - 1)/2.
 
     The power is applied by repeated multiplication, so the value at l = 0
     is exactly 0.0 for m >= 1 and the order recursion
-    rule_(m+1)(l) = (step l) rule_m(l) holds bitwise.  :meth:`block` returns
+    rule_(m+1)(l) = (rho l) rule_m(l) holds bitwise.  :meth:`block` returns
     the values for l0 <= l < l1 as an array through the same formula; both
     forms take exp(-rho l) from ``np.exp``, so they agree bitwise.
     :meth:`log_ratio` gives the coefficient sums the log ratio of
@@ -120,11 +115,10 @@ class _PoissonRule:
     rho: float
     m: int
     scale: float = 1.0
-    step: float = 1.0
 
     def _values(self, l, lift):
         v = self.scale * lift * np.exp(-self.rho * l)
-        x = self.step * l
+        x = self.rho * l
         for _ in range(self.m):
             v *= x
         return v
@@ -168,7 +162,7 @@ def poisson_wavelet_coefficients(spec: PoissonWaveletSpec) -> ZonalFunction:
     recursion g_hat_(m+1)(l) = (rho l) g_hat_m(l) holds bitwise.
     """
     dim, m, rho = spec.dim, spec.m, spec.rho
-    rule = _PoissonRule(dim.n, rho, m, scale=1.0 / dim.surface, step=rho)
+    rule = _PoissonRule(dim.n, rho, m, scale=1.0 / dim.surface)
     return ZonalFunction(dim, rule, label=f"poisson-wavelet(n={dim.n}, m={m}, rho={rho})")
 
 
@@ -189,7 +183,7 @@ def capped_wavelet_coefficients(spec: PoissonWaveletSpec) -> ZonalFunction:
         scale = min(1.0, 1.0 / dim.surface)
     except DegenerateInputError:  # sigma(S^n) is below the normal double range, far below 1
         scale = 1.0
-    rule = _PoissonRule(dim.n, rho, m, scale=scale, step=rho)
+    rule = _PoissonRule(dim.n, rho, m, scale=scale)
     return ZonalFunction(dim, rule, label=f"capped-wavelet(n={dim.n}, m={m}, rho={rho})")
 
 

@@ -83,6 +83,30 @@ def test_compute_infinite_scale_is_an_invalid_argument(capsys):
     assert err == "invalid argument: rho must be positive and finite\n"
 
 
+@pytest.mark.parametrize("argv", [
+    "compute --n 1 --m 1 --rho 0.1",
+    "compute --n 3 --m 0 --rho 0.1",
+    "compute --n 3 --m 1 --rho 0",
+    "compute --n 3 --m 1 --rho nan",
+    "compute --n 3 --m 1 --rho -1",
+    "compute --n 3 --m 1 --rho 0.1 --rel-tol 0.5",
+    "verify --min-terms 0",
+    "sweep --n 1 --m 1 --rho-min 0.1 --rho-max 1",
+    "sweep --n 3 --m 0 --rho-min 0.1 --rho-max 1",
+    "limits --n-min 1",
+    "expand --target S0 --n 1",
+    "expand --target Sm --n 3 --m -1",
+    "expand --target A --n 3 --m 0",
+    "expand --target varS --n 1 --m 1",
+])
+def test_value_outside_the_domain_is_one_invalid_argument_line(capsys, argv):
+    # the library's check answers, not a second one in the command
+    code, out, err = run(capsys, argv.split())
+    assert code == 64
+    assert out == ""
+    assert err.startswith("invalid argument:") and err.count("\n") == 1 and err.endswith("\n")
+
+
 def test_module_run_matches_main(capsys):
     src = str(Path(zonalvar.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))

@@ -5,6 +5,7 @@ import math
 import random
 from fractions import Fraction
 
+import mpmath
 import pytest
 from hypothesis import example, given, strategies as st
 
@@ -351,19 +352,32 @@ def test_expand_F_known_window():
         assert f.coefficient(e) == c
 
 
-def test_expand_F_matches_exp_division(monkeypatch):
+def test_expand_F_matches_exp_division():
     # the Bernoulli closed form against 1 / (1 - exp(-2 rho)) by schoolbook
     # division, every order; orders <= -1 give the empty window.  The
-    # Bernoulli table is emptied first, then filled once in one step (orders
-    # falling) and once in many (orders rising).
+    # Bernoulli memo is cleared before each sweep, orders falling and rising.
     expected = {order: S(order, [], order) for order in (-2, -1)}
     for order in range(0, 61):
         g = _add(_constant(1, order + 2), _scale(_exp_series(-2, order + 2), -1))
         expected[order] = _schoolbook_div(_constant(1, order + 1), g)
     for orders in (range(60, -3, -1), range(-2, 61)):
-        monkeypatch.setattr(laurent, "_BERNOULLI", [])
+        laurent._bernoulli_pairs.cache_clear()
         for order in orders:
             assert expand_F(order) == expected[order]
+
+
+def test_bernoulli_pairs_match_mpmath():
+    # b_j = 2^j B_j^+ (B_1^+ = +1/2) as reduced integer pairs, every j < 400,
+    # and each shorter table is a prefix of the longer one
+    expected = []
+    for j in range(400):
+        p, q = mpmath.bernfrac(j)
+        b = Fraction(-p if j == 1 else p, q) * 2**j
+        expected.append((b.numerator, b.denominator))
+    laurent._bernoulli_pairs.cache_clear()
+    assert laurent._bernoulli_pairs(400) == tuple(expected)
+    for length in (0, 1, 2, 3, 4, 57, 399):
+        assert laurent._bernoulli_pairs(length) == tuple(expected[:length])
 
 
 def test_expand_F_empty_window_below_pole():

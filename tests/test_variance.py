@@ -31,7 +31,7 @@ from zonalvar.zonal import _PoissonRule, _block_form
 
 
 def rescaled_wavelet(spec):
-    """The wavelet's rule times sigma(S^n) rho^-m: ((l + lambda)/lambda) l^m e^(-rho l)."""
+    """The wavelet's rule times sigma(S^n): ((l + lambda)/lambda) (rho l)^m e^(-rho l)."""
     return ZonalFunction(spec.dim, _PoissonRule(spec.dim.n, spec.rho, spec.m))
 
 
@@ -567,7 +567,6 @@ def test_import_fills_no_memo():
         "memos = {f'{v.__module__}.{v.__name__}': v.cache_info().currsize\n"
         "         for name, module in list(sys.modules.items()) if name.startswith('zonalvar')\n"
         "         for v in vars(module).values() if hasattr(v, 'cache_info')}\n"
-        "memos['zonalvar.laurent._BERNOULLI'] = len(zonalvar.laurent._BERNOULLI)  # a list, not an lru_cache\n"
         "print(json.dumps(memos))\n"
     )
     src = str(Path(zonalvar.__file__).resolve().parents[1])
@@ -576,7 +575,7 @@ def test_import_fills_no_memo():
     assert done.returncode == 0, done.stderr
     memos = json.loads(done.stdout)
     assert "zonalvar.series_s._first_block_memo" in memos and len(memos) >= 5, memos
-    assert "zonalvar.laurent._bernoulli_numerators" in memos, memos
+    assert "zonalvar.laurent._bernoulli_pairs" in memos, memos
     assert not any(memos.values()), memos
 
 
