@@ -14,6 +14,7 @@ timestamps, floats rendered by repr (JSON) or with 17 significant digits
 
 Exit codes: 0 success, 1 verification found a genuine mismatch, 2 degenerate
 input, 3 series truncation failure, 64 usage error or invalid argument.
+The coefficient sums always stop by the library's DEFAULT_TRUNCATION.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ from .asymptotics import (
 )
 from .errors import DegenerateInputError, DomainError, TruncationError
 from .laurent import derive_ABC, expand_F, expand_s0, expand_sm, expand_variances
-from .series_s import DEFAULT_TRUNCATION, SeriesTruncation
+from .series_s import DEFAULT_TRUNCATION
 from .variance import UncertaintyResult, poisson_uncertainty_via_s, uncertainty_product
 from .zonal import PoissonWaveletSpec, capped_wavelet_coefficients, poisson_wavelet_spec
 
@@ -65,12 +66,6 @@ RESIDUAL_THRESHOLDS = {"varS": 3.5, "U": 1.9, "varM": -0.1}
 def _check(cond: bool, message: str) -> None:
     if not cond:
         raise click.UsageError(message)
-
-
-def _truncation(options: dict) -> SeriesTruncation:
-    """DEFAULT_TRUNCATION with the series options that were given."""
-    overrides = {name: value for name, value in options.items() if value is not None}
-    return dataclasses.replace(DEFAULT_TRUNCATION, **overrides)
 
 
 def _meta(command: str, config: dict) -> dict:
@@ -132,7 +127,7 @@ def _relative_deviation(a: float, b: float) -> float:
     return abs(a - b) / max(abs(a), abs(b), 1e-300)
 
 
-def _compare_paths(spec: PoissonWaveletSpec, trunc: SeriesTruncation) -> tuple[UncertaintyResult, dict]:
+def _compare_paths(spec: PoissonWaveletSpec) -> tuple[UncertaintyResult, dict]:
     """The S-path result, and its relative deviation from the coefficient-sum
     path for each of var_space, var_momentum and product.
 
@@ -140,7 +135,7 @@ def _compare_paths(spec: PoissonWaveletSpec, trunc: SeriesTruncation) -> tuple[U
     1, which has the same variances and keeps f_hat^2 in range for large n.
     """
     fast = poisson_uncertainty_via_s(spec)
-    direct = uncertainty_product(capped_wavelet_coefficients(spec), trunc)
+    direct = uncertainty_product(capped_wavelet_coefficients(spec))
     return fast, {
         quantity: _relative_deviation(getattr(fast, quantity), getattr(direct, quantity))
         for quantity in ("var_space", "var_momentum", "product")
@@ -154,18 +149,6 @@ def cli() -> None:
 
 
 _output = click.option("--output", "-o", default=None, help="output file (stdout if omitted)")
-_common = [  # the series options reach a command as **series, named after SeriesTruncation's fields
-    click.option("--rel-tol", type=float, default=None, help="series stop tolerance"),
-    click.option("--min-terms", type=int, default=None, help="minimum series terms"),
-    click.option("--max-terms", type=int, default=None, help="series term budget"),
-    _output,
-]
-
-
-def _with_common(fn):
-    for opt in reversed(_common):
-        fn = opt(fn)
-    return fn
 
 
 @cli.command()
@@ -173,11 +156,10 @@ def _with_common(fn):
 @click.option("--m", type=int, required=True, help="wavelet order")
 @click.option("--rho", type=float, required=True, help="scale parameter")
 @click.option("--format", "fmt", type=click.Choice(["json", "csv"]), default="json")
-@_with_common
-def compute(n, m, rho, fmt, output, **series):
+@_output
+def compute(n, m, rho, fmt, output):
     """Uncertainty product of one wavelet, cross-checked over both paths."""
-    trunc = _truncation(series)
-    fast, deviations = _compare_paths(poisson_wavelet_spec(n, m, rho), trunc)
+    fast, deviations = _compare_paths(poisson_wavelet_spec(n, m, rho))
     agreement = max(deviations.values())
     _, limit_value = limit_uncertainty(n, m)
     record = {
@@ -191,7 +173,7 @@ def compute(n, m, rho, fmt, output, **series):
         "bound": 0.5 * n,
         "path_agreement": agreement,
     }
-    meta = _meta("compute", {"n": n, "m": m, "rho": rho, **dataclasses.asdict(trunc)})
+    meta = _meta("compute", {"n": n, "m": m, "rho": rho, **dataclasses.asdict(DEFAULT_TRUNCATION)})
     if fmt == "json":
         _emit(_json_text({"meta": meta, **record}), output)
     else:
@@ -390,14 +372,14 @@ def _verify_theorem_section() -> tuple[dict, list[tuple[int, int]]]:
     return section, flagged_pairs
 
 
-def _verify_path_and_bound(trunc: SeriesTruncation) -> tuple[dict, dict]:
+def _verify_path_and_bound() -> tuple[dict, dict]:
     worst = {"deviation": 0.0}
     min_excess = math.inf
     points = 0
     for n in PATH_GRID_N:
         for m in PATH_GRID_M:
             for rho in PATH_GRID_RHO:
-                fast, deviations = _compare_paths(poisson_wavelet_spec(n, m, rho), trunc)
+                fast, deviations = _compare_paths(poisson_wavelet_spec(n, m, rho))
                 for quantity, dev in deviations.items():
                     if dev > worst["deviation"]:
                         worst = {"deviation": dev, "n": n, "m": m, "rho": rho,
@@ -493,11 +475,11 @@ def _verify_residual_section(flagged_pairs: list[tuple[int, int]]) -> dict:
     }
 
 
-def build_verify_report(trunc: SeriesTruncation = DEFAULT_TRUNCATION) -> tuple[dict, int]:
+def build_verify_report() -> tuple[dict, int]:
     """Assemble the verification report; returns (report, exit_code)."""
     appendix = _verify_appendix_section()
     theorem, flagged_pairs = _verify_theorem_section()
-    path_section, bound_section = _verify_path_and_bound(trunc)
+    path_section, bound_section = _verify_path_and_bound()
     minimization = _verify_minimization_section()
     residuals = _verify_residual_section(flagged_pairs)
     flagged_confirmed = True
@@ -514,7 +496,7 @@ def build_verify_report(trunc: SeriesTruncation = DEFAULT_TRUNCATION) -> tuple[d
         and flagged_confirmed
     )
     report = {
-        "meta": _meta("verify", dataclasses.asdict(trunc)),
+        "meta": _meta("verify", dataclasses.asdict(DEFAULT_TRUNCATION)),
         "appendix_ABC": appendix,
         "theorem_coefficients": theorem,
         "path_equivalence": path_section,
@@ -532,11 +514,10 @@ def build_verify_report(trunc: SeriesTruncation = DEFAULT_TRUNCATION) -> tuple[d
 
 
 @cli.command()
-@_with_common
-def verify(output, **series):
+@_output
+def verify(output):
     """Run the internal verification suite and emit its JSON report."""
-    trunc = _truncation(series)
-    report, code = build_verify_report(trunc)
+    report, code = build_verify_report()
     _emit(_json_text(report), output)
     return code
 

@@ -271,14 +271,14 @@ def _sum_blocks(
                 stopped = stops.any(axis=1)
                 if (done | stopped).all():
                     end = start + int(np.where(done, 0, stops.argmax(axis=1)).max()) + 1
-                    _add_blocks(hi, lo, terms[:, :end], final=True)
+                    _add_blocks(hi, lo, terms[:, :end], name, final=True)
                     return hi, l0 + end
                 peak = running_peak[:, -1:]
                 recent = small[:, -2:]
                 done |= stopped
             if error is not None:
                 raise error
-            _add_blocks(hi, lo, terms)
+            _add_blocks(hi, lo, terms, name)
             size = min(size * _BLOCK_GROWTH, _MAX_BLOCK)
             ahead = max(_degrees_to_stop(stop, hi, done, rel_tol), trunc.min_terms - l1)
             l0, l1 = l1, l1 + int(min(_MARGIN * ahead + _SLACK, size))
@@ -331,7 +331,7 @@ def _scan_start(stop: np.ndarray, sums: np.ndarray, done: np.ndarray, rel_tol: f
     return min(starts, default=None)
 
 
-def _add_blocks(hi: list[float], lo: list[float], terms: np.ndarray, final: bool = False) -> None:
+def _add_blocks(hi: list[float], lo: list[float], terms: np.ndarray, name: str, final: bool = False) -> None:
     """Add each row of ``terms`` to the (hi, lo) sums with math.fsum.
 
     For a block of at most ``_FSUM_WIDTH`` columns hi becomes the exactly
@@ -345,8 +345,9 @@ def _add_blocks(hi: list[float], lo: list[float], terms: np.ndarray, final: bool
     itself; hi + lo is then within that of the exact total, and hi is the
     exactly rounded total unless that total lies so close to a rounding
     boundary.  A non-finite fold or an overflowing sum raises
-    :class:`DegenerateInputError`.  For the ``final`` block of a series
-    only hi is updated: nothing reads the residual after the stop.
+    :class:`DegenerateInputError` naming the series ``name``.  For the
+    ``final`` block of a series only hi is updated: nothing reads the
+    residual after the stop.
     """
     width = terms.shape[1]
     if width > _FSUM_WIDTH:
@@ -367,7 +368,7 @@ def _add_blocks(hi: list[float], lo: list[float], terms: np.ndarray, final: bool
                 width = half
             terms = np.concatenate((terms, *aside, err), axis=1)
             if not np.isfinite(terms).all():
-                raise DegenerateInputError("coefficient sums left the double range")
+                raise DegenerateInputError(f"{name} left the double range")
     for r, row in enumerate(terms.tolist()):
         row += (hi[r], lo[r])
         try:
@@ -376,7 +377,7 @@ def _add_blocks(hi: list[float], lo: list[float], terms: np.ndarray, final: bool
                 row.append(-hi[r])
                 lo[r] = math.fsum(row)
         except OverflowError:
-            raise DegenerateInputError("coefficient sums left the double range") from None
+            raise DegenerateInputError(f"{name} left the double range") from None
 
 
 def _validate_smn(n: int, m: int, rho: float) -> tuple[int, int, float]:

@@ -1,6 +1,7 @@
 """Command-line contract: formats, determinism, exit codes."""
 
 import csv
+import dataclasses
 import hashlib
 import io
 import json
@@ -14,7 +15,7 @@ from pathlib import Path
 import pytest
 
 import zonalvar
-from zonalvar import laurent, poisson_uncertainty_via_s, poisson_wavelet_spec
+from zonalvar import DEFAULT_TRUNCATION, laurent, poisson_uncertainty_via_s, poisson_wavelet_spec
 from zonalvar.cli import build_verify_report, main
 
 
@@ -89,8 +90,6 @@ def test_compute_infinite_scale_is_an_invalid_argument(capsys):
     "compute --n 3 --m 1 --rho 0",
     "compute --n 3 --m 1 --rho nan",
     "compute --n 3 --m 1 --rho -1",
-    "compute --n 3 --m 1 --rho 0.1 --rel-tol 0.5",
-    "verify --min-terms 0",
     "sweep --n 1 --m 1 --rho-min 0.1 --rho-max 1",
     "sweep --n 3 --m 0 --rho-min 0.1 --rho-max 1",
     "limits --n-min 1",
@@ -171,20 +170,23 @@ def test_compute_beyond_double_range_is_degenerate(capsys, argv):
 
 
 def test_compute_truncation_budget_exit_code(capsys):
-    code, out, err = run(
-        capsys,
-        ["compute", "--n", "3", "--m", "1", "--rho", "0.05",
-         "--min-terms", "1", "--max-terms", "5"],
-    )
+    # the coefficient sums at rho = 1e-6 need more than DEFAULT_TRUNCATION's
+    # 10,000,000 terms
+    code, out, err = run(capsys, ["compute", "--n", "3", "--m", "1", "--rho", "1e-6"])
     assert code == 3
-    assert "truncation" in err.lower()
+    assert out == ""
+    assert err.startswith("series truncation failure:")
 
 
-def test_compute_bad_tolerance_is_usage_error(capsys):
-    code, _, err = run(
-        capsys, ["compute", "--n", "3", "--m", "1", "--rho", "0.1", "--rel-tol", "0.5"]
-    )
-    assert code == 64
+def test_meta_config_echoes_the_default_stop_policy(capsys):
+    # no option sets these fields; the output keeps them, so its bytes stay the same
+    policy = list(dataclasses.asdict(DEFAULT_TRUNCATION).items())
+    code, out, _ = run(capsys, ["compute", "--n", "3", "--m", "1", "--rho", "0.1"])
+    assert code == 0
+    assert list(json.loads(out)["meta"]["config"].items()) == [("n", 3), ("m", 1), ("rho", 0.1), *policy]
+    code, out, _ = run(capsys, ["verify"])
+    assert code == 0
+    assert list(json.loads(out)["meta"]["config"].items()) == policy
 
 
 def test_compute_deterministic_output(capsys):
@@ -256,15 +258,17 @@ def test_sweep_single_step_rejected(capsys):
     assert code == 64
 
 
-def test_sweep_has_no_series_options(capsys):
-    # sweep uses only the S path, which sums no series
-    code, _, err = run(
-        capsys,
-        ["sweep", "--n", "3", "--m", "1", "--rho-min", "0.1", "--rho-max", "0.2",
-         "--rel-tol", "1e-10"],
-    )
+@pytest.mark.parametrize("option", ["--rel-tol", "--min-terms", "--max-terms"])
+@pytest.mark.parametrize("command", ["compute", "verify", "sweep"])
+def test_commands_have_no_series_options(capsys, command, option):
+    # the coefficient sums always stop by DEFAULT_TRUNCATION
+    args = {"compute": ["--n", "3", "--m", "1", "--rho", "0.1"], "verify": [],
+            "sweep": ["--n", "3", "--m", "1", "--rho-min", "0.1", "--rho-max", "0.2"]}[command]
+    value = {"--rel-tol": "1e-10", "--min-terms": "10", "--max-terms": "1000"}[option]
+    code, out, err = run(capsys, [command, *args, option, value])
     assert code == 64
-    assert "--rel-tol" in err
+    assert out == ""
+    assert "no such option" in err.lower() and option in err
 
 
 def test_sweep_large_dimension(capsys):

@@ -10,8 +10,11 @@ from zonalvar import (
     DomainError,
     SeriesTruncation,
     TruncationError,
+    ZonalFunction,
     s_m_eval,
     s_m_sum,
+    sphere_dim,
+    zonal_eval,
 )
 
 
@@ -188,3 +191,12 @@ def test_out_of_range_is_degenerate():
         s_m_eval(400, 0, 1e-3)
     with pytest.raises(DegenerateInputError, match=r"S_200\(rho=0.001\) for n=2 exceeds the double range"):
         s_m_sum(2, 200, 1e-3)
+
+
+def test_range_error_of_a_sum_names_its_series():
+    # the terms are finite, but their running sums leave the double range
+    with pytest.raises(DegenerateInputError, match=r"^S_150 series \(n=2, rho=0.2478\) left the double range$"):
+        s_m_sum(2, 150, 0.2478)
+    f = ZonalFunction(sphere_dim(3), lambda l: 1e306 if l < 100 else 0.0)
+    with pytest.raises(DegenerateInputError, match="^zonal series for coefficient rule left the double range$"):
+        zonal_eval(f, 0.0)

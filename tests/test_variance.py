@@ -201,9 +201,14 @@ def test_negative_space_variance_is_degenerate(monkeypatch, capsys):
 
 
 def test_overflowing_sum_is_degenerate():
-    # every term is finite, but their sum exceeds the double range
+    # at 1e154 the M weight l(l + 2) already overflows the term at l = 1
     f = ZonalFunction(sphere_dim(3), lambda l: 1e154 if l < 200 else 0.0)
     with pytest.raises(DegenerateInputError, match="double range"):
+        uncertainty_product(f)
+    # at 3e151 every term is finite (the largest is 3.6e307), but the M sum
+    # exceeds the double range, and the error names the rule's sums
+    f = ZonalFunction(sphere_dim(3), lambda l: 3e151 if l < 200 else 0.0, label="flat")
+    with pytest.raises(DegenerateInputError, match="^coefficient sums for flat left the double range$"):
         uncertainty_product(f)
 
 
@@ -630,8 +635,8 @@ def exact_sum(values) -> Fraction:
 
 def test_folded_block_overflow_is_degenerate():
     terms = np.full((3, series_s._FSUM_WIDTH + 1), 1e308)
-    with pytest.raises(DegenerateInputError, match="double range"):
-        series_s._add_blocks([0.0] * 3, [0.0] * 3, terms)
+    with pytest.raises(DegenerateInputError, match="^folded rows left the double range$"):
+        series_s._add_blocks([0.0] * 3, [0.0] * 3, terms, "folded rows")
     # every term is finite, but the M terms (about 1e308 each) overflow
     # once added in pairs.  An all-zero rule gets the blocks of any rule that
     # is zero up to their start, so the first block wider than _FSUM_WIDTH
@@ -683,7 +688,7 @@ def test_add_blocks_is_accurate_at_every_width(width, seed, zeros, hi0, lo0):
     terms = np.ldexp(rng.uniform(-1.0, 1.0, (3, width)), rng.integers(-100, 101, (3, width)))
     terms[rng.random((3, width)) < zeros] = 0.0
     hi, lo = [hi0] * 3, [lo0] * 3
-    series_s._add_blocks(hi, lo, terms)
+    series_s._add_blocks(hi, lo, terms, "random rows")
     for r, row in enumerate(terms.tolist()):
         exact = exact_sum(row + [hi0, lo0])
         scale = exact_sum([abs(x) for x in row] + [abs(hi0), abs(lo0)])
