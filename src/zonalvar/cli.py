@@ -230,7 +230,7 @@ def sweep(n, m, rho_min, rho_max, steps, fmt, output):
 @click.option("--n-max", type=int, default=10, show_default=True)
 @click.option("--m-max", type=int, default=4, show_default=True)
 @click.option("--format", "fmt", type=click.Choice(["json", "csv"]), default="json")
-@click.option("--output", "-o", default=None)
+@_output
 def limits(n_min, n_max, m_max, fmt, output):
     """Scale-free limit values and the minimizing order for each n."""
     _check(n_max >= n_min, "n-max must be >= n-min")
@@ -270,7 +270,7 @@ def _series_payload(series) -> dict:
 @click.option("--n", type=int, default=None)
 @click.option("--m", type=int, default=None)
 @click.option("--order", type=int, default=None)
-@click.option("--output", "-o", default=None)
+@_output
 def expand(target, n, m, order, output):
     """Exact expansion coefficients of one quantity, as JSON."""
     needs_n = target != "F"

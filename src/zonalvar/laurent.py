@@ -8,14 +8,16 @@ O(rho^order).  Series and :class:`NormalizedRadicalSeries` are frozen result
 records, not calculators: the engine computes on integer numerators over one
 common denominator (:func:`_convolve`, :func:`_divide`, :func:`_radical`) and
 reduces to a ``Fraction`` once per output coefficient; the variances are one
-integer pass over the numerators of A, B and C.
+integer pass over the numerators of A, B and C.  On windows this short the
+interpreter's per-call work sets the cost, so the kernels are plain loops.
 
 S_0's numerators come from one integer power recurrence
 (:func:`_s0_numerators`) on the Bernoulli numbers, which are one memoised
 table of integer pairs per window length (:func:`_bernoulli_pairs`).
 The S_k numerators of S^n are built from them once per (n, S_0 window) in
 a small LRU cache, row k+1 from row k by one integer multiplication per
-entry, and shared by every order m.  The A, B, C numerators and
+entry (each S_0 index's column one running product), and shared by every
+order m.  The A, B, C numerators and
 :func:`expand_variances` are memoised per (n, m) in bounded LRU caches of
 tuples and frozen objects, so repeated requests return results ``==`` to
 fresh ones that no caller can alter.
@@ -27,6 +29,8 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from fractions import Fraction
+from itertools import accumulate
+from operator import mul
 from typing import Iterable
 
 from .errors import DomainError, _require_at_least, _require_positive
@@ -60,14 +64,19 @@ def _divide(a: list[int], b: list[int], length: int) -> tuple[list[int], int]:
     scale = b[0] ** length
     x: list[int] = []
     for k in range(length):
-        x.append((a[k] * scale - sum(x[i] * b[k - i] for i in range(k))) // b[0])
+        acc = a[k] * scale
+        for i in range(k):
+            acc -= x[i] * b[k - i]
+        x.append(acc // b[0])
     return x, scale
 
 
 def _strip(lo: int, xs: list) -> tuple[int, list]:
     """(lo, xs) without the leading zeros of xs, lo moved past them."""
-    k = next((i for i, x in enumerate(xs) if x), len(xs))
-    return lo + k, xs[k:]
+    for k, x in enumerate(xs):
+        if x:
+            return lo + k, xs[k:]
+    return lo + len(xs), xs[:0]
 
 
 @dataclass(frozen=True)
@@ -186,8 +195,11 @@ def _radical(lo: int, p: list[int], den: int) -> NormalizedRadicalSeries:
     sigma = [0]
     tail = [Fraction(1)]
     for j in range(1, len(p)):
-        sigma.append(4 ** (j - 1) * p[0] ** (j - 1) * p[j] - sum(sigma[i] * sigma[j - i] for i in range(1, j)))
-        tail.append(Fraction(sigma[j], 2 ** (2 * j - 1) * p[0] ** j))
+        acc = 4 ** (j - 1) * p[0] ** (j - 1) * p[j]
+        for i in range(1, j):
+            acc -= sigma[i] * sigma[j - i]
+        sigma.append(acc)
+        tail.append(Fraction(acc, 2 ** (2 * j - 1) * p[0] ** j))
     # NormalizedRadicalSeries rejects a radicand p_0 / den <= 0
     return NormalizedRadicalSeries(Fraction(p[0], den), lo // 2, TruncatedLaurentSeries(0, tuple(tail), len(p)))
 
@@ -258,7 +270,10 @@ def _s0_numerators(n: int, order: int) -> tuple[list[int], int]:
     binom = [1]  # C(k-1, j) for j = 0 .. k-1
     for k in range(1, length):
         binom.append(0)
-        acc = sum((a * binom[j - 1] - binom[j]) * b[j] * c[k - j] for j in range(1, k + 1) if b[j])
+        acc = 0
+        for j in range(1, k + 1):
+            if b[j]:
+                acc += (a * binom[j - 1] - binom[j]) * b[j] * c[k - j]
         den = b_den * c_den
         g = math.gcd(acc, den)
         acc, den = acc // g, den // g
@@ -267,7 +282,8 @@ def _s0_numerators(n: int, order: int) -> tuple[list[int], int]:
             c = [x * grow for x in c]
             c_den *= grow
         c.append(acc * (c_den // den))
-        binom = [1] + [binom[j - 1] + binom[j] for j in range(1, k + 1)]
+        for j in range(k, 0, -1):  # C(k-1, j) -> C(k, j), from the top down
+            binom[j] += binom[j - 1]
     # over c_den (length-1)! 2^a, entry k carries (length-1)! / k!
     fall, nums = 1, [0] * length
     for k in range(length - 1, -1, -1):
@@ -323,13 +339,16 @@ class _SRows:
         self._rows = (tuple(nums),)
 
     def upto(self, kmax: int) -> tuple[tuple[int, ...], ...]:
-        """Rows 0 .. kmax, possibly more; the table grows by a swap, never in place."""
+        """Rows 0 .. kmax, possibly more; the table grows by a swap, never in
+        place, each new column one running product (rows empty if S_0's window is)."""
         rows = self._rows
-        if len(rows) <= kmax:
-            grown = list(rows)
-            for k in range(len(rows) - 1, kmax):
-                grown.append(tuple([(k - self.lo - i) * x for i, x in enumerate(grown[k])]))
-            rows = self._rows = tuple(grown)
+        top = len(rows) - 1
+        if top < kmax:
+            lo = self.lo
+            columns = [
+                accumulate(range(top - lo - i, kmax - lo - i), mul, initial=x) for i, x in enumerate(rows[top])
+            ]
+            rows = self._rows = rows[:top] + (tuple(zip(*columns)) or ((),) * (kmax + 1 - top))
         return rows
 
 
@@ -349,20 +368,21 @@ def _s_numerators(n: int, tables, divisor: int) -> tuple[tuple[tuple[int, tuple[
     D divisor 2^kmax.  Leading zero numerators are stripped as
     :meth:`TruncatedLaurentSeries.make` does.
     """
-    kmax = max(k for terms, _ in tables for k, _ in terms)
-    table = _s_rows(n, max(order + k for terms, order in tables for k, _ in terms))
+    tops = [max(terms)[0] for terms, _ in tables]  # each table's top S_k index
+    kmax = max(tops)
+    table = _s_rows(n, max([order + top for (_, order), top in zip(tables, tops)]))
     rows = table.upto(kmax)
     windows = []
-    for terms, order in tables:
-        lo = min(table.lo - max(k for k, _ in terms), order)
+    for (terms, order), top in zip(tables, tops):
+        lo = min(table.lo - top, order)
         length = order - lo
         xs = [0] * length
         for k, w in terms:
-            start = lo + k - table.lo  # the S_0 index of rho^lo in row k
-            if start > -length:
-                v, row = w << (kmax - k), rows[k]
-                for t in range(-start if start < 0 else 0, length):
-                    xs[t] += v * row[start + t]
+            skip = table.lo - lo - k  # >= 0: row k's entry 0 sits at xs[skip]
+            if skip < length:
+                v = w << (kmax - k)
+                for t, r in enumerate(rows[k][: length - skip], skip):
+                    xs[t] += v * r
         lo, xs = _strip(lo, xs)
         windows.append((lo, tuple(xs), order))
     return tuple(windows), table.den * divisor << kmax
@@ -370,7 +390,7 @@ def _s_numerators(n: int, tables, divisor: int) -> tuple[tuple[tuple[int, tuple[
 
 def _series(lo: int, xs: list[int], order: int, den: int) -> TruncatedLaurentSeries:
     """The series of the stripped integer numerators xs over den on [lo, order)."""
-    return TruncatedLaurentSeries(lo, tuple(Fraction(x, den) for x in xs), order)
+    return TruncatedLaurentSeries(lo, tuple([Fraction(x, den) for x in xs]), order)
 
 
 def expand_sm(n: int, m: int, order: int) -> TruncatedLaurentSeries:
@@ -436,10 +456,11 @@ def expand_variances(
     lead at rho^-L with A_0 = 2 B_0, so q = 1 + O(rho) sits on [0, length).
     """
     ((la, a, _), (_, b, _), (lc, c, _)), _ = _abc_numerators(n, m, None)
-    fact = math.factorial(len(a) - 1)  # e^rho = sum_j ((len-1)! / j!) rho^j / (len-1)!, known as far as A
+    # e^rho = sum_j ((len-1)! / j!) rho^j / (len-1)!, known as far as A; its
+    # numerators are one running product, from j = len-1 down
+    exp_nums = list(accumulate(range(len(a) - 1, 0, -1), mul, initial=1))[::-1]
     length = min(len(a), len(b))
-    q, q_den = _divide(_convolve([fact // math.factorial(j) for j in range(len(a))], a, len(a)),
-                       [2 * fact * x for x in b], length)
+    q, q_den = _divide(_convolve(exp_nums, a, len(a)), [2 * exp_nums[0] * x for x in b], length)
     qq = _convolve(q, q, length)
     qq[0] -= q_den**2
     ls, s = _strip(0, qq)

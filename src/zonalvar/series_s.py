@@ -113,9 +113,10 @@ def _binomial_weights(n: int, ls: np.ndarray) -> tuple[np.ndarray, int | None]:
     float(C(l + n - 2, l)).  Its index is returned, or None.
     """
     w = np.ones_like(ls)
-    factor = np.empty_like(ls)
+    factor = ls.copy()
     for j in range(1, n - 1):
-        w *= np.add(ls, j, out=factor)
+        factor += 1.0  # l + j, exact
+        w *= factor
         w /= j
     if w.size and not w[-1] < _WEIGHT_CHECK:
         for i in np.flatnonzero(~(w < _WEIGHT_CHECK)).tolist():
@@ -263,7 +264,8 @@ def _sum_blocks(
                     (recent, (scanned < running_peak) & (scanned <= rel_tol * np.abs(partial))), axis=1
                 )
                 stops = small[:, 2:] & small[:, 1:-1] & small[:, :-2]  # three in a row
-                if not peak.all():  # all-zero rows stop from degree ZERO_RUN - 1 on
+                # all-zero rows stop from degree ZERO_RUN - 1 on
+                if l0 + terms.shape[1] >= ZERO_RUN and not peak.all():
                     first = max(ZERO_RUN - 1 - l_start, 0)
                     stops[:, first:] |= running_peak[:, first:] == 0.0
                 if trunc.min_terms - 1 > l_start:
@@ -318,16 +320,17 @@ def _scan_start(stop: np.ndarray, sums: np.ndarray, done: np.ndarray, rel_tol: f
     A degree is small only when its stop value v <= rel_tol |partial sum|,
     and every running partial sum in the block is at most
     |sums| + sum|t| <= |sums| + sum v up to the rounding of the cumulative
-    sum, which the factor 2 covers.
+    sum, which the factor 2 covers.  A row whose smallest stop value is
+    above its bound has no such column, so one min per row spares it the
+    column search.
     """
     bounds = 2.0 * rel_tol * (np.abs(sums) + stop.sum(axis=1))
-    starts = []
-    for row, bound, finished in zip(stop, bounds.tolist(), done.tolist()):
-        if not finished:
-            candidate = row <= bound
-            first = int(candidate.argmax())
-            if candidate[first]:
-                starts.append(first)
+    lows = stop.min(axis=1)
+    starts = [
+        int((row <= bound).argmax())
+        for row, low, bound, finished in zip(stop, lows.tolist(), bounds.tolist(), done.tolist())
+        if not finished and low <= bound
+    ]
     return min(starts, default=None)
 
 

@@ -103,7 +103,9 @@ def _coefficient_sums(f: ZonalFunction, trunc: SeriesTruncation) -> tuple[float,
     def source(l0: int, l1: int):
         fv = np.asarray(fetch(l0, l1 + 1), dtype=float)  # f_hat(l0) .. f_hat(l1)
         limit, error = l1 - l0, None
-        if not np.isfinite(fv).all():
+        # one sum decides the common case; a sum that is not finite may be an
+        # overflow of finite values, so only the element check can fail it
+        if not math.isfinite(fv.sum()) and not np.isfinite(fv).all():
             limit = max(int(np.flatnonzero(~np.isfinite(fv))[0]) - 1, 0)
             error = DomainError(f"coefficient rule returned a non-finite value near l={l0 + limit}")
         ls, _, over, n_weight, m_weight = _weight_rows(n, l0, l1)
@@ -129,7 +131,7 @@ def _coefficient_sums(f: ZonalFunction, trunc: SeriesTruncation) -> tuple[float,
         t_nd *= t_n
         t_nd[fc == 0.0] = 0.0
         np.multiply(m_weight[:limit], t_n, out=t_m)
-        if not np.isfinite(terms).all():
+        if not math.isfinite(terms.sum()) and not np.isfinite(terms).all():
             limit = int(np.flatnonzero(~np.isfinite(terms).all(axis=0))[0])
             terms = terms[:, :limit]
             error = DegenerateInputError(

@@ -271,6 +271,13 @@ def test_commands_have_no_series_options(capsys, command, option):
     assert "no such option" in err.lower() and option in err
 
 
+@pytest.mark.parametrize("command", ["compute", "sweep", "limits", "expand", "verify"])
+def test_output_option_help_is_shared(capsys, command):
+    code, out, err = run(capsys, [command, "--help"])
+    assert code == 0 and err == ""
+    assert " ".join(out.split()).count("-o, --output TEXT output file (stdout if omitted)") == 1
+
+
 def test_sweep_large_dimension(capsys):
     code, out, err = run(
         capsys,

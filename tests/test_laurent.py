@@ -633,6 +633,19 @@ def test_memoised_engine_matches_fresh_builds():
         assert fn(*args) == value, (fn.__name__, args)
 
 
+def test_benchmark_cells_in_shuffled_order_match_ascending_order():
+    # the exact-expansions benchmark visits its 470 cells in a shuffled
+    # order, so each S_k table grows from whatever m comes first for its n
+    cells = [(n, m) for n in range(2, 49) for m in range(1, 11)]
+    _clear_engine_caches()
+    ascending = {cell: (expand_variances(*cell), derive_ABC(*cell)) for cell in cells}
+    for seed in (3, 29):
+        random.Random(seed).shuffle(cells)
+        _clear_engine_caches()
+        for cell in cells:
+            assert (expand_variances(*cell), derive_ABC(*cell)) == ascending[cell], (seed, cell)
+
+
 def test_memoised_entries_cannot_be_mutated():
     _clear_engine_caches()
     first = expand_variances(7, 3)

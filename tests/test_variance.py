@@ -210,6 +210,11 @@ def test_overflowing_sum_is_degenerate():
     f = ZonalFunction(sphere_dim(3), lambda l: 3e151 if l < 200 else 0.0, label="flat")
     with pytest.raises(DegenerateInputError, match="^coefficient sums for flat left the double range$"):
         uncertainty_product(f)
+    # at 1e306 every value is finite, though a block of them sums past the
+    # double range; what overflows is the first term, 1e306 squared
+    f = ZonalFunction(sphere_dim(3), lambda l: 1e306 if l < 400 else 0.0)
+    with pytest.raises(DegenerateInputError, match="^coefficient-sum term at l=0 is not finite"):
+        uncertainty_product(f)
 
 
 # ---------------------------------------------------------------------------
