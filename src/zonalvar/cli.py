@@ -277,6 +277,7 @@ def expand(target, n, m, order, output):
     needs_m = target in ("Sm", "A", "B", "C", "varS", "varM", "U")
     _check(n is not None or not needs_n, f"target {target} requires --n")
     _check(m is not None or not needs_m, f"target {target} requires --m")
+    n = n if needs_n else None  # F does not depend on n
     meta = _meta("expand", {"target": target, "n": n, "m": m, "order": order})
     payload: dict = {"meta": meta, "target": target}
     if n is not None:

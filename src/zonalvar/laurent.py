@@ -302,7 +302,7 @@ def expand_s0(n: int, order: int) -> TruncatedLaurentSeries:
     return _series(order - len(nums), nums, order, den)
 
 
-def _abc_weights(n: int, m: int) -> tuple[list[tuple[int, int]], ...]:
+def _abc_weights(n: int, m: int, lowest: int = 0) -> tuple[list[tuple[int, int]], ...]:
     """The (k, w) tables of (n-1) A, (n-1) B and (n-1) C as sums of w S_k, for
 
         A = 2/(n-1) S_(2m+1) + S_(2m)
@@ -313,12 +313,16 @@ def _abc_weights(n: int, m: int) -> tuple[list[tuple[int, int]], ...]:
     of order m on S^n.  By Pascal's rule (n-1) B weighs S_(m+j) with
     C(m+1, j) + (n-2) C(m, j).  The weights are integers, so the Laurent
     engine and the S path's integer polynomials a, b, c
-    (variance._wavelet_polynomials) stay exact.
+    (variance._wavelet_polynomials) stay exact.  B's terms with k below
+    ``lowest`` are left out, apart from its top one, S_(2m+1).
     """
     n1 = n - 1
     return (
         [(2 * m + 1, 2), (2 * m, n1)],
-        [(m + j, math.comb(m + 1, j) + (n - 2) * math.comb(m, j)) for j in range(m + 2)],
+        [
+            (m + j, math.comb(m + 1, j) + (n - 2) * math.comb(m, j))
+            for j in range(min(max(lowest - m, 0), m + 1), m + 2)
+        ],
         [(2 * m + 3, 2), (2 * m + 2, 3 * n1), (2 * m + 1, n1 * n1)],
     )
 
@@ -405,7 +409,11 @@ def expand_sm(n: int, m: int, order: int) -> TruncatedLaurentSeries:
 def _abc_numerators(n: int, m: int, order: int | None) -> tuple[tuple[tuple[int, tuple[int, ...], int], ...], int]:
     """The windows of A, B and C (see :func:`derive_ABC`) as integer
     numerators over one shared denominator, also returned; memoised, so
-    :func:`derive_ABC` and :func:`expand_variances` share one build per (n, m)."""
+    :func:`derive_ABC` and :func:`expand_variances` share one build per (n, m).
+
+    S_k leads at rho^-(n-1+k), so on a window [., order) it adds to no
+    numerator unless k > 1 - n - order; B's terms below that are not formed.
+    """
     n = _require_at_least("n", n, 2)
     m = _require_at_least("m", m, 1)
     ell = n + 2 * m
@@ -413,7 +421,8 @@ def _abc_numerators(n: int, m: int, order: int | None) -> tuple[tuple[tuple[int,
         order_ab, order_c = 4 - ell, -ell
     else:
         order_ab = order_c = _require_at_least("order", order, -math.inf)
-    return _s_numerators(n, list(zip(_abc_weights(n, m), (order_ab, order_ab, order_c))), n - 1)
+    weights = _abc_weights(n, m, 2 - n - order_ab)
+    return _s_numerators(n, list(zip(weights, (order_ab, order_ab, order_c))), n - 1)
 
 
 def derive_ABC(

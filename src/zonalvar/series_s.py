@@ -19,13 +19,15 @@ reference.  It is one of three callers of :func:`_sum_blocks`, with the
 coefficient sums of :mod:`zonalvar.variance` and
 :func:`zonalvar.zonal.zonal_eval`: rows of terms are formed over blocks of
 degrees with numpy, each block is added to the running sums with
-math.fsum, and one stop rule is decided degree by degree, from the first
-degree in a block where a stop can fall.  The first block
-is 256 degrees; each later one is sized from the decay of the stop values
-in the block before, to end a little past the predicted stop, and is at
-most the geometric size (x4 per block, up to 4096).  The coefficient sums
-and zonal_eval form terms that do not depend on where a block starts, so
-their sums and stop degrees do not depend on this schedule.  For small rho
+math.fsum, after a TwoSum fold to at most 128 columns where it is wider,
+and one stop rule is decided degree by degree: over the whole of a block
+no wider than the first, else from the first degree in it where a stop
+can fall.  The first block is 256 degrees; each later one is sized from
+the decay of the stop values in the block before, to end a little past
+the predicted stop, and is at most the geometric size (x4 per block, up
+to 4096).  The coefficient sums and zonal_eval form terms that do not
+depend on where a block starts, so their sums and stop degrees do not
+depend on this schedule (nor on the fold width).  For small rho
 the terms of S_m climb over many decades before peaking near
 l* = (n - 2 + m) / (2 rho), and their binomial weights may pass the double
 range, so each block takes its weights relative to its first degree and
@@ -94,7 +96,7 @@ _BLOCK_GROWTH = 4
 _MAX_BLOCK = 4096
 _MARGIN = 1.25
 _SLACK = 64
-_FSUM_WIDTH = 256  # wider blocks are folded to this many columns before math.fsum
+_FSUM_WIDTH = 128  # wider blocks are folded to this many columns before math.fsum
 _WEIGHT_CHECK = 1.7e308  # float weights from here up are redone exactly
 ZERO_RUN = 1024  # a series whose first ZERO_RUN terms are all zero stops
 # log 2 split so that e * _LN2_HI is exact for integers e below 2^21
@@ -112,9 +114,11 @@ def _binomial_weights(n: int, ls: np.ndarray) -> tuple[np.ndarray, int | None]:
     from math.comb, so the first overflowing degree is exactly that of
     float(C(l + n - 2, l)).  Its index is returned, or None.
     """
-    w = np.ones_like(ls)
-    factor = ls.copy()
-    for j in range(1, n - 1):
+    if n == 2:
+        return np.ones_like(ls), None
+    w = ls + 1.0  # the factor j = 1, exact
+    factor = w.copy()
+    for j in range(2, n - 1):
         factor += 1.0  # l + j, exact
         w *= factor
         w /= j
@@ -176,8 +180,11 @@ def _log_rows(n: int, l0: int, l1: int) -> tuple:
     """log1p(lambda/(l + lambda)) and log1p(1/l), inf at l = 0."""
     lam = (n - 1) / 2
     ls = np.arange(l0, l1, dtype=float)
+    log_lift = np.log1p(lam / (ls + lam))
+    if l0:
+        return log_lift, np.log1p(1.0 / ls)
     with np.errstate(divide="ignore"):
-        return np.log1p(lam / (ls + lam)), np.log1p(1.0 / ls)
+        return log_lift, np.log1p(1.0 / ls)
 
 
 def _sum_blocks(
@@ -217,15 +224,16 @@ def _sum_blocks(
     :func:`_add_blocks`, so each sum is accurate to about one rounding of
     its terms whatever their number, and memory stays one block, apart
     from the first block's rows per dimension in :func:`_first_block_memo`.
-    A block wider than ``_FSUM_WIDTH`` is scanned degree by degree only
-    from the first column at which a stop row still running can pass the
-    small-degree test (:func:`_scan_start`); the degrees before it enter
-    the running sums as one sum and the running peaks as one max, and a
-    block with no such column is not scanned.  The stop degrees are those
+    A block no wider than ``_FIRST_BLOCK`` is scanned whole; a wider one
+    is scanned degree by degree only from the first column at which a stop
+    row still running can pass the small-degree test (:func:`_scan_start`);
+    the degrees before it enter the running sums as one sum and the running
+    peaks as one max, and a block with no such column is not scanned.  The stop degrees are those
     of the full scan, up to the rounding of the running sums.
 
-    Returns the exactly rounded sums of the rows (see :func:`_add_blocks`)
-    and the number of degrees summed, the stop degree plus one.
+    Returns the sums of the rows, exactly rounded unless a block was folded
+    (see :func:`_add_blocks`), and the number of degrees summed, the stop
+    degree plus one.
     """
     rel_tol = trunc.rel_tol
     last = trunc.max_terms + 1  # degrees 0 .. max_terms are summed
@@ -240,23 +248,26 @@ def _sum_blocks(
             if l0 == 0:
                 hi = [0.0] * len(terms)  # exactly rounded sums so far ...
                 lo = [0.0] * len(terms)  # ... and their rounding residuals
+                sums = np.zeros(s)
                 peak = np.zeros((s, 1))  # largest stop value so far
                 recent = np.zeros((s, 2), dtype=bool)  # small flags of the last two degrees
                 done = np.zeros(s, dtype=bool)
-            sums = np.add(hi[:s], lo[:s])
-            # a narrow block is scanned whole: the search would cost more than it saves
-            start = _scan_start(stop, sums, done, rel_tol) if terms.shape[1] > _FSUM_WIDTH else 0
+            else:
+                sums = np.add(hi[:s], lo[:s])
+            # a block no wider than the first is scanned whole: the search
+            # would cost more than it saves
+            start = _scan_start(stop, sums, done, rel_tol) if terms.shape[1] > _FIRST_BLOCK else 0
             if start is None:  # no stop row still running can stop in this block
-                peak = np.maximum(peak, stop.max(axis=1, keepdims=True))
+                peak = np.maximum(peak, np.maximum.reduce(stop, axis=1, keepdims=True))
                 recent[:] = False
             else:
                 if start:  # the degrees before start enter as one sum and one max
-                    sums += terms[:s, :start].sum(axis=1)
-                    peak = np.maximum(peak, stop[:, :start].max(axis=1, keepdims=True))
+                    sums += np.add.reduce(terms[:s, :start], axis=1)
+                    peak = np.maximum(peak, np.maximum.reduce(stop[:, :start], axis=1, keepdims=True))
                     recent[:] = False
                 l_start = l0 + start
                 scanned = stop[:, start:]
-                partial = np.cumsum(terms[:s, start:], axis=1)
+                partial = np.add.accumulate(terms[:s, start:], axis=1)
                 partial += sums[:, None]
                 running_peak = np.maximum.accumulate(scanned, axis=1)
                 np.maximum(running_peak, peak, out=running_peak)
@@ -265,14 +276,14 @@ def _sum_blocks(
                 )
                 stops = small[:, 2:] & small[:, 1:-1] & small[:, :-2]  # three in a row
                 # all-zero rows stop from degree ZERO_RUN - 1 on
-                if l0 + terms.shape[1] >= ZERO_RUN and not peak.all():
+                if l0 + terms.shape[1] >= ZERO_RUN and not np.logical_and.reduce(peak, axis=None):
                     first = max(ZERO_RUN - 1 - l_start, 0)
                     stops[:, first:] |= running_peak[:, first:] == 0.0
                 if trunc.min_terms - 1 > l_start:
                     stops[:, : trunc.min_terms - 1 - l_start] = False
-                stopped = stops.any(axis=1)
-                if (done | stopped).all():
-                    end = start + int(np.where(done, 0, stops.argmax(axis=1)).max()) + 1
+                stopped = np.logical_or.reduce(stops, axis=1)
+                if np.logical_and.reduce(done | stopped):
+                    end = start + int(np.maximum.reduce(np.where(done, 0, stops.argmax(axis=1)))) + 1
                     _add_blocks(hi, lo, terms[:, :end], name, final=True)
                     return hi, l0 + end
                 peak = running_peak[:, -1:]
@@ -324,8 +335,8 @@ def _scan_start(stop: np.ndarray, sums: np.ndarray, done: np.ndarray, rel_tol: f
     above its bound has no such column, so one min per row spares it the
     column search.
     """
-    bounds = 2.0 * rel_tol * (np.abs(sums) + stop.sum(axis=1))
-    lows = stop.min(axis=1)
+    bounds = 2.0 * rel_tol * (np.abs(sums) + np.add.reduce(stop, axis=1))
+    lows = np.minimum.reduce(stop, axis=1)
     starts = [
         int((row <= bound).argmax())
         for row, low, bound, finished in zip(stop, lows.tolist(), bounds.tolist(), done.tolist())
@@ -337,9 +348,10 @@ def _scan_start(stop: np.ndarray, sums: np.ndarray, done: np.ndarray, rel_tol: f
 def _add_blocks(hi: list[float], lo: list[float], terms: np.ndarray, name: str, final: bool = False) -> None:
     """Add each row of ``terms`` to the (hi, lo) sums with math.fsum.
 
-    For a block of at most ``_FSUM_WIDTH`` columns hi becomes the exactly
-    rounded total and lo its rounding residual.  A wider block is first
-    folded column-pairwise with TwoSum, which splits a + b exactly into its
+    For a block of at most ``_FSUM_WIDTH`` (128) columns hi becomes the
+    exactly rounded total and lo its rounding residual.  A wider block, the
+    256-degree first block of a long series too, is first folded
+    column-pairwise with TwoSum, which splits a + b exactly into its
     rounded sum s and error e, until at most ``_FSUM_WIDTH`` columns
     remain; an odd last column is set aside, and the errors of every fold
     are summed per row into one extra column.  The folded row has the same
@@ -367,10 +379,10 @@ def _add_blocks(hi: list[float], lo: list[float], terms: np.ndarray, name: str, 
                 np.subtract(a, err_a, out=err_a)
                 np.subtract(b, err_b, out=err_b)
                 err_a += err_b
-                err += err_a.sum(axis=1, keepdims=True)
+                err += np.add.reduce(err_a, axis=1, keepdims=True)
                 width = half
             terms = np.concatenate((terms, *aside, err), axis=1)
-            if not np.isfinite(terms).all():
+            if not np.logical_and.reduce(np.isfinite(terms), axis=None):
                 raise DegenerateInputError(f"{name} left the double range")
     for r, row in enumerate(terms.tolist()):
         row += (hi[r], lo[r])

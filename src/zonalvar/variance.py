@@ -105,7 +105,7 @@ def _coefficient_sums(f: ZonalFunction, trunc: SeriesTruncation) -> tuple[float,
         limit, error = l1 - l0, None
         # one sum decides the common case; a sum that is not finite may be an
         # overflow of finite values, so only the element check can fail it
-        if not math.isfinite(fv.sum()) and not np.isfinite(fv).all():
+        if not math.isfinite(np.add.reduce(fv)) and not np.isfinite(fv).all():
             limit = max(int(np.flatnonzero(~np.isfinite(fv))[0]) - 1, 0)
             error = DomainError(f"coefficient rule returned a non-finite value near l={l0 + limit}")
         ls, _, over, n_weight, m_weight = _weight_rows(n, l0, l1)
@@ -129,9 +129,10 @@ def _coefficient_sums(f: ZonalFunction, trunc: SeriesTruncation) -> tuple[float,
             np.expm1(np.asarray(log_ratio(l0, l0 + limit), dtype=float), out=t_nd)
             np.negative(t_nd, out=t_nd)
         t_nd *= t_n
-        t_nd[fc == 0.0] = 0.0
+        if not np.logical_and.reduce(fc):  # N - D is 0 where f_hat(l) is
+            t_nd[fc == 0.0] = 0.0
         np.multiply(m_weight[:limit], t_n, out=t_m)
-        if not math.isfinite(terms.sum()) and not np.isfinite(terms).all():
+        if not math.isfinite(np.add.reduce(terms, axis=None)) and not np.isfinite(terms).all():
             limit = int(np.flatnonzero(~np.isfinite(terms).all(axis=0))[0])
             terms = terms[:, :limit]
             error = DegenerateInputError(

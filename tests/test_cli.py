@@ -196,6 +196,31 @@ def test_compute_deterministic_output(capsys):
     assert first == second
 
 
+# sha256 of `zonalvar compute` stdout (exit 0) or stderr (exit 2), recorded
+# before the block engine's fold width went from 256 to 128 columns, so a
+# change to the coefficient sums cannot move a digit of the output silently.
+# The output carries meta.version, so a version bump needs new digests.
+COMPUTE_DIGESTS = {
+    (3, 2, 0.5): (0, "1738c715051712c1b4ef7686fe7f8a84b2918d99c12644411787e10a2b6d7086"),
+    (5, 2, 0.05): (0, "babf47d89168ba0f849061fc36e7630939b940dbd19d64d3632ca4c5fcdf9c4c"),
+    (12, 4, 1e-3): (0, "3ba69f614722011cd0465ad08b5ad37797ae64f28b21c388ccb1ecbe145170dd"),
+    (120, 1, 0.01): (0, "84d65974dce539e8be00419bf71ecdd739158c4e45ccea8a3b3f129fd581005c"),
+    (2, 50, 0.01): (0, "20fa7cf4571b95def0914af059e269d9749b667ce50fb870e855471a2ce5bb64"),
+    (400, 1, 0.01): (2, "6d0cb7be9a1aa28e34f9e1c29bc725f7da45d3a1495527647b13a31d2dda77e5"),
+}
+
+
+@pytest.mark.parametrize("point", COMPUTE_DIGESTS)
+def test_compute_output_bytes_are_pinned(capsys, point):
+    n, m, rho = point
+    code, out, err = run(capsys, ["compute", "--n", str(n), "--m", str(m), "--rho", str(rho)])
+    expected_code, digest = COMPUTE_DIGESTS[point]
+    assert code == expected_code
+    written, empty = (out, err) if code == 0 else (err, out)
+    assert empty == ""
+    assert hashlib.sha256(written.encode()).hexdigest() == digest
+
+
 # ---------------------------------------------------------------------------
 # sweep
 
@@ -378,7 +403,9 @@ EXPAND_DIGESTS = {
     **{
         ("--target", target, "--n", "5", "--m", "2"): digest
         for target, digest in (
-            ("F", "e632414c0edd62ca2d75a38ec58272c88c3c56ad46f847cd8892defd3e30fdef"),
+            # F ignores --n and --m: meta.config records n as null, and the
+            # payload has neither
+            ("F", "044f03e5a6819afc0b94d0d362cdc96d70b1da2882be4429f6a98e1cf904da72"),
             ("S0", "e5ac880dd8422d32b267df2633c96416e30ef62032ed6f32f8b144df5b889c84"),
             ("Sm", "30d118296e139938b2b007235b205baf320214f94476d00f857fa373412a3729"),
             ("A", "bd8e7425b9d99557d4d0e581103f5ab38436b3300d96a242671cc5a418930bef"),
@@ -415,6 +442,14 @@ def test_expand_output_bytes_are_pinned(capsys):
         if hashlib.sha256(out.encode()).hexdigest() != digest:
             changed.append(" ".join(argv))
     assert not changed, changed
+
+
+def test_expand_F_ignores_n(capsys):
+    # F does not depend on n, so an --n leaves no trace in the output
+    _, plain, _ = run(capsys, ["expand", "--target", "F"])
+    code, with_n, _ = run(capsys, ["expand", "--target", "F", "--n", "1"])
+    assert code == 0
+    assert with_n == plain
 
 
 def test_expand_variance_targets(capsys):

@@ -526,6 +526,22 @@ def test_derive_ABC_matches_derivative_chain_on_benchmark_grid():
                 assert derive_ABC(n, m, order) == _reference_ABC(n, m, order, chain)
 
 
+def test_abc_numerators_form_only_the_B_terms_they_read():
+    # S_k leads at rho^-(n-1+k), so B's terms below k = 2 - n - order add to
+    # no numerator: the full weight table gives the same integers on every
+    # benchmark cell, and at the default windows B keeps four terms
+    for n in range(2, 49):
+        for m in range(1, 11):
+            ell = n + 2 * m
+            for order in (None, 0, 5, -ell - 2):
+                order_ab = 4 - ell if order is None else order
+                order_c = -ell if order is None else order
+                tables = list(zip(laurent._abc_weights(n, m), (order_ab, order_ab, order_c)))
+                assert laurent._abc_numerators(n, m, order) == laurent._s_numerators(n, tables, n - 1)
+            trimmed = laurent._abc_weights(n, m, 2 - n - (4 - ell))[1]
+            assert [k for k, _ in trimmed] == list(range(max(2 * m - 2, m), 2 * m + 2))
+
+
 def test_derive_ABC_numeric_agreement():
     n, m, rho = 5, 1, 0.1
     a_series, b_series, c_series = derive_ABC(n, m, order=0)

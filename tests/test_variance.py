@@ -467,6 +467,9 @@ def test_block_schedule_does_not_change_results(monkeypatch, n, rule, trunc):
         {"_FIRST_BLOCK": 4096},
         {"_FIRST_BLOCK": 16, "_MAX_BLOCK": 256},
         {"_degrees_to_stop": lambda *args: math.inf},  # the geometric schedule alone
+        # every block folded before math.fsum, or none
+        {"_FSUM_WIDTH": 16},
+        {"_FSUM_WIDTH": 4096},
     ]
     # first blocks that end at the stop degree d = terms - 1, on the degrees
     # d - 2, d - 1 of its run of small degrees, at the degree before the run,
@@ -479,6 +482,23 @@ def test_block_schedule_does_not_change_results(monkeypatch, n, rule, trunc):
             for name, value in schedule.items():
                 patch.setattr(series_s, name, value)
             assert engine_results(f, trunc) == expected, schedule
+
+
+def test_fold_width_does_not_change_s_m_sum(monkeypatch):
+    # a block wider than _FSUM_WIDTH is folded before math.fsum, which keeps
+    # its total far below one rounding, and the stop scan does not read the
+    # width (see also test_block_schedule_does_not_change_results)
+    def results():
+        out = []
+        for n, m, rho in ((3, 1, 1e-4), (250, 1, 0.1), (100, 140, 1.0), (3, 1, 0.5), (8, 3, 5.0)):
+            diag = {}
+            out.append((series_s.s_m_sum(n, m, rho, diagnostics=diag), diag))
+        return out
+
+    expected = results()
+    for width in (16, 128, 4096):
+        monkeypatch.setattr(series_s, "_FSUM_WIDTH", width)
+        assert results() == expected, width
 
 
 ROW_FUNCTIONS = (series_s._weight_rows, series_s._lift_rows, series_s._log_rows)
@@ -642,16 +662,17 @@ def test_folded_block_overflow_is_degenerate():
     terms = np.full((3, series_s._FSUM_WIDTH + 1), 1e308)
     with pytest.raises(DegenerateInputError, match="^folded rows left the double range$"):
         series_s._add_blocks([0.0] * 3, [0.0] * 3, terms, "folded rows")
-    # every term is finite, but the M terms (about 1e308 each) overflow
-    # once added in pairs.  An all-zero rule gets the blocks of any rule that
-    # is zero up to their start, so the first block wider than _FSUM_WIDTH
-    # starts at `start`, and the overflow happens in a fold.
+    # from l = 3 on every term is finite, but the M terms, 1e308 (1 + 2/l),
+    # overflow once added in pairs (at l = 1 and 2 they overflow on their
+    # own).  An all-zero rule gets the blocks of any rule that is zero up
+    # to their start, so the first block wider than _FSUM_WIDTH starts at
+    # `start`, and the overflow happens in a fold, not in the term check.
     zeros = Recording(lambda l: 0.0)
     variance._coefficient_sums(ZonalFunction(sphere_dim(3), zeros), SeriesTruncation())
     start = next(l0 for l0, l1 in zeros.requests if l1 - 1 - l0 > series_s._FSUM_WIDTH)
     assert start < series_s.ZERO_RUN
-    f = ZonalFunction(sphere_dim(3), lambda l: 1e154 / l if l >= start else 0.0)
-    with pytest.raises(DegenerateInputError, match="double range"):
+    f = ZonalFunction(sphere_dim(3), lambda l: 1e154 / l if l >= max(start, 3) else 0.0)
+    with pytest.raises(DegenerateInputError, match="^coefficient sums for .* left the double range$"):
         uncertainty_product(f)
 
 
