@@ -14,13 +14,13 @@ timestamps, floats rendered by repr (JSON) or with 17 significant digits
 
 Exit codes: 0 success, 1 verification found a genuine mismatch, 2 degenerate
 input, 3 series truncation failure, 64 usage error or invalid argument.
-The coefficient sums always stop by the library's DEFAULT_TRUNCATION.
+The coefficient sums behind compute and verify stop by the library's one
+fixed stop rule, so no command has series options.
 """
 
 from __future__ import annotations
 
 import csv
-import dataclasses
 import io
 import json
 import math
@@ -47,7 +47,6 @@ from .asymptotics import (
 )
 from .errors import DegenerateInputError, DomainError, TruncationError
 from .laurent import derive_ABC, expand_F, expand_s0, expand_sm, expand_variances
-from .series_s import DEFAULT_TRUNCATION
 from .variance import UncertaintyResult, poisson_uncertainty_via_s, uncertainty_product
 from .zonal import PoissonWaveletSpec, capped_wavelet_coefficients, poisson_wavelet_spec
 
@@ -66,6 +65,12 @@ RESIDUAL_THRESHOLDS = {"varS": 3.5, "U": 1.9, "varM": -0.1}
 def _check(cond: bool, message: str) -> None:
     if not cond:
         raise click.UsageError(message)
+
+
+def _require(cond: bool, message: str) -> None:
+    """A value check of a command: one ``invalid argument:`` line, as the library's."""
+    if not cond:
+        raise DomainError(message)
 
 
 def _meta(command: str, config: dict) -> dict:
@@ -173,7 +178,7 @@ def compute(n, m, rho, fmt, output):
         "bound": 0.5 * n,
         "path_agreement": agreement,
     }
-    meta = _meta("compute", {"n": n, "m": m, "rho": rho, **dataclasses.asdict(DEFAULT_TRUNCATION)})
+    meta = _meta("compute", {"n": n, "m": m, "rho": rho})
     if fmt == "json":
         _emit(_json_text({"meta": meta, **record}), output)
     else:
@@ -190,11 +195,14 @@ def compute(n, m, rho, fmt, output):
 @_output
 def sweep(n, m, rho_min, rho_max, steps, fmt, output):
     """Functionals over a geometric grid of scales, with the engine asymptote."""
-    _check(rho_min > 0, "rho-min must be > 0")
-    _check(rho_max > rho_min, "rho-max must exceed rho-min")
-    _check(steps >= 2, "steps must be >= 2")
+    _require(rho_min > 0, "rho-min must be > 0")
+    _require(rho_max > rho_min, "rho-max must exceed rho-min")
+    _require(steps >= 2, "steps must be >= 2")
+    span = rho_max / rho_min
+    _require(math.isfinite(span) or not math.isfinite(rho_max),
+             "rho-max / rho-min exceeds the double range; narrow the range")
     _, _, product_series = expand_variances(n, m)
-    ratio = (rho_max / rho_min) ** (1.0 / (steps - 1))
+    ratio = span ** (1.0 / (steps - 1))
     rhos = [rho_min * ratio**i for i in range(steps)]
     rhos[-1] = rho_max
     rows = []
@@ -233,8 +241,8 @@ def sweep(n, m, rho_min, rho_max, steps, fmt, output):
 @_output
 def limits(n_min, n_max, m_max, fmt, output):
     """Scale-free limit values and the minimizing order for each n."""
-    _check(n_max >= n_min, "n-max must be >= n-min")
-    _check(m_max >= 1, "m-max must be >= 1")
+    _require(n_max >= n_min, "n-max must be >= n-min")
+    _require(m_max >= 1, "m-max must be >= 1")
     rows = []
     for n in range(n_min, n_max + 1):
         minimum = minimize_limit_over_order(n)
@@ -278,11 +286,12 @@ def expand(target, n, m, order, output):
     _check(n is not None or not needs_n, f"target {target} requires --n")
     _check(m is not None or not needs_m, f"target {target} requires --m")
     n = n if needs_n else None  # F does not depend on n
+    m = m if needs_m else None  # nor do F and S0 on m
     meta = _meta("expand", {"target": target, "n": n, "m": m, "order": order})
     payload: dict = {"meta": meta, "target": target}
     if n is not None:
         payload["n"] = n
-    if m is not None and needs_m:
+    if m is not None:
         payload["m"] = m
     if target == "F":
         payload.update(_series_payload(expand_F(4 if order is None else order)))
@@ -497,7 +506,7 @@ def build_verify_report() -> tuple[dict, int]:
         and flagged_confirmed
     )
     report = {
-        "meta": _meta("verify", dataclasses.asdict(DEFAULT_TRUNCATION)),
+        "meta": _meta("verify", {}),
         "appendix_ABC": appendix,
         "theorem_coefficients": theorem,
         "path_equivalence": path_section,

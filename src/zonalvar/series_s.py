@@ -22,10 +22,15 @@ degrees with numpy, each block is added to the running sums with
 math.fsum, after a TwoSum fold to at most 128 columns where it is wider,
 and one stop rule is decided degree by degree: over the whole of a block
 no wider than the first, else from the first degree in it where a stop
-can fall.  The first block is 256 degrees; each later one is sized from
-the decay of the stop values in the block before, to end a little past
-the predicted stop, and is at most the geometric size (x4 per block, up
-to 4096).  The coefficient sums and zonal_eval form terms that do not
+can fall.  The rule has no knob: one relative tolerance, _REL_TOL, one
+floor, _MIN_TERMS, and one term budget, _MAX_TERMS, hold for every
+series.  Besides the sums it
+returns each row's last two terms, from which
+:func:`zonalvar.variance.uncertainty_product` adds back the geometric tail
+that the stop cuts off.  The first block is 256 degrees; each later one
+is sized from the decay of the stop values in the block before, to end a
+little past the predicted stop, and is at most the geometric size (x4 per
+block, up to 4096).  The coefficient sums and zonal_eval form terms that do not
 depend on where a block starts, so their sums and stop degrees do not
 depend on this schedule (nor on the fold width).  For small rho
 the terms of S_m climb over many decades before peaking near
@@ -45,47 +50,27 @@ memo removes most of the work that does not depend on the rule.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache, wraps
 from itertools import islice
 from typing import Callable, Iterator
 
 import numpy as np
 
-from .errors import DegenerateInputError, DomainError, TruncationError, _require_at_least, _require_positive
+from .errors import DegenerateInputError, TruncationError, _require_at_least, _require_positive
 
 __all__ = [
-    "DEFAULT_TRUNCATION",
-    "SeriesTruncation",
     "s_m_eval",
     "s_m_sum",
 ]
 
-
-@dataclass(frozen=True)
-class SeriesTruncation:
-    """Stop policy for the summed series.
-
-    A series is accepted once its stop value has stayed at most rel_tol
-    times its running sum, and below its running peak, for three degrees
-    in a row, and at least min_terms terms are in (see :func:`_sum_blocks`).
-    No stop by degree max_terms raises :class:`TruncationError`.
-    """
-
-    rel_tol: float = 1e-14
-    min_terms: int = 16
-    max_terms: int = 10_000_000
-
-    def __post_init__(self) -> None:
-        if not (0.0 < self.rel_tol <= 1e-6):
-            raise DomainError("rel_tol must lie in (0, 1e-6]")
-        object.__setattr__(self, "min_terms", _require_at_least("min_terms", self.min_terms, 1))
-        object.__setattr__(self, "max_terms", _require_at_least("max_terms", self.max_terms, 1))
-        if self.max_terms < self.min_terms:
-            raise DomainError("max_terms must be >= min_terms")
-
-
-DEFAULT_TRUNCATION = SeriesTruncation()
+# The one stop policy of every summed series (see :func:`_sum_blocks`): a
+# degree is small when its stop value is at most _REL_TOL times the running
+# sum, no series stops before degree _MIN_TERMS - 1 (so a gap of a few zero
+# terms inside a finite rule does not end it), and no stop by degree
+# _MAX_TERMS raises TruncationError.
+_REL_TOL = 1e-14
+_MIN_TERMS = 16
+_MAX_TERMS = 10_000_000
 
 # The first block is wide enough to spread a block's fixed cost; a later
 # block covers _MARGIN times the degrees predicted still to go plus _SLACK,
@@ -188,8 +173,8 @@ def _log_rows(n: int, l0: int, l1: int) -> tuple:
 
 
 def _sum_blocks(
-    source: Callable[[int, int], tuple], trunc: SeriesTruncation, name: str
-) -> tuple[list[float], int]:
+    source: Callable[[int, int], tuple], name: str
+) -> tuple[list[float], list[list[float]], int]:
     """Sum the rows of a term source until its stop rows settle.
 
     ``source(l0, l1)`` returns ``(terms, stop, error)`` for the degrees
@@ -202,7 +187,7 @@ def _sum_blocks(
     The first block is ``_FIRST_BLOCK`` degrees.  After a block the
     degrees still needed are predicted by :func:`_degrees_to_stop`, and
     the next block covers ``_MARGIN`` times them (counting at least those
-    up to degree ``min_terms``) plus ``_SLACK`` degrees, but never more
+    up to degree ``_MIN_TERMS``) plus ``_SLACK`` degrees, but never more
     than the geometric size, which grows by ``_BLOCK_GROWTH`` per block up
     to ``_MAX_BLOCK`` and is used alone while the prediction is inf.  The
     schedule decides only where blocks start: a source whose terms do not
@@ -211,13 +196,13 @@ def _sum_blocks(
     in-block partial sums that the stop test reads.
 
     Degree l is small in a stop row when its stop value is below the
-    row's running peak and at most ``rel_tol`` times |running sum| of the
-    row's terms.  A row stops at the third small degree in a row, or, if
-    its first ``ZERO_RUN`` stop values are all zero, at degree
+    row's running peak and at most ``_REL_TOL`` times |running sum| of
+    the row's terms.  A row stops at the third small degree in a row, or,
+    if its first ``ZERO_RUN`` stop values are all zero, at degree
     ``ZERO_RUN`` - 1 (a zero run after a nonzero value is small from its
-    first zero on), in either case not before degree ``min_terms`` - 1.
-    The sums stop at the degree where the last stop row stops; terms
-    fetched past it are ignored.  No stop by degree ``max_terms`` raises
+    first zero on), in either case not before degree ``_MIN_TERMS`` - 1.
+    The sums stop at the degree L where the last stop row stops; terms
+    fetched past it are ignored.  No stop by degree ``_MAX_TERMS`` raises
     :class:`TruncationError` naming the series ``name``.
 
     Each block is added to a carried (hi, lo) pair per row by
@@ -228,15 +213,17 @@ def _sum_blocks(
     is scanned degree by degree only from the first column at which a stop
     row still running can pass the small-degree test (:func:`_scan_start`);
     the degrees before it enter the running sums as one sum and the running
-    peaks as one max, and a block with no such column is not scanned.  The stop degrees are those
-    of the full scan, up to the rounding of the running sums.
+    peaks as one max, and a block with no such column is not scanned.  The
+    stop degrees are those of the full scan, up to the rounding of the
+    running sums.
 
     Returns the sums of the rows, exactly rounded unless a block was folded
-    (see :func:`_add_blocks`), and the number of degrees summed, the stop
-    degree plus one.
+    (see :func:`_add_blocks`), each row's last two terms summed,
+    [t_(L-1), t_L], for a caller that extrapolates the cut tail (the last
+    column of each block is carried for a stop in the next block's first
+    column), and the number of degrees summed, L + 1.
     """
-    rel_tol = trunc.rel_tol
-    last = trunc.max_terms + 1  # degrees 0 .. max_terms are summed
+    last = _MAX_TERMS + 1  # degrees 0 .. _MAX_TERMS are summed
     l0, l1, size = 0, _FIRST_BLOCK, _FIRST_BLOCK
     with np.errstate(all="ignore"):
         while l0 < last:
@@ -256,7 +243,7 @@ def _sum_blocks(
                 sums = np.add(hi[:s], lo[:s])
             # a block no wider than the first is scanned whole: the search
             # would cost more than it saves
-            start = _scan_start(stop, sums, done, rel_tol) if terms.shape[1] > _FIRST_BLOCK else 0
+            start = _scan_start(stop, sums, done) if terms.shape[1] > _FIRST_BLOCK else 0
             if start is None:  # no stop row still running can stop in this block
                 peak = np.maximum(peak, np.maximum.reduce(stop, axis=1, keepdims=True))
                 recent[:] = False
@@ -272,37 +259,42 @@ def _sum_blocks(
                 running_peak = np.maximum.accumulate(scanned, axis=1)
                 np.maximum(running_peak, peak, out=running_peak)
                 small = np.concatenate(
-                    (recent, (scanned < running_peak) & (scanned <= rel_tol * np.abs(partial))), axis=1
+                    (recent, (scanned < running_peak) & (scanned <= _REL_TOL * np.abs(partial))), axis=1
                 )
                 stops = small[:, 2:] & small[:, 1:-1] & small[:, :-2]  # three in a row
                 # all-zero rows stop from degree ZERO_RUN - 1 on
                 if l0 + terms.shape[1] >= ZERO_RUN and not np.logical_and.reduce(peak, axis=None):
                     first = max(ZERO_RUN - 1 - l_start, 0)
                     stops[:, first:] |= running_peak[:, first:] == 0.0
-                if trunc.min_terms - 1 > l_start:
-                    stops[:, : trunc.min_terms - 1 - l_start] = False
+                if _MIN_TERMS - 1 > l_start:
+                    stops[:, : _MIN_TERMS - 1 - l_start] = False
                 stopped = np.logical_or.reduce(stops, axis=1)
                 if np.logical_and.reduce(done | stopped):
                     end = start + int(np.maximum.reduce(np.where(done, 0, stops.argmax(axis=1)))) + 1
                     _add_blocks(hi, lo, terms[:, :end], name, final=True)
-                    return hi, l0 + end
+                    if end > 1:
+                        ends = terms[:, end - 2 : end].tolist()
+                    else:  # t_(L-1) is the last column of the block before
+                        ends = [[before, last] for before, last in zip(carried, terms[:, 0].tolist())]
+                    return hi, ends, l0 + end
                 peak = running_peak[:, -1:]
                 recent = small[:, -2:]
                 done |= stopped
             if error is not None:
                 raise error
             _add_blocks(hi, lo, terms, name)
+            carried = terms[:, -1].tolist()
             size = min(size * _BLOCK_GROWTH, _MAX_BLOCK)
-            ahead = max(_degrees_to_stop(stop, hi, done, rel_tol), trunc.min_terms - l1)
+            ahead = max(_degrees_to_stop(stop, hi, done), _MIN_TERMS - l1)
             l0, l1 = l1, l1 + int(min(_MARGIN * ahead + _SLACK, size))
-    raise TruncationError(f"{name} did not settle within {trunc.max_terms} terms")
+    raise TruncationError(f"{name} did not settle within {_MAX_TERMS} terms")
 
 
-def _degrees_to_stop(stop: np.ndarray, hi: list[float], done: np.ndarray, rel_tol: float) -> float:
+def _degrees_to_stop(stop: np.ndarray, hi: list[float], done: np.ndarray) -> float:
     """Degrees past a block until every stop row still running is predicted to stop.
 
     Each row's stop values are extrapolated on a log scale, from the middle
-    to the end of the block, to the degree where they reach rel_tol |sum|
+    to the end of the block, to the degree where they reach _REL_TOL |sum|
     (with the sums ``hi`` after the block).  Unless every such row decays
     there, the prediction is inf.  Two columns are read as Python floats,
     so the prediction costs no numpy pass over the block.
@@ -315,7 +307,7 @@ def _degrees_to_stop(stop: np.ndarray, hi: list[float], done: np.ndarray, rel_to
     ):
         if finished:
             continue
-        target = rel_tol * abs(total)
+        target = _REL_TOL * abs(total)
         if not (0.0 < v_end < v_mid and target > 0.0):
             return math.inf
         if v_end > target:
@@ -324,18 +316,18 @@ def _degrees_to_stop(stop: np.ndarray, hi: list[float], done: np.ndarray, rel_to
     return ahead
 
 
-def _scan_start(stop: np.ndarray, sums: np.ndarray, done: np.ndarray, rel_tol: float) -> int | None:
+def _scan_start(stop: np.ndarray, sums: np.ndarray, done: np.ndarray) -> int | None:
     """First column of a block at which a stop row still running can pass
     the small-degree test, or None if there is none.
 
-    A degree is small only when its stop value v <= rel_tol |partial sum|,
+    A degree is small only when its stop value v <= _REL_TOL |partial sum|,
     and every running partial sum in the block is at most
     |sums| + sum|t| <= |sums| + sum v up to the rounding of the cumulative
     sum, which the factor 2 covers.  A row whose smallest stop value is
     above its bound has no such column, so one min per row spares it the
     column search.
     """
-    bounds = 2.0 * rel_tol * (np.abs(sums) + np.add.reduce(stop, axis=1))
+    bounds = 2.0 * _REL_TOL * (np.abs(sums) + np.add.reduce(stop, axis=1))
     lows = np.minimum.reduce(stop, axis=1)
     starts = [
         int((row <= bound).argmax())
@@ -399,14 +391,8 @@ def _validate_smn(n: int, m: int, rho: float) -> tuple[int, int, float]:
     return _require_at_least("n", n, 2), _require_at_least("m", m, 0), _require_positive("rho", rho)
 
 
-def s_m_sum(
-    n: int,
-    m: int,
-    rho: float,
-    trunc: SeriesTruncation = DEFAULT_TRUNCATION,
-    diagnostics: dict | None = None,
-) -> float:
-    """Sum the series for S_m(rho) directly under the given stop policy.
+def s_m_sum(n: int, m: int, rho: float, diagnostics: dict | None = None) -> float:
+    """Sum the series for S_m(rho) directly, by the stop rule of :func:`_sum_blocks`.
 
     Each block from degree l0 forms its terms as
     exp(log C(l0+n-2, l0) - 2 rho l + m log l) prod_j (l+j)/(l0+j).  The log
@@ -450,7 +436,7 @@ def s_m_sum(
             error = DegenerateInputError(f"S_{m}(rho={rho}) for n={n} exceeds the double range")
         return t[None], (t * tail_weight)[None], error
 
-    (total,), terms = _sum_blocks(source, trunc, f"S_{m} series (n={n}, rho={rho})")
+    (total,), _, terms = _sum_blocks(source, f"S_{m} series (n={n}, rho={rho})")
     if diagnostics is not None:
         diagnostics["terms"] = terms
     return total

@@ -29,15 +29,7 @@ import numpy as np
 
 from .errors import BoundViolationError, DegenerateInputError, DomainError
 from .laurent import _abc_weights
-from .series_s import (
-    DEFAULT_TRUNCATION,
-    SeriesTruncation,
-    _p_polynomials,
-    _scaled_value,
-    _sum_blocks,
-    _w_parts,
-    _weight_rows,
-)
+from .series_s import _p_polynomials, _scaled_value, _sum_blocks, _w_parts, _weight_rows
 from .zonal import PoissonWaveletSpec, ZonalFunction, _block_form
 
 __all__ = [
@@ -63,17 +55,18 @@ class UncertaintyResult:
     diagnostics: Mapping[str, object]
 
 
-def _coefficient_sums(f: ZonalFunction, trunc: SeriesTruncation) -> tuple[float, float, float, dict]:
-    """Accumulate (N, N - D, M) for the coefficient rule f.
+def _coefficient_sums(f: ZonalFunction) -> tuple[list[float], list[list[float]], dict]:
+    """Accumulate [N, N - D, M] for the coefficient rule f, with the last two
+    terms summed of each, [t_(L-1), t_L], and the diagnostics.
 
     The three series are the rows (N - D, M, N) of one
     :func:`zonalvar.series_s._sum_blocks` run, each block one vector pass
     over a (3, B) array of terms.  Two rows decide the stop, N - D by its
     |terms| and M by its terms, and the sums stop at the degree where the
     later of them stops.  N needs no stop test of its own: its terms are
-    never negative and M's weight l (l + 2 lambda) never decreases, so
-    t_M(l) <= rel_tol S_M(l) <= rel_tol l (l + 2 lambda) S_N(l) gives
-    t_N(l) <= rel_tol S_N(l), and an M term below M's running peak is an
+    never negative and M's weight l (l + 2 lambda) never decreases, so for
+    the stop tolerance tol, t_M(l) <= tol S_M(l) <= tol l (l + 2 lambda) S_N(l)
+    gives t_N(l) <= tol S_N(l), and an M term below M's running peak is an
     N term below N's.  Every degree small for M is small for N, so N never
     stops after M.  The rule's values come from its optional
     ``block(l0, l1)`` method (see :class:`ZonalFunction`), else from scalar
@@ -91,8 +84,10 @@ def _coefficient_sums(f: ZonalFunction, trunc: SeriesTruncation) -> tuple[float,
     Values fetched past the stop degree are ignored.  Up to it, a
     non-finite rule value raises :class:`DomainError`, and a binomial
     weight beyond the double range, a non-finite term or an overflowing
-    sum raises :class:`DegenerateInputError`.  No stop by degree
-    ``max_terms`` raises :class:`TruncationError`.
+    sum raises :class:`DegenerateInputError`.  No stop within the term
+    budget of :func:`zonalvar.series_s._sum_blocks` raises
+    :class:`TruncationError`.  The sums are the raw sums up to the stop
+    degree L; :func:`uncertainty_product` adds their tails.
     """
     lam = float(f.dim.lam)
     two_lam = 2.0 * lam
@@ -141,10 +136,20 @@ def _coefficient_sums(f: ZonalFunction, trunc: SeriesTruncation) -> tuple[float,
             )
         return terms, np.abs(terms[:2]), error  # stop rows N - D and M (whose terms are >= 0)
 
-    (n_minus_d, big_m, big_n), terms = _sum_blocks(
-        source, trunc, f"coefficient sums for {f.label or 'coefficient rule'}"
+    (n_minus_d, big_m, big_n), (end_nd, end_m, end_n), terms = _sum_blocks(
+        source, f"coefficient sums for {f.label or 'coefficient rule'}"
     )
-    return big_n, n_minus_d, big_m, {"terms": terms, "path": "coefficient-sum"}
+    return [big_n, n_minus_d, big_m], [end_n, end_nd, end_m], {"terms": terms, "path": "coefficient-sum"}
+
+
+def _geometric_tail(before: float, last: float) -> float:
+    """t_L q/(1 - q) with q = t_L/t_(L-1), for the last two terms summed
+    ``before`` = t_(L-1) and ``last`` = t_L: the terms past the stop if each
+    went on being q times the one before, the first step of Aitken's
+    delta-squared extrapolation.  0 unless 0 < q < 1: a zero, growing or
+    sign-changing tail gets nothing."""
+    q = last / before if before else 0.0
+    return last * q / (1.0 - q) if 0.0 < q < 1.0 else 0.0
 
 
 def _assemble(n: int, var_s: float, var_m: float, diagnostics: dict) -> UncertaintyResult:
@@ -162,9 +167,18 @@ def _assemble(n: int, var_s: float, var_m: float, diagnostics: dict) -> Uncertai
     return UncertaintyResult(var_s, var_m, product, diagnostics)
 
 
-def uncertainty_product(f: ZonalFunction, trunc: SeriesTruncation = DEFAULT_TRUNCATION) -> UncertaintyResult:
-    """Both variances and their product from one pass over the coefficient sums."""
-    big_n, n_minus_d, big_m, info = _coefficient_sums(f, trunc)
+def uncertainty_product(f: ZonalFunction) -> UncertaintyResult:
+    """Both variances and their product from one pass over the coefficient sums.
+
+    Each series stops at a degree L and leaves out the terms past it,
+    t_L q/(1 - q) for terms falling by the ratio q per degree: at small
+    rho, q is near e^(-2 rho) and that tail is about tol/(2 rho) of the
+    sum for the stop tolerance tol.  :func:`_geometric_tail` adds it back
+    to each of N, N - D and M from their last two terms summed, so what
+    remains is of second order, from the change of q past the stop.
+    """
+    sums, ends, info = _coefficient_sums(f)
+    big_n, n_minus_d, big_m = [total + _geometric_tail(before, last) for total, (before, last) in zip(sums, ends)]
     if abs(big_n) < _DENOM_FLOOR:
         raise DegenerateInputError("weighted norm vanishes; all coefficients are zero")
     d = big_n - n_minus_d

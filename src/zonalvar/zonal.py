@@ -16,14 +16,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DegenerateInputError, DomainError, _require_at_least, _require_positive
-from .series_s import (
-    DEFAULT_TRUNCATION,
-    SeriesTruncation,
-    _lift_rows,
-    _log_rows,
-    _sum_blocks,
-    _weight_rows,
-)
+from .series_s import _lift_rows, _log_rows, _sum_blocks, _weight_rows
 from .special_functions import SphereDim, _gegenbauer_recurrence, sphere_dim
 
 __all__ = [
@@ -210,12 +203,7 @@ def poisson_kernel_eval(dim: SphereDim, rho: float, theta: float) -> float:
     return -math.expm1(-2.0 * rho) / (dim.surface * dist2 ** (0.5 * (dim.n + 1)))
 
 
-def zonal_eval(
-    f: ZonalFunction,
-    theta: float,
-    trunc: SeriesTruncation = DEFAULT_TRUNCATION,
-    diagnostics: dict | None = None,
-) -> float:
+def zonal_eval(f: ZonalFunction, theta: float, diagnostics: dict | None = None) -> float:
     """Evaluate f(theta) = sum_l f_hat(l) C_l^lambda(cos theta), 0 <= theta <= pi.
 
     The two rows of one :func:`zonalvar.series_s._sum_blocks` run are the
@@ -228,9 +216,10 @@ def zonal_eval(
     rate is estimated from the ratio q of consecutive envelope values, and
     each envelope value is weighted by 2q/(1-q), its estimate of the
     remaining tail (between 1 and 1e9, and 1e9 while the envelope does not
-    decay).  The absolute error is then below rel_tol times the envelope
-    mass.  The rule's values come from its optional ``block`` method, else
-    from scalar calls; values fetched past the stop degree are ignored.
+    decay).  The absolute error is then below the stop tolerance of
+    :func:`zonalvar.series_s._sum_blocks` times the envelope mass.  The
+    rule's values come from its optional ``block`` method, else from
+    scalar calls; values fetched past the stop degree are ignored.
     """
     _check_theta(theta)
     n = f.dim.n
@@ -262,7 +251,7 @@ def zonal_eval(
         weight = np.where(env < prev, 2.0 * q / (1.0 - q), np.where(prev > 0.0, 1e9, 1.0))
         return terms, (env * np.clip(weight, 1.0, 1e9))[None], error
 
-    (mass, value), terms = _sum_blocks(source, trunc, f"zonal series for {f.label or 'coefficient rule'}")
+    (mass, value), _, terms = _sum_blocks(source, f"zonal series for {f.label or 'coefficient rule'}")
     if diagnostics is not None:
         diagnostics["terms"] = terms
         diagnostics["envelope_mass"] = mass

@@ -1,7 +1,6 @@
 """Command-line contract: formats, determinism, exit codes."""
 
 import csv
-import dataclasses
 import hashlib
 import io
 import json
@@ -15,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import zonalvar
-from zonalvar import DEFAULT_TRUNCATION, laurent, poisson_uncertainty_via_s, poisson_wavelet_spec
+from zonalvar import laurent, poisson_uncertainty_via_s, poisson_wavelet_spec, series_s
 from zonalvar.cli import build_verify_report, main
 
 
@@ -92,18 +91,33 @@ def test_compute_infinite_scale_is_an_invalid_argument(capsys):
     "compute --n 3 --m 1 --rho -1",
     "sweep --n 1 --m 1 --rho-min 0.1 --rho-max 1",
     "sweep --n 3 --m 0 --rho-min 0.1 --rho-max 1",
+    "sweep --n 3 --m 1 --rho-min 0 --rho-max 1",
+    "sweep --n 3 --m 1 --rho-min 0.2 --rho-max 0.1",
+    "sweep --n 3 --m 1 --rho-min 0.1 --rho-max 0.2 --steps 1",
+    "sweep --n 3 --m 1 --rho-min 1e-300 --rho-max 1e10 --steps 3",
     "limits --n-min 1",
+    "limits --n-min 5 --n-max 3",
+    "limits --m-max 0",
     "expand --target S0 --n 1",
     "expand --target Sm --n 3 --m -1",
     "expand --target A --n 3 --m 0",
     "expand --target varS --n 1 --m 1",
 ])
 def test_value_outside_the_domain_is_one_invalid_argument_line(capsys, argv):
-    # the library's check answers, not a second one in the command
+    # the library's check answers where it sees the value; the command's own
+    # checks (the sweep range, the limits table) answer in the same form
     code, out, err = run(capsys, argv.split())
     assert code == 64
     assert out == ""
     assert err.startswith("invalid argument:") and err.count("\n") == 1 and err.endswith("\n")
+
+
+def test_sweep_range_past_the_double_range_names_the_cause(capsys):
+    # both bounds are valid scales, but rho-max / rho-min overflows
+    argv = "sweep --n 3 --m 1 --rho-min 1e-300 --rho-max 1e10 --steps 3".split()
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (64, "")
+    assert err == "invalid argument: rho-max / rho-min exceeds the double range; narrow the range\n"
 
 
 def test_module_run_matches_main(capsys):
@@ -170,23 +184,23 @@ def test_compute_beyond_double_range_is_degenerate(capsys, argv):
 
 
 def test_compute_truncation_budget_exit_code(capsys):
-    # the coefficient sums at rho = 1e-6 need more than DEFAULT_TRUNCATION's
-    # 10,000,000 terms
+    # the coefficient sums at rho = 1e-6 need more than the 10,000,000 terms
+    # of the one stop policy
     code, out, err = run(capsys, ["compute", "--n", "3", "--m", "1", "--rho", "1e-6"])
     assert code == 3
     assert out == ""
     assert err.startswith("series truncation failure:")
 
 
-def test_meta_config_echoes_the_default_stop_policy(capsys):
-    # no option sets these fields; the output keeps them, so its bytes stay the same
-    policy = list(dataclasses.asdict(DEFAULT_TRUNCATION).items())
+def test_meta_config_records_only_the_arguments(capsys):
+    # the stop policy is fixed, so neither command echoes it
+    assert series_s._MAX_TERMS == 10_000_000
     code, out, _ = run(capsys, ["compute", "--n", "3", "--m", "1", "--rho", "0.1"])
     assert code == 0
-    assert list(json.loads(out)["meta"]["config"].items()) == [("n", 3), ("m", 1), ("rho", 0.1), *policy]
+    assert list(json.loads(out)["meta"]["config"].items()) == [("n", 3), ("m", 1), ("rho", 0.1)]
     code, out, _ = run(capsys, ["verify"])
     assert code == 0
-    assert list(json.loads(out)["meta"]["config"].items()) == policy
+    assert json.loads(out)["meta"]["config"] == {}
 
 
 def test_compute_deterministic_output(capsys):
@@ -196,16 +210,15 @@ def test_compute_deterministic_output(capsys):
     assert first == second
 
 
-# sha256 of `zonalvar compute` stdout (exit 0) or stderr (exit 2), recorded
-# before the block engine's fold width went from 256 to 128 columns, so a
+# sha256 of `zonalvar compute` stdout (exit 0) or stderr (exit 2), so a
 # change to the coefficient sums cannot move a digit of the output silently.
 # The output carries meta.version, so a version bump needs new digests.
 COMPUTE_DIGESTS = {
-    (3, 2, 0.5): (0, "1738c715051712c1b4ef7686fe7f8a84b2918d99c12644411787e10a2b6d7086"),
-    (5, 2, 0.05): (0, "babf47d89168ba0f849061fc36e7630939b940dbd19d64d3632ca4c5fcdf9c4c"),
-    (12, 4, 1e-3): (0, "3ba69f614722011cd0465ad08b5ad37797ae64f28b21c388ccb1ecbe145170dd"),
-    (120, 1, 0.01): (0, "84d65974dce539e8be00419bf71ecdd739158c4e45ccea8a3b3f129fd581005c"),
-    (2, 50, 0.01): (0, "20fa7cf4571b95def0914af059e269d9749b667ce50fb870e855471a2ce5bb64"),
+    (3, 2, 0.5): (0, "66669b83f373f13d8c7ee580a92b57c1601193fbaa69587523cda8b3aebfcdb3"),
+    (5, 2, 0.05): (0, "c45eb713c27e73d82bcfd5d68e4f240c6ed8abc8eb51e2247d5c1a459c2cf419"),
+    (12, 4, 1e-3): (0, "db2eb19f8be929a9ba19a981f9ba1a72ffb716bb7e7a62049eb05cea77902f7b"),
+    (120, 1, 0.01): (0, "eea5a09151c11641ceae60c766636c54f33b7aca0772a8edcd5b40ab56390840"),
+    (2, 50, 0.01): (0, "1ee3cb44a6576c28eb409229948856b72a558f8d29d519d6882d8e4b6da89017"),
     (400, 1, 0.01): (2, "6d0cb7be9a1aa28e34f9e1c29bc725f7da45d3a1495527647b13a31d2dda77e5"),
 }
 
@@ -286,7 +299,7 @@ def test_sweep_single_step_rejected(capsys):
 @pytest.mark.parametrize("option", ["--rel-tol", "--min-terms", "--max-terms"])
 @pytest.mark.parametrize("command", ["compute", "verify", "sweep"])
 def test_commands_have_no_series_options(capsys, command, option):
-    # the coefficient sums always stop by DEFAULT_TRUNCATION
+    # the coefficient sums always stop by the one fixed stop policy
     args = {"compute": ["--n", "3", "--m", "1", "--rho", "0.1"], "verify": [],
             "sweep": ["--n", "3", "--m", "1", "--rho-min", "0.1", "--rho-max", "0.2"]}[command]
     value = {"--rel-tol": "1e-10", "--min-terms": "10", "--max-terms": "1000"}[option]
@@ -403,10 +416,10 @@ EXPAND_DIGESTS = {
     **{
         ("--target", target, "--n", "5", "--m", "2"): digest
         for target, digest in (
-            # F ignores --n and --m: meta.config records n as null, and the
-            # payload has neither
-            ("F", "044f03e5a6819afc0b94d0d362cdc96d70b1da2882be4429f6a98e1cf904da72"),
-            ("S0", "e5ac880dd8422d32b267df2633c96416e30ef62032ed6f32f8b144df5b889c84"),
+            # F ignores --n and --m, S0 ignores --m: meta.config records them
+            # as null, and the payload leaves them out
+            ("F", "b7ae4fbb59efd747b8b672a0de919a636f1928b87bec3d5ecb2010d675445945"),
+            ("S0", "016f85eb7f8231a0198c45ff0c5ad050e68ef734dca3424642e480c5fd3995e6"),
             ("Sm", "30d118296e139938b2b007235b205baf320214f94476d00f857fa373412a3729"),
             ("A", "bd8e7425b9d99557d4d0e581103f5ab38436b3300d96a242671cc5a418930bef"),
             ("B", "3c35b12c5a98bb13d25dc0c767192bf4e1786d9ea91f508d1ce44f9e8dabb470"),
@@ -450,6 +463,15 @@ def test_expand_F_ignores_n(capsys):
     code, with_n, _ = run(capsys, ["expand", "--target", "F", "--n", "1"])
     assert code == 0
     assert with_n == plain
+
+
+def test_expand_S0_and_F_ignore_m(capsys):
+    # S0 and F do not depend on m, so an --m leaves no trace in the output
+    for argv in (["--target", "S0", "--n", "3"], ["--target", "F"]):
+        _, plain, _ = run(capsys, ["expand", *argv])
+        code, with_m, _ = run(capsys, ["expand", *argv, "--m", "7"])
+        assert code == 0
+        assert with_m == plain
 
 
 def test_expand_variance_targets(capsys):

@@ -14,9 +14,9 @@ import zonalvar
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 PUBLIC_NAMES = [
-    "BoundViolationError", "DEFAULT_TRUNCATION", "DegenerateInputError", "DomainError",
+    "BoundViolationError", "DegenerateInputError", "DomainError",
     "EXPANSION_TARGETS", "EXPECTED_PROBE_SIGNS", "ExpansionCase", "MinimizationResult",
-    "NormalizedRadicalSeries", "PoissonWaveletSpec", "ResidualFit", "SeriesTruncation",
+    "NormalizedRadicalSeries", "PoissonWaveletSpec", "ResidualFit",
     "SphereDim", "TruncatedLaurentSeries", "TruncationError", "UncertaintyResult",
     "ZonalFunction", "binomial", "capped_wavelet_coefficients", "compare_expansion",
     "denominator_coefficient_table", "derive_ABC", "engine_expansion", "expand_F",
@@ -91,8 +91,6 @@ def test_non_integer_arguments_are_domain_errors():
         lambda: zonalvar.binomial(2.5, 1),
         lambda: zonalvar.binomial(3, 1.0),
         lambda: zonalvar.gegenbauer_eval(2.0, 1, 0.3),
-        lambda: zonalvar.SeriesTruncation(min_terms=2.5),
-        lambda: zonalvar.SeriesTruncation(max_terms=1e6),
         lambda: zonalvar.limit_uncertainty(5, 1.5),
     ]
     for call in calls:

@@ -13,7 +13,6 @@ from hypothesis import given, strategies as st
 from zonalvar import (
     BoundViolationError,
     DegenerateInputError,
-    SeriesTruncation,
     poisson_uncertainty_via_s,
     poisson_wavelet_coefficients,
     poisson_wavelet_spec,
@@ -27,16 +26,16 @@ GRID_M = (1, 2, 3, 4, 6, 10)
 GRID_RHO = (300.0, 50.0, 5.0, 2.0, 1.0, 0.5, 0.3, 0.2, 0.1, 0.05, 1e-2, 1e-3, 1e-4, 1e-6, 1e-8)
 ORACLE_TOLERANCE = 1e-15
 DIGITS = 60
-# The coefficient-sum path sums up to ~40k terms at rho = 1e-3 and stops at
-# a relative tail of 1e-14, so it is held to a looser tolerance.
+# The coefficient-sum path sums up to ~40k terms at rho = 1e-3, stops at a
+# relative term of 1e-14 and adds the geometric tail past it, so it is held
+# to a looser tolerance.
 COEF_GRID_N = (2, 3, 5, 8, 12)
 COEF_GRID_M = (1, 2, 4)
 COEF_GRID_RHO = (5.0, 2.0, 1.0, 0.3, 0.1, 1e-2, 3e-3, 1e-3)
-COEF_ORACLE_TOLERANCE = 1e-11
-# At rho = 1e-4 the default stop leaves a tail of about rel_tol / (2 rho) in
-# var_space; with rel_tol = 1e-17 what remains is rounding.
+COEF_ORACLE_TOLERANCE = 1e-13
+# At rho = 1e-4 the cut tail would be about 1e-14 / (2 rho) = 5e-11 of
+# var_space; the added geometric tail leaves a few times 1e-13.
 SMALL_RHO = 1e-4
-SMALL_RHO_TRUNCATION = SeriesTruncation(rel_tol=1e-17)
 SMALL_RHO_TOLERANCE = 1e-12
 
 
@@ -116,7 +115,7 @@ def test_s_path_matches_oracle_on_fixed_grid():
     assert worst[0] <= ORACLE_TOLERANCE, worst
 
 
-def coefficient_path_worst(grid_rho: tuple, trunc: SeriesTruncation) -> tuple:
+def coefficient_path_worst(grid_rho: tuple) -> tuple:
     """Largest relative error of the coefficient path against the oracle
     over COEF_GRID_N x COEF_GRID_M x grid_rho, with where it occurs."""
     worst = (0.0, None)
@@ -126,7 +125,7 @@ def coefficient_path_worst(grid_rho: tuple, trunc: SeriesTruncation) -> tuple:
                 s = {k: oracle_s(n, k, rho) for k in range(1, 2 * max(COEF_GRID_M) + 4)}
                 for m in COEF_GRID_M:
                     spec = poisson_wavelet_spec(n, m, rho)
-                    res = uncertainty_product(poisson_wavelet_coefficients(spec), trunc)
+                    res = uncertainty_product(poisson_wavelet_coefficients(spec))
                     expected = oracle_functionals(n, m, rho, s)
                     got = (res.var_space, res.var_momentum, res.product)
                     for name, g, e in zip(("var_space", "var_momentum", "product"), got, expected):
@@ -137,12 +136,12 @@ def coefficient_path_worst(grid_rho: tuple, trunc: SeriesTruncation) -> tuple:
 
 
 def test_coefficient_path_matches_oracle_on_fixed_grid():
-    worst = coefficient_path_worst(COEF_GRID_RHO, SeriesTruncation())
+    worst = coefficient_path_worst(COEF_GRID_RHO)
     assert worst[0] <= COEF_ORACLE_TOLERANCE, worst
 
 
 def test_coefficient_path_matches_oracle_at_small_rho():
-    worst = coefficient_path_worst((SMALL_RHO,), SMALL_RHO_TRUNCATION)
+    worst = coefficient_path_worst((SMALL_RHO,))
     assert worst[0] <= SMALL_RHO_TOLERANCE, worst
 
 

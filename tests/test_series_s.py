@@ -8,7 +8,6 @@ from hypothesis import given, strategies as st
 from zonalvar import (
     DegenerateInputError,
     DomainError,
-    SeriesTruncation,
     TruncationError,
     ZonalFunction,
     s_m_eval,
@@ -16,6 +15,7 @@ from zonalvar import (
     sphere_dim,
     zonal_eval,
 )
+from zonalvar import series_s
 
 
 # ---------------------------------------------------------------------------
@@ -141,10 +141,11 @@ def test_diagnostics_reported():
         assert diag["terms"] == terms
 
 
-def test_truncation_error_when_budget_too_small():
-    trunc = SeriesTruncation(min_terms=1, max_terms=4)
+def test_truncation_error_when_budget_too_small(monkeypatch):
+    monkeypatch.setattr(series_s, "_MIN_TERMS", 1)
+    monkeypatch.setattr(series_s, "_MAX_TERMS", 4)
     with pytest.raises(TruncationError):
-        s_m_sum(3, 1, 0.05, trunc)
+        s_m_sum(3, 1, 0.05)
 
 
 def test_domain_errors():
@@ -156,17 +157,6 @@ def test_domain_errors():
         s_m_eval(3, 0, 0.0)
     with pytest.raises(DomainError):
         s_m_eval(3, 0, math.inf)
-
-
-def test_truncation_policy_validation():
-    with pytest.raises(DomainError):
-        SeriesTruncation(rel_tol=0.0)
-    with pytest.raises(DomainError):
-        SeriesTruncation(rel_tol=1e-3)
-    with pytest.raises(DomainError):
-        SeriesTruncation(min_terms=0)
-    with pytest.raises(DomainError):
-        SeriesTruncation(min_terms=10, max_terms=5)
 
 
 def test_high_orders_match_direct_sum():

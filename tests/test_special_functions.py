@@ -16,7 +16,6 @@ from zonalvar import (
     sphere_dim,
     sphere_surface,
 )
-from zonalvar.series_s import SeriesTruncation
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,6 @@ from hypothesis import given, strategies as st
 from zonalvar import (
     DegenerateInputError,
     DomainError,
-    SeriesTruncation,
     TruncationError,
     ZonalFunction,
     poisson_uncertainty_via_s,
@@ -89,6 +88,16 @@ def test_four_mode_rule_n2():
     f = finite_rule(2, coeffs)
     var_s_expected, var_m_expected = hand_n2(coeffs)
     result = uncertainty_product(f)
+    assert result.var_space == pytest.approx(var_s_expected, rel=1e-12)
+    assert result.var_momentum == pytest.approx(var_m_expected, rel=1e-12)
+
+
+def test_rule_with_a_gap_of_three_zeros_n3():
+    # three zero terms after nonzero ones do not stop the sums: the modes
+    # past the gap are in them
+    coeffs = [0.0, 1.0, 1.0, 0.0, 0.0, 0.0, 1.0, 1.0]
+    var_s_expected, var_m_expected = hand_n3(coeffs)
+    result = uncertainty_product(finite_rule(3, coeffs))
     assert result.var_space == pytest.approx(var_s_expected, rel=1e-12)
     assert result.var_momentum == pytest.approx(var_m_expected, rel=1e-12)
 
@@ -191,9 +200,8 @@ def test_non_finite_product_is_rejected():
 def test_negative_space_variance_is_degenerate(monkeypatch, capsys):
     # N - D just below 0 gives var_space of about -2e-13, which no rule has;
     # it is reported as degenerate input, not clamped to a product of 0
-    monkeypatch.setattr(
-        variance, "_coefficient_sums", lambda f, trunc: (1.0, -1e-13, 1e6, {"path": "coefficient-sum"})
-    )
+    raw = ([1.0, -1e-13, 1e6], [[0.0, 0.0]] * 3, {"path": "coefficient-sum"})
+    monkeypatch.setattr(variance, "_coefficient_sums", lambda f: raw)
     with pytest.raises(DegenerateInputError, match="space variance evaluated to"):
         uncertainty_product(rescaled_wavelet(poisson_wavelet_spec(3, 1, 0.1)))
     assert cli.main(["compute", "--n", "3", "--m", "1", "--rho", "0.1"]) == 2
@@ -229,10 +237,12 @@ def test_scalar_rule_non_finite_past_the_stop_is_ignored():
     assert math.isfinite(result.product)
 
 
-def test_max_terms_below_first_block_raises_truncation():
+def test_max_terms_below_first_block_raises_truncation(monkeypatch):
+    monkeypatch.setattr(series_s, "_MIN_TERMS", 1)
+    monkeypatch.setattr(series_s, "_MAX_TERMS", 5)
     f = ZonalFunction(sphere_dim(3), lambda l: 0.99**l, label="slow")
     with pytest.raises(TruncationError, match=r"^coefficient sums for slow did not settle within 5 terms$"):
-        uncertainty_product(f, SeriesTruncation(min_terms=1, max_terms=5))
+        uncertainty_product(f)
 
 
 @pytest.mark.parametrize("bad, named", [(0, 0), (1, 0), (7, 6), (70, 69), (400, 399)])
@@ -282,12 +292,11 @@ def test_binomial_weight_overflow_is_exact():
 class ReferenceSeries:
     """One series summed degree by degree with a Neumaier-compensated
     running sum, and the per-degree stop rule: ``add`` reports True once
-    at least ``min_terms`` terms are in and |t| has stayed below its running
-    peak and at most rel_tol |running sum| for three degrees in a row, or
-    once ``ZERO_RUN`` zero terms in a row are in."""
+    at least ``_MIN_TERMS`` terms are in and |t| has stayed below its
+    running peak and at most ``_REL_TOL`` |running sum| for three degrees
+    in a row, or once ``ZERO_RUN`` zero terms in a row are in."""
 
-    def __init__(self, trunc):
-        self.trunc = trunc
+    def __init__(self):
         self.sum = self.comp = self.peak = 0.0
         self.small_run = self.zero_run = 0
 
@@ -300,26 +309,27 @@ class ReferenceSeries:
         self.sum = s
         self.peak = max(self.peak, abs(t))
         self.zero_run = self.zero_run + 1 if t == 0.0 else 0
-        small = abs(t) < self.peak and abs(t) <= self.trunc.rel_tol * abs(self.sum + self.comp)
+        small = abs(t) < self.peak and abs(t) <= series_s._REL_TOL * abs(self.sum + self.comp)
         self.small_run = self.small_run + 1 if small else 0
-        if l + 1 < self.trunc.min_terms:
+        if l + 1 < series_s._MIN_TERMS:
             return False
         return self.small_run >= 3 or self.zero_run >= series_s.ZERO_RUN
 
 
-def loop_sums(f, trunc=SeriesTruncation()):
+def loop_sums(f):
     """Reference: the coefficient sums one degree at a time, with exact
     binomial weights and the per-degree stop rule of
     :class:`ReferenceSeries`; the N - D factor is -expm1 of the rule's
     log_ratio where it has one, else 1 - ratio.  Returns the exactly
-    rounded sums, the sums of |term| and the number of terms."""
+    rounded sums, the last two terms of each, the sums of |term| and the
+    number of terms."""
     lam = float(f.dim.lam)
     n = f.dim.n
     log_ratio = getattr(f.coeff, "log_ratio", None)
-    refs = [ReferenceSeries(trunc) for _ in range(3)]
+    refs = [ReferenceSeries() for _ in range(3)]
     series = ([], [], [])
     done = [False] * 3
-    for l in range(trunc.max_terms + 1):
+    for l in range(series_s._MAX_TERMS + 1):
         f_curr, f_next = f.coeff(l), f.coeff(l + 1)
         t_n = (lam / (l + lam)) * float(math.comb(l + n - 2, l)) * f_curr * f_curr
         if not f_curr:
@@ -333,41 +343,52 @@ def loop_sums(f, trunc=SeriesTruncation()):
             series[i].append(t)
             done[i] = refs[i].add(l, t) or done[i]
         if all(done):
-            return [math.fsum(s) for s in series], [math.fsum(map(abs, s)) for s in series], l + 1
+            return (
+                [math.fsum(s) for s in series],
+                [s[-2:] for s in series],
+                [math.fsum(map(abs, s)) for s in series],
+                l + 1,
+            )
     raise TruncationError("reference did not settle")
 
 
+# each case's rule, and the stop-policy constants of series_s it patches
 @pytest.mark.parametrize(
     "rule, trunc",
     [
-        (lambda n: poisson_wavelet_coefficients(poisson_wavelet_spec(n, 2, 0.02)), SeriesTruncation()),
-        (lambda n: rescaled_wavelet(poisson_wavelet_spec(n, 1, 0.3)), SeriesTruncation()),
-        (lambda n: ZonalFunction(sphere_dim(n), lambda l: (-0.999) ** l), SeriesTruncation()),
-        (lambda n: ZonalFunction(sphere_dim(n), lambda l: 0.9**l if l % 3 else 0.0), SeriesTruncation()),
-        (lambda n: ZonalFunction(sphere_dim(n), lambda l: 1e-3**l), SeriesTruncation(min_terms=100)),
-        (lambda n: ZonalFunction(sphere_dim(n), lambda l: 1e-3**l), SeriesTruncation(min_terms=30)),
+        (lambda n: poisson_wavelet_coefficients(poisson_wavelet_spec(n, 2, 0.02)), {}),
+        (lambda n: rescaled_wavelet(poisson_wavelet_spec(n, 1, 0.3)), {}),
+        (lambda n: ZonalFunction(sphere_dim(n), lambda l: (-0.999) ** l), {}),
+        (lambda n: ZonalFunction(sphere_dim(n), lambda l: 0.9**l if l % 3 else 0.0), {}),
+        (lambda n: ZonalFunction(sphere_dim(n), lambda l: 1e-3**l), {"_MIN_TERMS": 100}),
+        (lambda n: ZonalFunction(sphere_dim(n), lambda l: 1e-3**l), {"_MIN_TERMS": 30}),
         # stops past several 4096-wide blocks, so the fold and the scan window run
-        (lambda n: poisson_wavelet_coefficients(poisson_wavelet_spec(n, 1, 2e-3)), SeriesTruncation()),
-        (lambda n: rescaled_wavelet(poisson_wavelet_spec(n, 2, 1e-3)), SeriesTruncation()),
+        (lambda n: poisson_wavelet_coefficients(poisson_wavelet_spec(n, 1, 2e-3)), {}),
+        (lambda n: rescaled_wavelet(poisson_wavelet_spec(n, 2, 1e-3)), {}),
         # leading zero runs that cross the 1024-degree zero-run stop and the block edges
-        (lambda n: ZonalFunction(sphere_dim(n), lambda l: 0.0 if l < 1000 else 0.99 ** (l - 1000)),
-         SeriesTruncation()),
+        (lambda n: ZonalFunction(sphere_dim(n), lambda l: 0.0 if l < 1000 else 0.99 ** (l - 1000)), {}),
+        (lambda n: ZonalFunction(sphere_dim(n), lambda l: 0.0 if l < 1100 else 0.5 ** (l - 1100)), {}),
         (lambda n: ZonalFunction(sphere_dim(n), lambda l: 0.0 if l < 1100 else 0.5 ** (l - 1100)),
-         SeriesTruncation()),
+         {"_MIN_TERMS": 1030}),
+        # the stop rule at other tolerances
+        (lambda n: ZonalFunction(sphere_dim(n), lambda l: 1e-3**l), {"_REL_TOL": 1e-17}),
         (lambda n: ZonalFunction(sphere_dim(n), lambda l: 0.0 if l < 1100 else 0.5 ** (l - 1100)),
-         SeriesTruncation(min_terms=1030)),
+         {"_REL_TOL": 1e-10}),
     ],
 )
-def test_block_sums_match_loop_reference(rule, trunc):
+def test_block_sums_match_loop_reference(monkeypatch, rule, trunc):
+    for name, value in trunc.items():
+        monkeypatch.setattr(series_s, name, value)
     for n in (2, 3, 7):
         f = rule(n)
-        expected, scale, terms = loop_sums(f, trunc)
-        *got, info = variance._coefficient_sums(f, trunc)
+        expected, expected_ends, scale, terms = loop_sums(f)
+        got, ends, info = variance._coefficient_sums(f)
         assert info["terms"] == terms
         if n <= 3:
             # the weights are exact here, so the terms are the reference's
             # and each sum is their exactly rounded total
             assert got == expected
+            assert ends == expected_ends
         else:
             for g, e, sc in zip(got, expected, scale):
                 assert abs(g - e) <= 1e-13 * sc
@@ -393,13 +414,13 @@ def test_stop_degree_does_not_depend_on_block_form():
     for n, m, rho in ((2, 1, 0.3), (5, 2, 0.01), (12, 4, 1.0)):
         f = poisson_wavelet_coefficients(poisson_wavelet_spec(n, m, rho))
         result = uncertainty_product(f)
-        *sums, info = variance._coefficient_sums(f, SeriesTruncation())
+        sums, _, info = variance._coefficient_sums(f)
         for methods in (("log_ratio",), ("block", "log_ratio")):
             copy = ZonalFunction(f.dim, Forwarding(f.coeff, *methods))
             assert uncertainty_product(copy) == result
         for methods in ((), ("block",)):
             copy = ZonalFunction(f.dim, Forwarding(f.coeff, *methods))
-            *got, got_info = variance._coefficient_sums(copy, SeriesTruncation())
+            got, _, got_info = variance._coefficient_sums(copy)
             assert got_info == info
             assert (got[0], got[2]) == (sums[0], sums[2])
             # 1 - ratio carries the rounding of f_hat(l) and f_hat(l+1),
@@ -430,37 +451,46 @@ def outcome(call):
         return type(exc), str(exc)
 
 
+# each case's n and rule, and the stop-policy constants of series_s it patches
 SCHEDULE_CASES = [
-    (3, poisson_wavelet_coefficients(poisson_wavelet_spec(3, 2, 0.05)).coeff, SeriesTruncation()),
+    (3, poisson_wavelet_coefficients(poisson_wavelet_spec(3, 2, 0.05)).coeff, {}),
     # past several 4096-wide blocks, so the fold and the scan window run
-    (5, poisson_wavelet_coefficients(poisson_wavelet_spec(5, 1, 2e-3)).coeff, SeriesTruncation()),
-    (2, lambda l: 0.9**l + 1e-6 * 0.999**l, SeriesTruncation()),
+    (5, poisson_wavelet_coefficients(poisson_wavelet_spec(5, 1, 2e-3)).coeff, {}),
+    (2, lambda l: 0.9**l + 1e-6 * 0.999**l, {}),
     # an all-zero row: M here, every row below
-    (3, lambda l: 1.0 if l == 0 else 0.0, SeriesTruncation()),
-    (3, lambda l: 0.0 if l < 1100 else 0.5 ** (l - 1100), SeriesTruncation()),
-    (3, lambda l: 0.0 if l < 1000 else 0.99 ** (l - 1000), SeriesTruncation()),
-    (3, lambda l: 1e-3**l, SeriesTruncation(min_terms=300)),
-    (3, lambda l: math.nan if l == 700 else 0.999**l, SeriesTruncation()),
+    (3, lambda l: 1.0 if l == 0 else 0.0, {}),
+    (3, lambda l: 0.0 if l < 1100 else 0.5 ** (l - 1100), {}),
+    (3, lambda l: 0.0 if l < 1000 else 0.99 ** (l - 1000), {}),
+    (3, lambda l: 1e-3**l, {"_MIN_TERMS": 300}),
+    (3, lambda l: math.nan if l == 700 else 0.999**l, {}),
     # the binomial weight, and so the zonal series term, overflows
-    (1000, rescaled_wavelet(poisson_wavelet_spec(1000, 3, 0.1)).coeff, SeriesTruncation()),
-    (3, lambda l: 0.999**l, SeriesTruncation(max_terms=2000)),
+    (1000, rescaled_wavelet(poisson_wavelet_spec(1000, 3, 0.1)).coeff, {}),
+    # a term budget below the stop
+    (3, lambda l: 0.999**l, {"_MAX_TERMS": 2000}),
     # the rule's values decide both stops (71 and 280 terms) before the
-    # weight overflows at l = 309; at rho = 5 the sums stop at min_terms
-    (1000, rescaled_wavelet(poisson_wavelet_spec(1000, 3, 2.0)).coeff, SeriesTruncation()),
+    # weight overflows at l = 309
+    (1000, rescaled_wavelet(poisson_wavelet_spec(1000, 3, 2.0)).coeff, {}),
+    # a gap of three zeros before the stop floor; another tolerance
+    (3, lambda l: 1.0 if l in (0, 4) else 0.0, {}),
+    (3, lambda l: 1e-3**l, {"_REL_TOL": 1e-17}),
 ]
 
 
-def engine_results(f, trunc):
-    """The coefficient sums and zonal_eval at theta = 1.1 with its diagnostics."""
+def engine_results(f):
+    """The coefficient sums, the uncertainty product with the tails added,
+    and zonal_eval at theta = 1.1 with its diagnostics."""
     diag = {}
-    value = outcome(lambda: zonal_eval(f, 1.1, trunc, diag))
-    return outcome(lambda: variance._coefficient_sums(f, trunc)), value, diag
+    value = outcome(lambda: zonal_eval(f, 1.1, diag))
+    sums = outcome(lambda: variance._coefficient_sums(f))
+    return sums, outcome(lambda: uncertainty_product(f)), value, diag
 
 
 @pytest.mark.parametrize("n, rule, trunc", SCHEDULE_CASES)
 def test_block_schedule_does_not_change_results(monkeypatch, n, rule, trunc):
+    for name, value in trunc.items():
+        monkeypatch.setattr(series_s, name, value)
     f = ZonalFunction(sphere_dim(n), rule)
-    expected = engine_results(f, trunc)
+    expected = engine_results(f)
     schedules = [
         {"_FIRST_BLOCK": 16},
         {"_FIRST_BLOCK": 64},
@@ -473,15 +503,63 @@ def test_block_schedule_does_not_change_results(monkeypatch, n, rule, trunc):
     ]
     # first blocks that end at the stop degree d = terms - 1, on the degrees
     # d - 2, d - 1 of its run of small degrees, at the degree before the run,
-    # and one past the stop
-    coef, _, diag = expected
+    # and one past the stop; with a first block of d degrees the stop falls
+    # in the first column of the second block
+    coef, _, _, diag = expected
     stops = [got["terms"] for got in (coef[-1], diag) if isinstance(got, dict) and "terms" in got]
     schedules += [{"_FIRST_BLOCK": t + k} for t in stops for k in range(-4, 2)]
     for schedule in schedules:
         with monkeypatch.context() as patch:
             for name, value in schedule.items():
                 patch.setattr(series_s, name, value)
-            assert engine_results(f, trunc) == expected, schedule
+            assert engine_results(f) == expected, schedule
+
+
+def test_tail_correction_reads_the_term_before_a_block():
+    # a stop in the first column of a block takes t_(L-1) from the block
+    # before; the corrected sums are those of the loop reference's terms
+    f = poisson_wavelet_coefficients(poisson_wavelet_spec(3, 1, 0.05))
+    expected, expected_ends, _, terms = loop_sums(f)
+    rule = Recording(f.coeff)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(series_s, "_FIRST_BLOCK", terms - 1)
+        got, ends, info = variance._coefficient_sums(ZonalFunction(f.dim, rule))
+        corrected = uncertainty_product(f)
+    assert rule.requests[1][0] == terms - 1 == info["terms"] - 1  # the stop degree starts a block
+    assert (got, ends) == (expected, expected_ends)
+    assert all(variance._geometric_tail(*end) > 0.0 for end in ends)
+    assert corrected == uncertainty_product(f)
+
+
+def test_geometric_tail_only_for_ratios_in_zero_one():
+    assert variance._geometric_tail(2.0, 1.0) == 1.0  # 1/2 + 1/4 + ...
+    assert variance._geometric_tail(-4.0, -1.0) == -1.0 / 3.0
+    # zero, flat, growing and sign-changing tails
+    for before, last in ((0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0), (1.0, 2.0), (1.0, -0.5), (-1.0, 0.5)):
+        assert variance._geometric_tail(before, last) == 0.0, (before, last)
+
+
+def raw_result(f):
+    """uncertainty_product(f) without the tails."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(variance, "_geometric_tail", lambda before, last: 0.0)
+        return outcome(lambda: uncertainty_product(f))
+
+
+def test_tail_outside_zero_one_adds_nothing():
+    # a single degree (degenerate: no D) and a finite rule, each stopped on
+    # a run of zero terms: every row's last two terms give no q in (0, 1),
+    # and the result is the raw sums' own
+    single = ZonalFunction(sphere_dim(3), lambda l: 1.0 if l == 0 else 0.0)
+    for f in (single, finite_rule(3, [0.9, 1.1, 0.4])):
+        _, ends, _ = variance._coefficient_sums(f)
+        assert all(last == 0.0 for _, last in ends), ends
+        assert outcome(lambda: uncertainty_product(f)) == raw_result(f)
+    # N - D terms that change sign at the stop get nothing either
+    f = ZonalFunction(sphere_dim(3), lambda l: 0.9**l * (2.0 if l % 2 else 1.0))
+    before, last = variance._coefficient_sums(f)[1][1]
+    assert before * last < 0.0
+    assert variance._geometric_tail(before, last) == 0.0
 
 
 def test_fold_width_does_not_change_s_m_sum(monkeypatch):
@@ -580,14 +658,16 @@ def test_first_block_memo_is_read_only_and_bounded():
 @pytest.mark.parametrize("n, rule, trunc", SCHEDULE_CASES)
 def test_first_block_memo_does_not_change_results(monkeypatch, n, rule, trunc):
     # a cold memo, a warm one and none at all give the same results
+    for name, value in trunc.items():
+        monkeypatch.setattr(series_s, name, value)
     f = ZonalFunction(sphere_dim(n), rule)
     series_s._first_block_memo.cache_clear()
-    cold = engine_results(f, trunc)
+    cold = engine_results(f)
     # the weight rows, and the Poisson rule's lift and log rows
     assert series_s._first_block_memo.cache_info().currsize == (3 if isinstance(rule, _PoissonRule) else 1)
-    warm = engine_results(f, trunc)
+    warm = engine_results(f)
     monkeypatch.setattr(series_s, "_first_block_memo", lambda rows, n, width: rows(n, 0, width + 1))
-    assert cold == warm == engine_results(f, trunc)
+    assert cold == warm == engine_results(f)
 
 
 def test_import_fills_no_memo():
@@ -621,7 +701,7 @@ def test_fetched_degrees_stay_within_budget():
             for rho in cli.PATH_GRID_RHO:
                 f = poisson_wavelet_coefficients(poisson_wavelet_spec(n, m, rho))
                 rule = Recording(f.coeff)
-                *_, info = variance._coefficient_sums(ZonalFunction(f.dim, rule), SeriesTruncation())
+                *_, info = variance._coefficient_sums(ZonalFunction(f.dim, rule))
                 got = sum(l1 - 1 - l0 for l0, l1 in rule.requests)
                 assert got <= 2 * info["terms"] + series_s._FIRST_BLOCK
                 fetched += got
@@ -635,7 +715,7 @@ def test_block_count_stays_bounded_when_decay_slows(monkeypatch):
     # the stop on; that must not turn the series into many short blocks
     def blocks(rule):
         recorded = Recording(rule)
-        variance._coefficient_sums(ZonalFunction(sphere_dim(3), recorded), SeriesTruncation())
+        variance._coefficient_sums(ZonalFunction(sphere_dim(3), recorded))
         return len(recorded.requests)
 
     rules = [
@@ -668,7 +748,7 @@ def test_folded_block_overflow_is_degenerate():
     # to their start, so the first block wider than _FSUM_WIDTH starts at
     # `start`, and the overflow happens in a fold, not in the term check.
     zeros = Recording(lambda l: 0.0)
-    variance._coefficient_sums(ZonalFunction(sphere_dim(3), zeros), SeriesTruncation())
+    variance._coefficient_sums(ZonalFunction(sphere_dim(3), zeros))
     start = next(l0 for l0, l1 in zeros.requests if l1 - 1 - l0 > series_s._FSUM_WIDTH)
     assert start < series_s.ZERO_RUN
     f = ZonalFunction(sphere_dim(3), lambda l: 1e154 / l if l >= max(start, 3) else 0.0)
@@ -676,7 +756,7 @@ def test_folded_block_overflow_is_degenerate():
         uncertainty_product(f)
 
 
-def test_scan_skip_allows_for_rounding_of_running_sums():
+def test_scan_skip_allows_for_rounding_of_running_sums(monkeypatch):
     # Every running sum 1 + k v rounds up by almost v, so the running sums
     # outgrow the exact total 1 + (B - 1) v by about (B - 1) v.  The last
     # terms are then small against them, and the scan window must not
@@ -685,13 +765,14 @@ def test_scan_skip_allows_for_rounding_of_running_sums():
     terms = np.full((3, series_s._MAX_BLOCK), v)
     terms[:, 0] = 1.0
     rel_tol = v / (1.0 + 3000 * 2.0**-52)
+    monkeypatch.setattr(series_s, "_REL_TOL", rel_tol)
     sums = np.zeros(3)
     partial = np.cumsum(terms, axis=1) + sums[:, None]
     small = terms <= rel_tol * np.abs(partial)
     assert small.any(axis=1).all()
     for row in range(3):
         done = np.arange(3) != row
-        start = series_s._scan_start(np.abs(terms), sums, done, rel_tol)
+        start = series_s._scan_start(np.abs(terms), sums, done)
         assert start is not None and start <= small[row].argmax()
 
 
@@ -746,12 +827,13 @@ def test_two_stop_rows_match_loop_reference(n, decays, power, flip, zeros, min_t
         return -value if flip and (l // flip) % 2 else value
 
     f = ZonalFunction(sphere_dim(n), rule)
-    trunc = SeriesTruncation(min_terms=min_terms)
-    expected, scale, terms = loop_sums(f, trunc)
-    *got, info = variance._coefficient_sums(f, trunc)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(series_s, "_MIN_TERMS", min_terms)
+        expected, expected_ends, scale, terms = loop_sums(f)
+        got, ends, info = variance._coefficient_sums(f)
     assert info["terms"] == terms
     if n <= 3:
-        assert got == expected
+        assert (got, ends) == (expected, expected_ends)
     else:
         for g, e, sc in zip(got, expected, scale):
             assert abs(g - e) <= 1e-13 * sc

@@ -9,9 +9,9 @@ from hypothesis import given, strategies as st
 
 from zonalvar import (
     DomainError,
-    SeriesTruncation,
     ZonalFunction,
     capped_wavelet_coefficients,
+    gegenbauer_eval,
     poisson_kernel_coefficients,
     poisson_kernel_eval,
     poisson_wavelet_coefficients,
@@ -21,6 +21,7 @@ from zonalvar import (
     zonal_eval,
 )
 import zonalvar
+from zonalvar import series_s
 from zonalvar.zonal import _PoissonRule
 
 
@@ -275,7 +276,7 @@ def test_zonal_eval_wavelet_recursion_consistency():
         assert zonal_eval(g2, theta) == zonal_eval(lifted, theta)
 
 
-def test_zonal_eval_diagnostics_and_truncation():
+def test_zonal_eval_diagnostics_and_truncation(monkeypatch):
     dim = sphere_dim(2)
     f = poisson_kernel_coefficients(dim, 1.0)
     diag: dict = {}
@@ -284,8 +285,21 @@ def test_zonal_eval_diagnostics_and_truncation():
     assert diag["envelope_mass"] > 0.0
     from zonalvar import TruncationError
 
+    monkeypatch.setattr(series_s, "_MIN_TERMS", 1)
+    monkeypatch.setattr(series_s, "_MAX_TERMS", 3)
     with pytest.raises(TruncationError):
-        zonal_eval(f, 1.0, SeriesTruncation(min_terms=1, max_terms=3))
+        zonal_eval(f, 1.0)
+
+
+def test_zonal_eval_gapped_band_limited_rule_matches_finite_sum():
+    # zero runs of three inside the band do not stop the series before
+    # the modes past them
+    for n, coeffs in ((3, [1.0, 0.0, 0.0, 0.0, 1.0]), (2, [0.0, 1.0, 1.0, 0.0, 0.0, 0.0, 1.0, 1.0])):
+        dim = sphere_dim(n)
+        f = ZonalFunction(dim, lambda l: coeffs[l] if l < len(coeffs) else 0.0)
+        for theta in (0.0, 0.7, 2.3, math.pi):
+            direct = math.fsum(c * gegenbauer_eval(l, dim.lam, math.cos(theta)) for l, c in enumerate(coeffs))
+            assert zonal_eval(f, theta) == pytest.approx(direct, rel=1e-14, abs=1e-14)
 
 
 def test_zonal_eval_rejects_nonfinite_rule():
