@@ -47,7 +47,7 @@ from .asymptotics import (
 )
 from .errors import DegenerateInputError, DomainError, TruncationError
 from .laurent import derive_ABC, expand_F, expand_s0, expand_sm, expand_variances
-from .variance import UncertaintyResult, poisson_uncertainty_via_s, uncertainty_product
+from .variance import _BOUND_SLACK, UncertaintyResult, poisson_uncertainty_via_s, uncertainty_product
 from .zonal import PoissonWaveletSpec, capped_wavelet_coefficients, poisson_wavelet_spec
 
 ENV_OUTPUT_DIR = "ZONALVAR_OUTPUT_DIR"
@@ -56,7 +56,7 @@ PATH_GRID_N = (2, 3, 4, 5, 8)
 PATH_GRID_M = (1, 2, 3)
 PATH_GRID_RHO = (0.02, 0.05, 0.1, 0.5, 1.0)
 PATH_TOLERANCE = 1e-9
-BOUND_TOLERANCE = 1e-9
+BOUND_TOLERANCE = _BOUND_SLACK  # how far below n/2 a product counts as a defect
 RESIDUAL_GRID_NM = ((2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (3, 3), (4, 1), (4, 2), (4, 3),
                     (5, 1), (5, 2), (5, 3), (7, 1), (7, 2), (7, 3))
 RESIDUAL_THRESHOLDS = {"varS": 3.5, "U": 1.9, "varM": -0.1}
@@ -77,18 +77,15 @@ def _meta(command: str, config: dict) -> dict:
     return {"tool": "zonalvar", "version": __version__, "command": command, "config": config}
 
 
-def _jsonable(value):
+def _fraction_text(value) -> str:
+    """An exact rational as its "p/q" string; any other value json cannot write fails."""
     if isinstance(value, Fraction):
         return str(value)
-    if isinstance(value, dict):
-        return {k: _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    return value
+    raise TypeError(f"{type(value).__name__} is not JSON serializable")
 
 
 def _json_text(payload: dict) -> str:
-    return json.dumps(_jsonable(payload), indent=2, allow_nan=False) + "\n"
+    return json.dumps(payload, indent=2, allow_nan=False, default=_fraction_text) + "\n"
 
 
 def _cell(value) -> str:

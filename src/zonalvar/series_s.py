@@ -24,7 +24,8 @@ and one stop rule is decided degree by degree: over the whole of a block
 no wider than the first, else from the first degree in it where a stop
 can fall.  The rule has no knob: one relative tolerance, _REL_TOL, one
 floor, _MIN_TERMS, and one term budget, _MAX_TERMS, hold for every
-series.  Besides the sums it
+series, and a series not stopped by its first non-finite term raises
+:class:`DegenerateInputError` naming that degree.  Besides the sums it
 returns each row's last two terms, from which
 :func:`zonalvar.variance.uncertainty_product` adds back the geometric tail
 that the stop cuts off.  The first block is 256 degrees; each later one
@@ -89,18 +90,18 @@ _LN2_HI = 6.93147180369123816490e-01
 _LN2_LO = 1.90821492927058770002e-10
 
 
-def _binomial_weights(n: int, ls: np.ndarray) -> tuple[np.ndarray, int | None]:
+def _binomial_weights(n: int, ls: np.ndarray) -> np.ndarray:
     """C(l + n - 2, l) for the degrees ``ls`` (consecutive, ascending) as floats.
 
     The weight is built as prod_j (l + j) / j, one multiplication and one
     division per factor, so its rounding error is at most about 2 (n - 2)
     ulps whatever l is, and zero while the products stay below 2^53.  The
     values rise with l; those near the top of the double range are redone
-    from math.comb, so the first overflowing degree is exactly that of
-    float(C(l + n - 2, l)).  Its index is returned, or None.
+    from math.comb, so the first inf is exactly at the first degree where
+    float(C(l + n - 2, l)) overflows, and every weight past it is inf.
     """
     if n == 2:
-        return np.ones_like(ls), None
+        return np.ones_like(ls)
     w = ls + 1.0  # the factor j = 1, exact
     factor = w.copy()
     for j in range(2, n - 1):
@@ -113,8 +114,9 @@ def _binomial_weights(n: int, ls: np.ndarray) -> tuple[np.ndarray, int | None]:
             try:
                 w[i] = float(math.comb(l + n - 2, l))
             except OverflowError:
-                return w, i
-    return w, None
+                w[i:] = math.inf
+                break
+    return w
 
 
 @lru_cache(maxsize=64)
@@ -123,8 +125,7 @@ def _first_block_memo(rows: Callable, n: int, width: int) -> tuple:
     degree past it, whose f_hat the coefficient sums also fetch."""
     out = rows(n, 0, width + 1)
     for row in out:
-        if isinstance(row, np.ndarray):
-            row.flags.writeable = False
+        row.flags.writeable = False
     return out
 
 
@@ -144,12 +145,12 @@ def _first_block_memoised(rows: Callable) -> Callable:
 @_first_block_memoised
 def _weight_rows(n: int, l0: int, l1: int) -> tuple:
     """The degrees l as floats, C(l + n - 2, l) from :func:`_binomial_weights`
-    with the index of its first overflowing weight, the N weight
+    (inf from the first degree past the double range), the N weight
     lambda/(l + lambda) C(l + n - 2, l) and the M weight l (l + 2 lambda)."""
     lam = (n - 1) / 2
     ls = np.arange(l0, l1, dtype=float)
-    weight, overflow = _binomial_weights(n, ls)
-    return ls, weight, overflow, (lam / (ls + lam)) * weight, ls * (ls + 2.0 * lam)
+    weight = _binomial_weights(n, ls)
+    return ls, weight, (lam / (ls + lam)) * weight, ls * (ls + 2.0 * lam)
 
 
 @_first_block_memoised
@@ -172,17 +173,24 @@ def _log_rows(n: int, l0: int, l1: int) -> tuple:
         return log_lift, np.log1p(1.0 / ls)
 
 
+class _TermOutOfRange(DegenerateInputError):
+    """A summed series has a non-finite term at ``degree``."""
+
+    def __init__(self, name: str, degree: int) -> None:
+        super().__init__(f"{name} left the double range at l={degree}")
+        self.degree = degree
+
+
 def _sum_blocks(
     source: Callable[[int, int], tuple], name: str
 ) -> tuple[list[float], list[list[float]], int]:
     """Sum the rows of a term source until its stop rows settle.
 
-    ``source(l0, l1)`` returns ``(terms, stop, error)`` for the degrees
-    l0 <= l < l0 + k: the terms as an (r, k) array, stop values for the
-    first s rows as an (s, k) array, each at least |term|, and a pending
-    error, or None.  Short of the whole block (k < l1 - l0) there must be
-    an error; it is raised once the degrees before l0 + k are summed
-    without a stop, and at once if k = 0.
+    ``source(l0, l1)`` returns ``(terms, stop)`` for the whole block
+    l0 <= l < l1: the terms as an (r, k) array, k = l1 - l0, and stop
+    values for the first s rows as an (s, k) array, each at least |term|.
+    The block is cut at its first degree with a non-finite term; unless the
+    sums stop before it, :class:`_TermOutOfRange` names it and ``name``.
 
     The first block is ``_FIRST_BLOCK`` degrees.  After a block the
     degrees still needed are predicted by :func:`_degrees_to_stop`, and
@@ -228,9 +236,15 @@ def _sum_blocks(
     with np.errstate(all="ignore"):
         while l0 < last:
             l1 = min(l1, last)
-            terms, stop, error = source(l0, l1)
-            if terms.shape[1] == 0:
-                raise error
+            terms, stop = source(l0, l1)
+            cut = None  # the first column with a non-finite term
+            if not math.isfinite(np.add.reduce(terms, axis=None)):  # one sum decides the common case
+                bad = ~np.logical_and.reduce(np.isfinite(terms), axis=0)
+                if bad.any():  # else finite terms whose sum overflows
+                    cut = int(bad.argmax())
+                    if not cut:
+                        raise _TermOutOfRange(name, l0)
+                    terms, stop = terms[:, :cut], stop[:, :cut]
             s = len(stop)
             if l0 == 0:
                 hi = [0.0] * len(terms)  # exactly rounded sums so far ...
@@ -280,8 +294,8 @@ def _sum_blocks(
                 peak = running_peak[:, -1:]
                 recent = small[:, -2:]
                 done |= stopped
-            if error is not None:
-                raise error
+            if cut is not None:
+                raise _TermOutOfRange(name, l0 + cut)
             _add_blocks(hi, lo, terms, name)
             carried = terms[:, -1].tolist()
             size = min(size * _BLOCK_GROWTH, _MAX_BLOCK)
@@ -408,8 +422,8 @@ def s_m_sum(n: int, m: int, rho: float, diagnostics: dict | None = None) -> floa
     e^(-2 rho), so the uncut tail is ~1/(1 - e^(-2 rho)) current terms;
     each term's stop value is the term times 2/(1 - e^(-2 rho)), the
     factor 2 absorbing the slower decay of the polynomial prefactor.
-    Raises :class:`DegenerateInputError` when a term exceeds the double
-    range.
+    Raises :class:`DegenerateInputError` naming the first degree whose term
+    exceeds the double range, or when the sum does.
     """
     n, m, rho = _validate_smn(n, m, rho)
     two_rho = 2.0 * rho
@@ -430,11 +444,7 @@ def s_m_sum(n: int, m: int, rho: float, diagnostics: dict | None = None) -> floa
                 log_t += np.log(ratio)
                 ratio[:] = 1.0
         t = np.exp(log_t) * ratio
-        error = None
-        if not np.isfinite(t).all():
-            t = t[: np.flatnonzero(~np.isfinite(t))[0]]
-            error = DegenerateInputError(f"S_{m}(rho={rho}) for n={n} exceeds the double range")
-        return t[None], (t * tail_weight)[None], error
+        return t[None], (t * tail_weight)[None]
 
     (total,), _, terms = _sum_blocks(source, f"S_{m} series (n={n}, rho={rho})")
     if diagnostics is not None:

@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import BoundViolationError, DegenerateInputError, DomainError
 from .laurent import _abc_weights
-from .series_s import _p_polynomials, _scaled_value, _sum_blocks, _w_parts, _weight_rows
+from .series_s import _TermOutOfRange, _p_polynomials, _scaled_value, _sum_blocks, _w_parts, _weight_rows
 from .zonal import PoissonWaveletSpec, ZonalFunction, _block_form
 
 __all__ = [
@@ -39,7 +39,7 @@ __all__ = [
 ]
 
 _DENOM_FLOOR = 1e-300
-_BOUND_SLACK = 1e-9
+_BOUND_SLACK = 1e-9  # a product this far below n/2, relatively, is a defect; verify reads it too
 
 
 @dataclass(frozen=True)
@@ -77,17 +77,17 @@ def _coefficient_sums(f: ZonalFunction) -> tuple[list[float], list[list[float]],
     the factor 1 - ratio is -expm1(log ratio).  Its error is then a few
     ulps of the log ratio's parts, not the last bits of f_hat(l) and
     f_hat(l+1), which N - D = O(N rho^2) would amplify about 1/rho^2 times.
-    The binomial weights' overflow index and the N and M weights are the
-    rows of :func:`zonalvar.series_s._weight_rows`, which serves the first
-    block from the one memo of rows per dimension.
+    The N and M weights are rows of :func:`zonalvar.series_s._weight_rows`,
+    which serves the first block from the one memo of rows per dimension.
 
-    Values fetched past the stop degree are ignored.  Up to it, a
-    non-finite rule value raises :class:`DomainError`, and a binomial
-    weight beyond the double range, a non-finite term or an overflowing
-    sum raises :class:`DegenerateInputError`.  No stop within the term
-    budget of :func:`zonalvar.series_s._sum_blocks` raises
-    :class:`TruncationError`.  The sums are the raw sums up to the stop
-    degree L; :func:`uncertainty_product` adds their tails.
+    The engine ends the sums at their first non-finite term, at l (values
+    fetched past the stop degree are ignored), with
+    :class:`DegenerateInputError`, unless f_hat(l), or the f_hat(l + 1)
+    that N - D reads without ``log_ratio``, is not finite: that raises
+    :class:`DomainError` naming the degree before it.  An overflowing sum
+    raises :class:`DegenerateInputError` and no stop within the term
+    budget :class:`TruncationError`.  The sums are the raw sums up to the
+    stop degree L; :func:`uncertainty_product` adds their tails.
     """
     lam = float(f.dim.lam)
     two_lam = 2.0 * lam
@@ -96,49 +96,41 @@ def _coefficient_sums(f: ZonalFunction) -> tuple[list[float], list[list[float]],
     log_ratio = getattr(f.coeff, "log_ratio", None)
 
     def source(l0: int, l1: int):
+        k = l1 - l0
         fv = np.asarray(fetch(l0, l1 + 1), dtype=float)  # f_hat(l0) .. f_hat(l1)
-        limit, error = l1 - l0, None
-        # one sum decides the common case; a sum that is not finite may be an
-        # overflow of finite values, so only the element check can fail it
-        if not math.isfinite(np.add.reduce(fv)) and not np.isfinite(fv).all():
-            limit = max(int(np.flatnonzero(~np.isfinite(fv))[0]) - 1, 0)
-            error = DomainError(f"coefficient rule returned a non-finite value near l={l0 + limit}")
-        ls, _, over, n_weight, m_weight = _weight_rows(n, l0, l1)
-        if over is not None and over < limit:
-            limit = over
-            error = DegenerateInputError(
-                f"binomial weight C({l0 + over + n - 2}, {l0 + over}) exceeds the double "
-                f"range; n={n} is too large for the coefficient sums at this rho"
-            )
-        fc = fv[:limit]
-        terms = np.empty((3, limit))
+        fc = fv[:k]
+        ls, _, n_weight, m_weight = _weight_rows(n, l0, l1)
+        terms = np.empty((3, k))
         t_nd, t_m, t_n = terms
-        np.multiply(n_weight[:limit], fc, out=t_n)
+        np.multiply(n_weight[:k], fc, out=t_n)
         t_n *= fc
         if log_ratio is None:  # the factor 1 - ratio
-            ls = ls[:limit]
-            np.divide(fv[1 : limit + 1], fc, out=t_nd)
+            ls = ls[:k]
+            np.divide(fv[1:], fc, out=t_nd)
             t_nd *= (ls + two_lam) / ((ls + lam) + 1.0)
             np.subtract(1.0, t_nd, out=t_nd)
         else:  # the factor -expm1(log ratio)
-            np.expm1(np.asarray(log_ratio(l0, l0 + limit), dtype=float), out=t_nd)
+            np.expm1(np.asarray(log_ratio(l0, l1), dtype=float), out=t_nd)
             np.negative(t_nd, out=t_nd)
         t_nd *= t_n
         if not np.logical_and.reduce(fc):  # N - D is 0 where f_hat(l) is
             t_nd[fc == 0.0] = 0.0
-        np.multiply(m_weight[:limit], t_n, out=t_m)
-        if not math.isfinite(np.add.reduce(terms, axis=None)) and not np.isfinite(terms).all():
-            limit = int(np.flatnonzero(~np.isfinite(terms).all(axis=0))[0])
-            terms = terms[:, :limit]
-            error = DegenerateInputError(
-                f"coefficient-sum term at l={l0 + limit} is not finite; "
-                "the coefficient rule leaves the double range"
-            )
-        return terms, np.abs(terms[:2]), error  # stop rows N - D and M (whose terms are >= 0)
+        np.multiply(m_weight[:k], t_n, out=t_m)
+        return terms, np.abs(terms[:2])  # stop rows N - D and M (whose terms are >= 0)
 
-    (n_minus_d, big_m, big_n), (end_nd, end_m, end_n), terms = _sum_blocks(
-        source, f"coefficient sums for {f.label or 'coefficient rule'}"
-    )
+    try:
+        (n_minus_d, big_m, big_n), (end_nd, end_m, end_n), terms = _sum_blocks(
+            source, f"coefficient sums for {f.label or 'coefficient rule'}"
+        )
+    except _TermOutOfRange as exc:
+        # the term at l reads f_hat(l), and f_hat(l + 1) unless log_ratio is given
+        l = exc.degree
+        with np.errstate(all="ignore"):
+            finite = np.isfinite(np.asarray(fetch(l, l + (1 if log_ratio is not None else 2)), dtype=float))
+        if not finite.all():
+            l += int(finite.argmin())
+            raise DomainError(f"coefficient rule returned a non-finite value near l={max(l - 1, 0)}") from None
+        raise
     return [big_n, n_minus_d, big_m], [end_n, end_nd, end_m], {"terms": terms, "path": "coefficient-sum"}
 
 

@@ -16,7 +16,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DegenerateInputError, DomainError, _require_at_least, _require_positive
-from .series_s import _lift_rows, _log_rows, _sum_blocks, _weight_rows
+from .series_s import _TermOutOfRange, _lift_rows, _log_rows, _sum_blocks, _weight_rows
 from .special_functions import SphereDim, _gegenbauer_recurrence, sphere_dim
 
 __all__ = [
@@ -36,10 +36,11 @@ class ZonalFunction:
     """A zonal function given by its Gegenbauer coefficient rule.
 
     The rule must return a finite float for every degree a summation
-    routine uses; they raise :class:`DomainError` on a non-finite value.
-    The coefficient sums and :func:`zonal_eval` fetch degrees in blocks and
-    may fetch some past the degree where they stop; those values are
-    ignored.  A rule may offer two optional methods:
+    routine uses; they raise :class:`DomainError` on a non-finite value
+    and :class:`DegenerateInputError` on a term that finite values carry
+    past the double range.  The coefficient sums and :func:`zonal_eval`
+    fetch degrees in blocks and may fetch some past the degree where they
+    stop; those values are ignored.  A rule may offer two optional methods:
 
     - ``block(l0, l1)`` returns the values for l0 <= l < l1 as a float64
       array equal to the scalar calls, instead of one call per degree;
@@ -219,7 +220,9 @@ def zonal_eval(f: ZonalFunction, theta: float, diagnostics: dict | None = None) 
     decay).  The absolute error is then below the stop tolerance of
     :func:`zonalvar.series_s._sum_blocks` times the envelope mass.  The
     rule's values come from its optional ``block`` method, else from
-    scalar calls; values fetched past the stop degree are ignored.
+    scalar calls; values fetched past the stop degree are ignored.  The
+    series ends at its first non-finite term, at l: :class:`DomainError`
+    if f_hat(l) is not finite, else :class:`DegenerateInputError`.
     """
     _check_theta(theta)
     n = f.dim.n
@@ -231,27 +234,23 @@ def zonal_eval(f: ZonalFunction, theta: float, diagnostics: dict | None = None) 
         nonlocal env_last
         a = np.asarray(fetch(l0, l1), dtype=float)
         c = np.fromiter(itertools.islice(gegenbauer, l1 - l0), float, l1 - l0)
-        _, w, over, _, _ = _weight_rows(n, l0, l1)
+        _, w, _, _ = _weight_rows(n, l0, l1)
         terms = np.array([np.abs(a) * w[: l1 - l0], a * c])
-        bad = ~np.isfinite(terms).all(axis=0)
-        if over is not None and over < l1 - l0:
-            bad[over] = True
-        error = None
-        if bad.any():
-            limit = int(bad.argmax())
-            terms = terms[:, :limit]
-            if math.isfinite(a[limit]):
-                error = DegenerateInputError(f"zonal series term at l={l0 + limit} leaves the double range")
-            else:
-                error = DomainError(f"coefficient rule returned a non-finite value at l={l0 + limit}")
         env = terms[0]
         prev = np.concatenate(([env_last], env))
         env_last, prev = prev[-1], prev[:-1]
         q = env / prev
         weight = np.where(env < prev, 2.0 * q / (1.0 - q), np.where(prev > 0.0, 1e9, 1.0))
-        return terms, (env * np.clip(weight, 1.0, 1e9))[None], error
+        return terms, (env * np.clip(weight, 1.0, 1e9))[None]
 
-    (mass, value), _, terms = _sum_blocks(source, f"zonal series for {f.label or 'coefficient rule'}")
+    try:
+        (mass, value), _, terms = _sum_blocks(source, f"zonal series for {f.label or 'coefficient rule'}")
+    except _TermOutOfRange as exc:
+        with np.errstate(all="ignore"):
+            finite = np.isfinite(np.asarray(fetch(exc.degree, exc.degree + 1), dtype=float)).all()
+        if not finite:
+            raise DomainError(f"coefficient rule returned a non-finite value at l={exc.degree}") from None
+        raise
     if diagnostics is not None:
         diagnostics["terms"] = terms
         diagnostics["envelope_mass"] = mass

@@ -3,6 +3,7 @@
 import csv
 import hashlib
 import io
+import itertools
 import json
 import math
 import os
@@ -179,8 +180,33 @@ def test_compute_beyond_double_range_is_degenerate(capsys, argv):
     code, out, err = run(capsys, argv)
     assert code == 2
     assert out == ""
-    assert err.startswith("degenerate input:")
+    assert err.startswith("degenerate input:") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("n, m, rho, l", [(3, 400, 5.0, 1), (5, 400, 4.559, 1)])
+def test_compute_past_the_coefficient_range_names_the_degree(capsys, n, m, rho, l):
+    # every argument is valid and the S path finite, but f_hat(l)^2 overflows
+    # (at (3, 1000, 1) too, where the S path alone takes ~20 s: see
+    # test_variance.py::test_out_of_range_wavelet_terms_are_degenerate)
+    code, out, err = run(capsys, ["compute", "--n", str(n), "--m", str(m), "--rho", str(rho)])
+    assert (code, out) == (2, "")
+    assert err == (
+        f"degenerate input: coefficient sums for capped-wavelet(n={n}, m={m}, rho={rho}) "
+        f"left the double range at l={l}\n"
+    )
+
+
+def test_compute_corner_grid_exits_0_or_2(capsys):
+    # the corners of the domain 2 <= n <= 1000, 1 <= m <= 100, 1e-3 <= rho <= 1e3,
+    # and both sides of n = 17 (the capped rule's switch) and n = 437 (sigma(S^n)'s range)
+    for n, m, rho in itertools.product((2, 17, 18, 437, 438, 1000), (1, 100), (1e-3, 1.0, 1e3)):
+        code, out, err = run(capsys, ["compute", "--n", str(n), "--m", str(m), "--rho", str(rho)])
+        if code == 0:
+            assert err == "" and math.isfinite(json.loads(out)["product"]), (n, m, rho)
+        else:
+            assert code == 2 and out == "", (n, m, rho, err)
+            assert err.startswith("degenerate input:") and err.count("\n") == 1, (n, m, rho, err)
 
 
 def test_compute_truncation_budget_exit_code(capsys):
@@ -219,7 +245,7 @@ COMPUTE_DIGESTS = {
     (12, 4, 1e-3): (0, "db2eb19f8be929a9ba19a981f9ba1a72ffb716bb7e7a62049eb05cea77902f7b"),
     (120, 1, 0.01): (0, "eea5a09151c11641ceae60c766636c54f33b7aca0772a8edcd5b40ab56390840"),
     (2, 50, 0.01): (0, "1ee3cb44a6576c28eb409229948856b72a558f8d29d519d6882d8e4b6da89017"),
-    (400, 1, 0.01): (2, "6d0cb7be9a1aa28e34f9e1c29bc725f7da45d3a1495527647b13a31d2dda77e5"),
+    (400, 1, 0.01): (2, "2f88722d184cf5e5c0f0fc106011abdb8175398813e1f3d8662ca6cd779feed3"),
 }
 
 

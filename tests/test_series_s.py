@@ -179,7 +179,7 @@ def test_out_of_range_is_degenerate():
         s_m_eval(100, 200, 1e-3)
     with pytest.raises(DegenerateInputError):
         s_m_eval(400, 0, 1e-3)
-    with pytest.raises(DegenerateInputError, match=r"S_200\(rho=0.001\) for n=2 exceeds the double range"):
+    with pytest.raises(DegenerateInputError, match=r"^S_200 series \(n=2, rho=0.001\) left the double range at l=35$"):
         s_m_sum(2, 200, 1e-3)
 
 

@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -17,6 +18,7 @@ from zonalvar import (
     DomainError,
     TruncationError,
     ZonalFunction,
+    capped_wavelet_coefficients,
     poisson_uncertainty_via_s,
     poisson_wavelet_coefficients,
     poisson_wavelet_spec,
@@ -184,10 +186,17 @@ def test_zero_rule_is_degenerate():
 
 
 def test_out_of_range_wavelet_terms_are_degenerate():
-    # f_hat^2 overflows at these orders; the sums used to come back as NaN
-    for m in (100, 150):
-        f = poisson_wavelet_coefficients(poisson_wavelet_spec(2, m, 1.0))
-        with pytest.raises(DegenerateInputError, match="not finite"):
+    # f_hat^2 overflows at these orders; the sums used to come back as NaN.
+    # Every argument is valid, and the capped rule's next value is inf as well
+    for rule, (n, m, rho), l in (
+        (poisson_wavelet_coefficients, (2, 100, 1.0), 63),
+        (poisson_wavelet_coefficients, (2, 150, 1.0), 12),
+        (capped_wavelet_coefficients, (3, 400, 5.0), 1),
+        (capped_wavelet_coefficients, (3, 1000, 1.0), 2),
+    ):
+        f = rule(poisson_wavelet_spec(n, m, rho))
+        name = re.escape(f.label)
+        with pytest.raises(DegenerateInputError, match=rf"^coefficient sums for {name} left the double range at l={l}$"):
             uncertainty_product(f)
 
 
@@ -221,7 +230,7 @@ def test_overflowing_sum_is_degenerate():
     # at 1e306 every value is finite, though a block of them sums past the
     # double range; what overflows is the first term, 1e306 squared
     f = ZonalFunction(sphere_dim(3), lambda l: 1e306 if l < 400 else 0.0)
-    with pytest.raises(DegenerateInputError, match="^coefficient-sum term at l=0 is not finite"):
+    with pytest.raises(DegenerateInputError, match="^coefficient sums for coefficient rule left the double range at l=0$"):
         uncertainty_product(f)
 
 
@@ -253,8 +262,9 @@ def test_non_finite_value_names_the_degree(bad, named):
 
 
 def test_weight_overflow_names_the_degree():
+    # C(1354, 1056) is the first binomial weight past the double range
     f = rescaled_wavelet(poisson_wavelet_spec(300, 1, 0.1))
-    with pytest.raises(DegenerateInputError, match=r"C\(1354, 1056\) exceeds the double range"):
+    with pytest.raises(DegenerateInputError, match="^coefficient sums for coefficient rule left the double range at l=1056$"):
         uncertainty_product(f)
 
 
@@ -262,15 +272,16 @@ def test_binomial_weights_error_does_not_grow_with_degree():
     for n in (2, 3, 5, 12, 40):
         for l0 in (0, 1000, 10**6, 10**9):
             ls = np.arange(l0, l0 + 300, dtype=float)
-            w, over = series_s._binomial_weights(n, ls)
-            assert over is None
+            w = series_s._binomial_weights(n, ls)
+            assert np.isfinite(w).all()
             for l, got in zip(range(l0, l0 + 300), w.tolist()):
                 exact = math.comb(l + n - 2, l)
                 assert abs(got - exact) <= 2 * max(n - 2, 1) * math.ulp(exact), (n, l)
 
 
 def test_binomial_weight_overflow_is_exact():
-    # the first overflowing degree is that of float(math.comb(...))
+    # the first inf weight is at the first degree where float(math.comb(...))
+    # overflows, and every weight from there on is inf
     n = 300
 
     def overflows(l):
@@ -283,10 +294,21 @@ def test_binomial_weight_overflow_is_exact():
     first = next(l for l in range(2000) if overflows(l))
     ls = np.arange(first - 40, first + 40, dtype=float)
     with np.errstate(over="ignore"):
-        w, over = series_s._binomial_weights(n, ls)
-    assert over == 40
+        w = series_s._binomial_weights(n, ls)
+    assert first_inf(w) == 40
     exact = math.comb(first - 1 + n - 2, first - 1)
-    assert abs(w[over - 1] - exact) <= 2 * (n - 2) * math.ulp(exact)
+    assert abs(w[39] - exact) <= 2 * (n - 2) * math.ulp(exact)
+
+
+def first_inf(weights):
+    """The index of the first inf in a row of binomial weights, or None;
+    every weight past it must be inf too."""
+    over = np.isinf(weights)
+    if not over.any():
+        return None
+    first = int(over.argmax())
+    assert over[first:].all()
+    return first
 
 
 class ReferenceSeries:
@@ -588,22 +610,19 @@ def direct_rows(n, l0, k):
     lam = float(sphere_dim(n).lam)
     ls = np.arange(l0, l0 + k, dtype=float)
     with np.errstate(over="ignore", divide="ignore"):
-        weight, overflow = series_s._binomial_weights(n, ls)
+        weight = series_s._binomial_weights(n, ls)
         return {
-            series_s._weight_rows: (ls, weight, overflow, (lam / (ls + lam)) * weight, ls * (ls + 2.0 * lam)),
+            series_s._weight_rows: (ls, weight, (lam / (ls + lam)) * weight, ls * (ls + 2.0 * lam)),
             series_s._lift_rows: (ls, (ls + lam) / lam),
             series_s._log_rows: (np.log1p(lam / (ls + lam)), np.log1p(1.0 / ls)),
         }
 
 
 def assert_rows_equal(got, expected, k, context):
-    """The first k degrees of each row bitwise, and the overflow index."""
+    """The first k degrees of each row bitwise."""
     assert len(got) == len(expected), context
     for row, want in zip(got, expected):
-        if isinstance(want, np.ndarray):
-            assert row[:k].tobytes() == want.tobytes(), context
-        else:
-            assert row == want, context
+        assert row[:k].tobytes() == want.tobytes(), context
 
 
 def test_first_block_memo_is_the_direct_computation():
@@ -628,16 +647,17 @@ def test_first_block_memo_is_the_direct_computation():
                     expected = direct_rows(n, l0, k)
                     for rows in ROW_FUNCTIONS:
                         got = rows(n, l0, l0 + k)
-                        assert all(len(row) == k for row in got if isinstance(row, np.ndarray))
+                        assert all(len(row) == k for row in got)
                         assert_rows_equal(got, expected[rows], k, (rows.__name__, n, l0, k))
         # the weights leave the double range at l = 309 for n = 1000, l = 219 for n = 2000
-        assert series_s._weight_rows(1000, 300, 400)[2] == direct_rows(1000, 300, 100)[series_s._weight_rows][2] == 9
+        assert first_inf(series_s._weight_rows(1000, 300, 400)[1]) == 9
+        assert first_inf(direct_rows(1000, 300, 100)[series_s._weight_rows][1]) == 9
         for n, width, overflow in ((1000, 256, None), (1000, 1024, 309), (2000, 256, 219)):
             memo = series_s._first_block_memo(series_s._weight_rows.__wrapped__, n, width)
             expected = direct_rows(n, 0, width + 1)[series_s._weight_rows]
-            assert memo[2] == expected[2] == overflow
-            for i in (1, 3):  # the weights and the N weights
-                assert memo[i][:overflow].tobytes() == expected[i][:overflow].tobytes()
+            assert first_inf(memo[1]) == first_inf(expected[1]) == overflow
+            for i in (1, 2):  # the weights and the N weights
+                assert memo[i].tobytes() == expected[i].tobytes()
 
 
 def test_first_block_memo_is_read_only_and_bounded():
