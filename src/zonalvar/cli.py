@@ -489,11 +489,7 @@ def build_verify_report() -> tuple[dict, int]:
     path_section, bound_section = _verify_path_and_bound()
     minimization = _verify_minimization_section()
     residuals = _verify_residual_section(flagged_pairs)
-    flagged_confirmed = True
-    residual_by_pair = {(e["n"], e["m"]): e["pass"] for e in residuals["entries"]}
-    for pair in flagged_pairs:
-        if not residual_by_pair.get(pair, False):
-            flagged_confirmed = False
+    flagged_confirmed = all(e["pass"] for e in residuals["entries"] if e["flagged"])
     mandatory_pass = (
         appendix["pass"]
         and path_section["pass"]

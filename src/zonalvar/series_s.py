@@ -43,9 +43,9 @@ that degree's weight enters through its logarithm; the last bits of
 Rows that depend only on the dimension n come from three row functions
 of (n, l0, l1), :func:`_weight_rows`, :func:`_lift_rows` and
 :func:`_log_rows`, which serve the first block from one bounded memo and
-form later blocks directly.  Memory stays one block per series apart from
-that memo.  Short series are summed in the first block, so for them the
-memo removes most of the work that does not depend on the rule.
+form every other request directly.  Memory stays one block per series
+apart from that memo.  Short series are summed in the first block, so for
+them the memo removes most of the work that does not depend on the rule.
 """
 
 from __future__ import annotations
@@ -121,22 +121,21 @@ def _binomial_weights(n: int, ls: np.ndarray) -> np.ndarray:
 
 @lru_cache(maxsize=64)
 def _first_block_memo(rows: Callable, n: int, width: int) -> tuple:
-    """rows(n, 0, width + 1) with read-only arrays: the first block and the
-    degree past it, whose f_hat the coefficient sums also fetch."""
-    out = rows(n, 0, width + 1)
+    """rows(n, 0, width) with read-only arrays: the engine's first block."""
+    out = rows(n, 0, width)
     for row in out:
         row.flags.writeable = False
     return out
 
 
 def _first_block_memoised(rows: Callable) -> Callable:
-    """Serve the first block of rows(n, l0, l1) from :func:`_first_block_memo`;
-    its rows may run past l1, so readers slice them to l1 - l0."""
+    """Serve the request for the engine's first block, (0, _FIRST_BLOCK), from
+    :func:`_first_block_memo`; every other request is formed directly."""
 
     @wraps(rows)
     def serve(n: int, l0: int, l1: int) -> tuple:
-        if l0 == 0 and l1 <= _FIRST_BLOCK + 1:
-            return _first_block_memo(rows, n, _FIRST_BLOCK)
+        if l0 == 0 and l1 == _FIRST_BLOCK:
+            return _first_block_memo(rows, n, l1)
         return rows(n, l0, l1)
 
     return serve

@@ -27,10 +27,10 @@ from typing import Mapping
 
 import numpy as np
 
-from .errors import BoundViolationError, DegenerateInputError, DomainError
+from .errors import BoundViolationError, DegenerateInputError
 from .laurent import _abc_weights
 from .series_s import _TermOutOfRange, _p_polynomials, _scaled_value, _sum_blocks, _w_parts, _weight_rows
-from .zonal import PoissonWaveletSpec, ZonalFunction, _block_form
+from .zonal import PoissonWaveletSpec, ZonalFunction, _block_form, _require_finite_values
 
 __all__ = [
     "UncertaintyResult",
@@ -72,19 +72,21 @@ def _coefficient_sums(f: ZonalFunction) -> tuple[list[float], list[list[float]],
     ``block(l0, l1)`` method (see :class:`ZonalFunction`), else from scalar
     calls.  The N - D series forms each term as tN * (1 - ratio) with
     ratio = (l + 2 lambda)/(l + lambda + 1) * f_hat(l+1)/f_hat(l), which keeps
-    the difference accurate even when N and D agree to many digits.  A rule
-    with the optional ``log_ratio(l0, l1)`` supplies log(ratio) instead, and
-    the factor 1 - ratio is -expm1(log ratio).  Its error is then a few
-    ulps of the log ratio's parts, not the last bits of f_hat(l) and
-    f_hat(l+1), which N - D = O(N rho^2) would amplify about 1/rho^2 times.
-    The N and M weights are rows of :func:`zonalvar.series_s._weight_rows`,
-    which serves the first block from the one memo of rows per dimension.
+    the difference accurate even when N and D agree to many digits, and so
+    reads f_hat(l1) past each block l0 <= l < l1.  A rule with the optional
+    ``log_ratio(l0, l1)`` supplies log(ratio) instead, is asked for exactly
+    the degrees of each block, and the factor 1 - ratio is -expm1(log
+    ratio).  Its error is then a few ulps of the log ratio's parts, not the
+    last bits of f_hat(l) and f_hat(l+1), which N - D = O(N rho^2) would
+    amplify about 1/rho^2 times.  The N and M weights are rows of
+    :func:`zonalvar.series_s._weight_rows`, which serves the engine's first
+    block from the one memo of rows per dimension.
 
     The engine ends the sums at their first non-finite term, at l (values
     fetched past the stop degree are ignored), with
     :class:`DegenerateInputError`, unless f_hat(l), or the f_hat(l + 1)
     that N - D reads without ``log_ratio``, is not finite: that raises
-    :class:`DomainError` naming the degree before it.  An overflowing sum
+    :class:`DomainError` naming the degree of that value.  An overflowing sum
     raises :class:`DegenerateInputError` and no stop within the term
     budget :class:`TruncationError`.  The sums are the raw sums up to the
     stop degree L; :func:`uncertainty_product` adds their tails.
@@ -94,18 +96,18 @@ def _coefficient_sums(f: ZonalFunction) -> tuple[list[float], list[list[float]],
     n = f.dim.n
     fetch = _block_form(f.coeff)
     log_ratio = getattr(f.coeff, "log_ratio", None)
+    ahead = 1 if log_ratio is None else 0  # the term at l reads f_hat(l + 1) too
 
     def source(l0: int, l1: int):
         k = l1 - l0
-        fv = np.asarray(fetch(l0, l1 + 1), dtype=float)  # f_hat(l0) .. f_hat(l1)
+        fv = np.asarray(fetch(l0, l1 + ahead), dtype=float)
         fc = fv[:k]
         ls, _, n_weight, m_weight = _weight_rows(n, l0, l1)
         terms = np.empty((3, k))
         t_nd, t_m, t_n = terms
-        np.multiply(n_weight[:k], fc, out=t_n)
+        np.multiply(n_weight, fc, out=t_n)
         t_n *= fc
         if log_ratio is None:  # the factor 1 - ratio
-            ls = ls[:k]
             np.divide(fv[1:], fc, out=t_nd)
             t_nd *= (ls + two_lam) / ((ls + lam) + 1.0)
             np.subtract(1.0, t_nd, out=t_nd)
@@ -115,7 +117,7 @@ def _coefficient_sums(f: ZonalFunction) -> tuple[list[float], list[list[float]],
         t_nd *= t_n
         if not np.logical_and.reduce(fc):  # N - D is 0 where f_hat(l) is
             t_nd[fc == 0.0] = 0.0
-        np.multiply(m_weight[:k], t_n, out=t_m)
+        np.multiply(m_weight, t_n, out=t_m)
         return terms, np.abs(terms[:2])  # stop rows N - D and M (whose terms are >= 0)
 
     try:
@@ -123,13 +125,7 @@ def _coefficient_sums(f: ZonalFunction) -> tuple[list[float], list[list[float]],
             source, f"coefficient sums for {f.label or 'coefficient rule'}"
         )
     except _TermOutOfRange as exc:
-        # the term at l reads f_hat(l), and f_hat(l + 1) unless log_ratio is given
-        l = exc.degree
-        with np.errstate(all="ignore"):
-            finite = np.isfinite(np.asarray(fetch(l, l + (1 if log_ratio is not None else 2)), dtype=float))
-        if not finite.all():
-            l += int(finite.argmin())
-            raise DomainError(f"coefficient rule returned a non-finite value near l={max(l - 1, 0)}") from None
+        _require_finite_values(fetch, exc.degree, exc.degree + 1 + ahead)
         raise
     return [big_n, n_minus_d, big_m], [end_n, end_nd, end_m], {"terms": terms, "path": "coefficient-sum"}
 
@@ -172,7 +168,9 @@ def uncertainty_product(f: ZonalFunction) -> UncertaintyResult:
     sums, ends, info = _coefficient_sums(f)
     big_n, n_minus_d, big_m = [total + _geometric_tail(before, last) for total, (before, last) in zip(sums, ends)]
     if abs(big_n) < _DENOM_FLOOR:
-        raise DegenerateInputError("weighted norm vanishes; all coefficients are zero")
+        last = info["terms"] - 1
+        where = "nonzero but its terms underflow" if np.any(_block_form(f.coeff)(0, last + 1)) else "zero"
+        raise DegenerateInputError(f"weighted norm vanishes over l=0..{last}, where the rule is {where}")
     d = big_n - n_minus_d
     if abs(d) < _DENOM_FLOOR:
         raise DegenerateInputError(

@@ -36,11 +36,12 @@ class ZonalFunction:
     """A zonal function given by its Gegenbauer coefficient rule.
 
     The rule must return a finite float for every degree a summation
-    routine uses; they raise :class:`DomainError` on a non-finite value
-    and :class:`DegenerateInputError` on a term that finite values carry
-    past the double range.  The coefficient sums and :func:`zonal_eval`
-    fetch degrees in blocks and may fetch some past the degree where they
-    stop; those values are ignored.  A rule may offer two optional methods:
+    routine uses; they raise :class:`DomainError` naming the first degree
+    with a non-finite value and :class:`DegenerateInputError` on a term
+    that finite values carry past the double range.  They fetch the
+    degrees l0 <= l < l1 of each block (and f_hat(l1) for the coefficient
+    sums of a rule without ``log_ratio``); values past the stop degree are
+    ignored.  A rule may offer two optional methods:
 
     - ``block(l0, l1)`` returns the values for l0 <= l < l1 as a float64
       array equal to the scalar calls, instead of one call per degree;
@@ -68,6 +69,14 @@ def _block_form(coeff: Callable[[int], float]) -> Callable[[int, int], np.ndarra
     if block is not None:
         return block
     return lambda l0, l1: np.fromiter(map(coeff, range(l0, l1)), float, l1 - l0)
+
+
+def _require_finite_values(fetch: Callable[[int, int], np.ndarray], l0: int, l1: int) -> None:
+    """Raise :class:`DomainError` naming the first l0 <= l < l1 with a non-finite f_hat(l)."""
+    with np.errstate(all="ignore"):
+        finite = np.isfinite(np.asarray(fetch(l0, l1), dtype=float))
+    if not finite.all():
+        raise DomainError(f"coefficient rule returned a non-finite value at l={l0 + int(finite.argmin())}") from None
 
 
 @dataclass(frozen=True)
@@ -101,8 +110,8 @@ class _PoissonRule:
     :meth:`log_ratio` gives the coefficient sums the log ratio of
     consecutive degrees from its closed form.  Both take their rows that
     depend only on n from :func:`zonalvar.series_s._lift_rows` and
-    :func:`zonalvar.series_s._log_rows`, which serve the first block from
-    the one memo of rows per dimension.
+    :func:`zonalvar.series_s._log_rows`, which serve the engine's first
+    block from the one memo of rows per dimension.
     """
 
     n: int
@@ -111,8 +120,8 @@ class _PoissonRule:
     scale: float = 1.0
 
     def _values(self, l, lift):
-        v = self.scale * lift * np.exp(-self.rho * l)
         x = self.rho * l
+        v = self.scale * lift * np.exp(-x)
         for _ in range(self.m):
             v *= x
         return v
@@ -122,8 +131,7 @@ class _PoissonRule:
         return float(self._values(l, (l + lam) / lam))
 
     def block(self, l0: int, l1: int) -> np.ndarray:
-        ls, lift = _lift_rows(self.n, l0, l1)
-        return self._values(ls[: l1 - l0], lift[: l1 - l0])
+        return self._values(*_lift_rows(self.n, l0, l1))
 
     def log_ratio(self, l0: int, l1: int) -> np.ndarray:
         """log((l + 2 lam)/(l + lam + 1) f_hat(l+1)/f_hat(l)) for l0 <= l < l1,
@@ -134,9 +142,9 @@ class _PoissonRule:
         var_space error at rho = 1e-4 of the three orders of the sum.)
         """
         log_lift, log_step = _log_rows(self.n, l0, l1)
-        r = log_lift[: l1 - l0] - self.rho
+        r = log_lift - self.rho
         if self.m:
-            r += self.m * log_step[: l1 - l0]
+            r += self.m * log_step
         return r
 
 
@@ -220,9 +228,10 @@ def zonal_eval(f: ZonalFunction, theta: float, diagnostics: dict | None = None) 
     decay).  The absolute error is then below the stop tolerance of
     :func:`zonalvar.series_s._sum_blocks` times the envelope mass.  The
     rule's values come from its optional ``block`` method, else from
-    scalar calls; values fetched past the stop degree are ignored.  The
-    series ends at its first non-finite term, at l: :class:`DomainError`
-    if f_hat(l) is not finite, else :class:`DegenerateInputError`.
+    scalar calls, for exactly the degrees of each block; values fetched
+    past the stop degree are ignored.  The series ends at its first
+    non-finite term, at l: :class:`DomainError` naming l if f_hat(l) is
+    not finite, else :class:`DegenerateInputError`.
     """
     _check_theta(theta)
     n = f.dim.n
@@ -235,7 +244,7 @@ def zonal_eval(f: ZonalFunction, theta: float, diagnostics: dict | None = None) 
         a = np.asarray(fetch(l0, l1), dtype=float)
         c = np.fromiter(itertools.islice(gegenbauer, l1 - l0), float, l1 - l0)
         _, w, _, _ = _weight_rows(n, l0, l1)
-        terms = np.array([np.abs(a) * w[: l1 - l0], a * c])
+        terms = np.array([np.abs(a) * w, a * c])
         env = terms[0]
         prev = np.concatenate(([env_last], env))
         env_last, prev = prev[-1], prev[:-1]
@@ -246,10 +255,7 @@ def zonal_eval(f: ZonalFunction, theta: float, diagnostics: dict | None = None) 
     try:
         (mass, value), _, terms = _sum_blocks(source, f"zonal series for {f.label or 'coefficient rule'}")
     except _TermOutOfRange as exc:
-        with np.errstate(all="ignore"):
-            finite = np.isfinite(np.asarray(fetch(exc.degree, exc.degree + 1), dtype=float)).all()
-        if not finite:
-            raise DomainError(f"coefficient rule returned a non-finite value at l={exc.degree}") from None
+        _require_finite_values(fetch, exc.degree, exc.degree + 1)
         raise
     if diagnostics is not None:
         diagnostics["terms"] = terms

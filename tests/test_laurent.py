@@ -585,8 +585,31 @@ def test_expand_variances_matches_series_chain():
 
 
 def test_product_slope_is_negative_below_the_minimising_order():
-    # the rho^1 coefficient of U's tail is negative exactly when
-    # m < floor((n - 1) / 2), and never 0
+    """The rho^1 coefficient c1 of U's tail is negative exactly when
+    m < m* = floor((n - 1) / 2), and never 0.
+
+    The general case of :func:`zonalvar.asymptotics.theorem_expansion` states
+    c1 = -2 (n - 1) m Y / ((L - 3)(L - 1)(L + 1) X) with L = n + 2m,
+    X = n^2 - 3n + 2(m + 1) and Y = -4m^2 - 4(n - 2)m + 3(n - 1)(n - 3).
+    For n >= 2 and m >= 1 every factor but Y is positive (L - 3 >= 1 and
+    X >= 2m), so c1 < 0 exactly when Y > 0.  Y decreases in m, as
+    dY/dm = -8m - 4(n - 2) < 0, so for n >= 5 the exact integer checks
+    Y(n, m* - 1) > 0 > Y(n, m*) give Y > 0 exactly when m < m*, and Y is
+    never 0 at an integer m.  For n <= 4, m* <= 1 and Y(n, 1) < 0, so
+    c1 > 0 at every m >= 1.  The integer checks below cover n <= 5000;
+    this proves the rule for the general-case formula only, and the
+    engine loop checks it where the engine is computed.  That the formula
+    equals the engine for every n is proved separately.
+    """
+
+    def y(n, m):
+        return -4 * m * m - 4 * (n - 2) * m + 3 * (n - 1) * (n - 3)
+
+    for n in range(2, 5):
+        assert y(n, 1) < 0 and (n - 1) // 2 <= 1, n
+    for n in range(5, 5001):
+        m_star = (n - 1) // 2
+        assert y(n, m_star - 1) > 0 > y(n, m_star), n
     for n in range(2, 41):
         for m in range(1, 2 * n + 1):
             slope = expand_variances(n, m)[2].tail.coefficient(1)

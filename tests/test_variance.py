@@ -27,7 +27,7 @@ from zonalvar import (
     zonal_eval,
 )
 import zonalvar
-from zonalvar import cli, series_s, variance
+from zonalvar import cli, series_s, variance, zonal
 from zonalvar.zonal import _PoissonRule, _block_form
 
 
@@ -185,6 +185,21 @@ def test_zero_rule_is_degenerate():
         uncertainty_product(f)
 
 
+def test_vanishing_norm_says_why(capsys):
+    # the zero-run stop ends the sums at l = 1023 with N = 0.  One rule is
+    # zero there (and nonzero past it); the other is nonzero from l = 16,
+    # but below 1.2e-167, so its squared terms underflow
+    for f, where in (
+        (ZonalFunction(sphere_dim(3), lambda l: 0.0 if l < 1100 else 0.5 ** (l - 1100)), "zero"),
+        (capped_wavelet_coefficients(poisson_wavelet_spec(2, 85, 1e-5)), "nonzero but its terms underflow"),
+    ):
+        message = f"weighted norm vanishes over l=0..1023, where the rule is {where}"
+        with pytest.raises(DegenerateInputError, match=f"^{re.escape(message)}$"):
+            uncertainty_product(f)
+    assert cli.main(["compute", "--n", "2", "--m", "85", "--rho", "1e-5"]) == 2
+    assert capsys.readouterr().err == f"degenerate input: {message}\n"
+
+
 def test_out_of_range_wavelet_terms_are_degenerate():
     # f_hat^2 overflows at these orders; the sums used to come back as NaN.
     # Every argument is valid, and the capped rule's next value is inf as well
@@ -254,11 +269,16 @@ def test_max_terms_below_first_block_raises_truncation(monkeypatch):
         uncertainty_product(f)
 
 
-@pytest.mark.parametrize("bad, named", [(0, 0), (1, 0), (7, 6), (70, 69), (400, 399)])
+@pytest.mark.parametrize("bad, named", [(0, 0), (1, 1), (7, 7), (70, 70), (400, 400)])
 def test_non_finite_value_names_the_degree(bad, named):
+    # the coefficient sums and zonal_eval name the degree of the value
+    # itself, also where the N - D term before it is the first to read it
     f = ZonalFunction(sphere_dim(3), lambda l: math.inf if l == bad else 0.995**l)
-    with pytest.raises(DomainError, match=rf"non-finite value near l={named}$"):
+    message = rf"^coefficient rule returned a non-finite value at l={named}$"
+    with pytest.raises(DomainError, match=message):
         uncertainty_product(f)
+    with pytest.raises(DomainError, match=message):
+        zonal_eval(f, 1.1)
 
 
 def test_weight_overflow_names_the_degree():
@@ -618,11 +638,11 @@ def direct_rows(n, l0, k):
         }
 
 
-def assert_rows_equal(got, expected, k, context):
-    """The first k degrees of each row bitwise."""
+def assert_rows_equal(got, expected, context):
+    """Each row bitwise, and so of the same length."""
     assert len(got) == len(expected), context
     for row, want in zip(got, expected):
-        assert row[:k].tobytes() == want.tobytes(), context
+        assert row.tobytes() == want.tobytes(), context
 
 
 def test_first_block_memo_is_the_direct_computation():
@@ -630,15 +650,18 @@ def test_first_block_memo_is_the_direct_computation():
         for n in range(2, 61):
             for rows in ROW_FUNCTIONS:
                 memo = series_s._first_block_memo(rows.__wrapped__, n, width)
-                for k in (1, width // 2 + 1, width, width + 1):
-                    assert_rows_equal(memo, direct_rows(n, 0, k)[rows], k, (rows.__name__, n, width, k))
-    # the first block is served from the memo, up to the degree past it
+                assert_rows_equal(memo, direct_rows(n, 0, width)[rows], (rows.__name__, n, width))
+    # the engine's first block is served from the memo, and exactly that
+    # request: a prefix of it, or a block one degree longer, is formed directly
     for n in (2, 3, 12, 60):
         for rows in ROW_FUNCTIONS:
-            first = rows(n, 0, series_s._FIRST_BLOCK + 1)
-            for k in (1, 100, series_s._FIRST_BLOCK):
-                assert rows(n, 0, k) is first
-                assert_rows_equal(first, direct_rows(n, 0, k)[rows], k, (rows.__name__, n, k))
+            first = rows(n, 0, series_s._FIRST_BLOCK)
+            assert rows(n, 0, series_s._FIRST_BLOCK) is first
+            assert_rows_equal(first, direct_rows(n, 0, series_s._FIRST_BLOCK)[rows], (rows.__name__, n))
+            for k in (1, 100, series_s._FIRST_BLOCK + 1):
+                got = rows(n, 0, k)
+                assert got is not first and got is not rows(n, 0, k)
+                assert_rows_equal(got, direct_rows(n, 0, k)[rows], (rows.__name__, n, k))
     # later blocks are formed by the row functions themselves, with the same expressions
     with np.errstate(over="ignore", invalid="ignore"):
         for n in (2, 3, 12, 60, 1000):
@@ -647,29 +670,31 @@ def test_first_block_memo_is_the_direct_computation():
                     expected = direct_rows(n, l0, k)
                     for rows in ROW_FUNCTIONS:
                         got = rows(n, l0, l0 + k)
-                        assert all(len(row) == k for row in got)
-                        assert_rows_equal(got, expected[rows], k, (rows.__name__, n, l0, k))
+                        assert_rows_equal(got, expected[rows], (rows.__name__, n, l0, k))
         # the weights leave the double range at l = 309 for n = 1000, l = 219 for n = 2000
         assert first_inf(series_s._weight_rows(1000, 300, 400)[1]) == 9
         assert first_inf(direct_rows(1000, 300, 100)[series_s._weight_rows][1]) == 9
         for n, width, overflow in ((1000, 256, None), (1000, 1024, 309), (2000, 256, 219)):
             memo = series_s._first_block_memo(series_s._weight_rows.__wrapped__, n, width)
-            expected = direct_rows(n, 0, width + 1)[series_s._weight_rows]
+            expected = direct_rows(n, 0, width)[series_s._weight_rows]
             assert first_inf(memo[1]) == first_inf(expected[1]) == overflow
-            for i in (1, 2):  # the weights and the N weights
-                assert memo[i].tobytes() == expected[i].tobytes()
+            assert_rows_equal(memo, expected, (n, width))
 
 
 def test_first_block_memo_is_read_only_and_bounded():
-    arrays = [v for rows in ROW_FUNCTIONS for v in rows(5, 0, 64) if isinstance(v, np.ndarray)]
-    assert len(arrays) == 8
+    first = series_s._FIRST_BLOCK
+    arrays = [v for rows in ROW_FUNCTIONS for v in rows(5, 0, first) if isinstance(v, np.ndarray)]
+    assert len(arrays) == 8 and all(len(array) == first for array in arrays)
     for array in arrays:
         with pytest.raises(ValueError):
             array[0] = 1.0
-    # later blocks are not memoised
+    # no other block is memoised, a prefix of the first block included
     size = series_s._first_block_memo.cache_info().currsize
     for rows in ROW_FUNCTIONS:
-        assert rows(5, 1, 64) is not rows(5, 1, 64)
+        for l0, l1 in ((0, 64), (0, first + 1), (1, 64), (first, 2 * first)):
+            got = rows(5, l0, l1)
+            assert got is not rows(5, l0, l1)
+            assert all(row.flags.writeable for row in got)
     assert series_s._first_block_memo.cache_info().currsize == size
     maxsize = series_s._first_block_memo.cache_info().maxsize
     assert maxsize is not None and maxsize <= 64
@@ -686,7 +711,7 @@ def test_first_block_memo_does_not_change_results(monkeypatch, n, rule, trunc):
     # the weight rows, and the Poisson rule's lift and log rows
     assert series_s._first_block_memo.cache_info().currsize == (3 if isinstance(rule, _PoissonRule) else 1)
     warm = engine_results(f)
-    monkeypatch.setattr(series_s, "_first_block_memo", lambda rows, n, width: rows(n, 0, width + 1))
+    monkeypatch.setattr(series_s, "_first_block_memo", lambda rows, n, width: rows(n, 0, width))
     assert cold == warm == engine_results(f)
 
 
@@ -714,7 +739,7 @@ def test_fetched_degrees_stay_within_budget():
     # The log-scale extrapolation overshoots where the decay steepens with
     # l (polynomial times exponential terms), so one point may fetch up to
     # about 1.6 times its degrees past the first block; the grid as a whole
-    # stays within 1.3.  Each request also carries f_hat(l1) for N - D.
+    # stays within 1.3.
     fetched = summed = points = 0
     for n in cli.PATH_GRID_N:
         for m in cli.PATH_GRID_M:
@@ -722,12 +747,38 @@ def test_fetched_degrees_stay_within_budget():
                 f = poisson_wavelet_coefficients(poisson_wavelet_spec(n, m, rho))
                 rule = Recording(f.coeff)
                 *_, info = variance._coefficient_sums(ZonalFunction(f.dim, rule))
-                got = sum(l1 - 1 - l0 for l0, l1 in rule.requests)
+                got = sum(l1 - l0 for l0, l1 in rule.requests)
                 assert got <= 2 * info["terms"] + series_s._FIRST_BLOCK
                 fetched += got
                 summed += info["terms"]
                 points += 1
     assert fetched <= 1.3 * summed + points * series_s._FIRST_BLOCK
+
+
+def test_each_block_fetches_its_own_degrees(monkeypatch):
+    # a rule is asked for the degrees l0 <= l < l1 of each block, and for
+    # f_hat(l1) too only by the coefficient sums of a rule without
+    # log_ratio, whose N - D term at l1 - 1 reads it
+    blocks = []
+
+    def recording_sum_blocks(source, name):
+        def recorded(l0, l1):
+            blocks.append((l0, l1))
+            return source(l0, l1)
+
+        return series_s._sum_blocks(recorded, name)
+
+    monkeypatch.setattr(variance, "_sum_blocks", recording_sum_blocks)
+    monkeypatch.setattr(zonal, "_sum_blocks", recording_sum_blocks)
+    f = poisson_wavelet_coefficients(poisson_wavelet_spec(3, 1, 0.01))
+    for methods, ahead in ((("block", "log_ratio"), 0), (("block",), 1)):
+        copy = ZonalFunction(f.dim, Forwarding(f.coeff, *methods))
+        for call, fetches_past in ((variance._coefficient_sums, ahead), (lambda g: zonal_eval(g, 1.1), 0)):
+            rule = Recording(copy.coeff)
+            blocks.clear()
+            call(ZonalFunction(f.dim, rule))
+            assert len(blocks) > 1
+            assert rule.requests == [(l0, l1 + fetches_past) for l0, l1 in blocks], methods
 
 
 def test_block_count_stays_bounded_when_decay_slows(monkeypatch):
