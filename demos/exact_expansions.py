@@ -5,8 +5,8 @@ Prints the engine-derived expansions of the variance functionals for a few
 with the engine and shows the numeric residual fit siding with the engine.
 """
 
-from zonalvar import compare_expansion, expand_variances
-from zonalvar.asymptotics import _residual_fits
+from zonalvar import compare_expansion, expand_variances, residual_order_check
+from zonalvar.cli import RESIDUAL_THRESHOLDS
 
 CASES = ((2, 1), (3, 1), (4, 2), (7, 3))
 
@@ -17,7 +17,7 @@ def main():
         print(f"n={n}, m={m}")
         print(f"  var_space   = {var_space}")
         print(f"  var_momentum = {var_momentum}")
-        print(f"  product     = sqrt({product.radicand}) * ({product.tail})")
+        print(f"  product     = {product}")
         print()
 
     n, m = 4, 2
@@ -28,9 +28,8 @@ def main():
               f"stated {str(cell['stated']):>10}{marker}")
 
     print("\nnumeric confirmation (log-log residual slopes, engine expansion):")
-    fits = _residual_fits(n, m)
-    for quantity, floor in (("varS", 3.5), ("U", 1.9), ("varM", -0.1)):
-        fit = fits[quantity]
+    for quantity, floor in RESIDUAL_THRESHOLDS.items():
+        fit = residual_order_check(n, m, quantity)
         print(f"  {quantity:>4}: slope {fit.slope:+.3f} (needs >= {floor})")
     print("the engine expansion predicts the numerics; the stated entries do not")
 

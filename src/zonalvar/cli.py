@@ -347,25 +347,22 @@ def _verify_appendix_section() -> dict:
     }
 
 
-def _verify_theorem_section() -> tuple[dict, list[tuple[int, int]]]:
+def _verify_theorem_section() -> dict:
     entries = []
     mismatches = []
-    flagged_pairs: list[tuple[int, int]] = []
     for n in range(2, 11):
         for m in range(1, 5):
             comparison = compare_expansion(n, m)
             matches = {t: comparison[t]["match"] for t in EXPANSION_TARGETS}
             entries.append({"n": n, "m": m, "matches": matches})
-            if not all(matches.values()):
-                flagged_pairs.append((n, m))
-                for t in EXPANSION_TARGETS:
-                    if not matches[t]:
-                        mismatches.append({
-                            "n": n, "m": m, "target": t,
-                            "engine": comparison[t]["engine"],
-                            "stated": comparison[t]["stated"],
-                        })
-    section = {
+            for t in EXPANSION_TARGETS:
+                if not matches[t]:
+                    mismatches.append({
+                        "n": n, "m": m, "target": t,
+                        "engine": comparison[t]["engine"],
+                        "stated": comparison[t]["stated"],
+                    })
+    return {
         "grid": "n=2..10, m=1..4",
         "all_match": not mismatches,
         "entries": entries,
@@ -376,7 +373,6 @@ def _verify_theorem_section() -> tuple[dict, list[tuple[int, int]]]:
             "the engine expansion is confirmed numerically in residual_orders"
         ),
     }
-    return section, flagged_pairs
 
 
 def _verify_path_and_bound() -> tuple[dict, dict]:
@@ -428,7 +424,6 @@ def _verify_minimization_section() -> dict:
             continue
         entries.append({"n": n, "m_star": result.m_star, "radicand": result.radicand,
                         "value": result.value})
-    ratio_entry = {}
     try:
         top = minimize_limit_over_order(100)
         ratio = top.value / 50.0
@@ -485,18 +480,13 @@ def _verify_residual_section(flagged_pairs: list[tuple[int, int]]) -> dict:
 def build_verify_report() -> tuple[dict, int]:
     """Assemble the verification report; returns (report, exit_code)."""
     appendix = _verify_appendix_section()
-    theorem, flagged_pairs = _verify_theorem_section()
+    theorem = _verify_theorem_section()
     path_section, bound_section = _verify_path_and_bound()
     minimization = _verify_minimization_section()
+    flagged_pairs = list(dict.fromkeys((e["n"], e["m"]) for e in theorem["mismatches"]))
     residuals = _verify_residual_section(flagged_pairs)
-    flagged_confirmed = all(e["pass"] for e in residuals["entries"] if e["flagged"])
-    mandatory_pass = (
-        appendix["pass"]
-        and path_section["pass"]
-        and bound_section["pass"]
-        and minimization["pass"]
-        and residuals["pass"]
-        and flagged_confirmed
+    mandatory_pass = all(
+        section["pass"] for section in (appendix, path_section, bound_section, minimization, residuals)
     )
     report = {
         "meta": _meta("verify", {}),
@@ -509,7 +499,9 @@ def build_verify_report() -> tuple[dict, int]:
         "summary": {
             "mandatory_pass": mandatory_pass,
             "stated_discrepancies": len(theorem["mismatches"]),
-            "flagged_pairs_confirmed_by_numerics": flagged_confirmed,
+            "flagged_pairs_confirmed_by_numerics": all(
+                e["pass"] for e in residuals["entries"] if e["flagged"]
+            ),
             "exit_code": 0 if mandatory_pass else 1,
         },
     }

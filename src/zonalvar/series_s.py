@@ -288,7 +288,7 @@ def _sum_blocks(
                     if end > 1:
                         ends = terms[:, end - 2 : end].tolist()
                     else:  # t_(L-1) is the last column of the block before
-                        ends = [[before, last] for before, last in zip(carried, terms[:, 0].tolist())]
+                        ends = [[before, t_last] for before, t_last in zip(carried, terms[:, 0].tolist())]
                     return hi, ends, l0 + end
                 peak = running_peak[:, -1:]
                 recent = small[:, -2:]

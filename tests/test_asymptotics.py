@@ -145,6 +145,24 @@ def test_flagged_cells_follow_general_formulas():
         assert engine.product_radicand == general_radicand(n, m)
 
 
+def test_general_formulas_hold_on_probed_grid():
+    """The general-case formulas equal the engine on a finite grid: every
+    5 <= n <= 40 with m <= 2n, and n in {2, 3, 4} with m <= 59.  This checks
+    1,797 pairs; it does not prove the formulas for every (n, m)."""
+    pairs = [(n, m) for n in range(5, 41) for m in range(1, 2 * n + 1)]
+    pairs += [(n, m) for n in (2, 3, 4) for m in range(1, 60)]
+    assert len(pairs) == 1797
+    for n, m in pairs:
+        ell = n + 2 * m
+        engine = engine_expansion(n, m)
+        assert engine.var_space_rho2 == general_var_space_rho2(n, m), (n, m)
+        assert engine.var_space_rho3 == general_var_space_rho3(n, m), (n, m)
+        assert engine.product_radicand == general_radicand(n, m), (n, m)
+        assert engine.product_slope == general_product_slope(n, m), (n, m)
+        assert engine.var_momentum_rho_minus2 == Fraction(ell * (ell + 1), 4), (n, m)
+        assert engine.var_momentum_rho_minus1 == Fraction((n - 1) * m * ell, ell - 1), (n, m)
+
+
 def test_mismatch_set_is_exactly_the_flagged_cells():
     mismatches = set()
     for n in range(2, 11):

@@ -546,6 +546,20 @@ def test_verify_report(capsys):
     assert {"n", "m", "target", "engine", "stated"} <= set(mismatch)
 
 
+def test_verify_summary_reads_its_sections():
+    report, code = build_verify_report()
+    summary = report["summary"]
+    mandatory = ("appendix_ABC", "path_equivalence", "bound_check", "minimization", "residual_orders")
+    assert summary["mandatory_pass"] == all(report[name]["pass"] for name in mandatory)
+    assert code == summary["exit_code"] == (0 if summary["mandatory_pass"] else 1)
+    mismatches = report["theorem_coefficients"]["mismatches"]
+    assert summary["stated_discrepancies"] == len(mismatches)
+    entries = report["residual_orders"]["entries"]
+    flagged = [entry for entry in entries if entry["flagged"]]
+    assert summary["flagged_pairs_confirmed_by_numerics"] == all(entry["pass"] for entry in flagged)
+    assert {(entry["n"], entry["m"]) for entry in flagged} == {(e["n"], e["m"]) for e in mismatches}
+
+
 def test_verify_report_is_identical_when_repeated():
     # the first report builds the engine's memoised expansions, the second
     # reads them back

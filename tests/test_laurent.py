@@ -173,6 +173,13 @@ def test_coefficient_lookup_and_tail_guard():
 def test_str_rendering():
     assert str(S(-1, [Fraction(1, 2), 0, Fraction(1, 6)])) == "1/2*rho^-1 + 1/6*rho^1 + O(rho^2)"
     assert str(S(2, [], order=2)) == "O(rho^2)"
+    radical = laurent.NormalizedRadicalSeries
+    assert str(radical(Fraction(5, 2), 0, S(0, [1, Fraction(-1, 3)]))) == (
+        "sqrt(5/2) * (1 + -1/3*rho^1 + O(rho^2))"
+    )
+    assert str(radical(Fraction(21, 5), -1, S(0, [1, 0, Fraction(2, 7)]))) == (
+        "sqrt(21/5)*rho^-1 * (1 + 2/7*rho^2 + O(rho^3))"
+    )
 
 
 # ---------------------------------------------------------------------------
