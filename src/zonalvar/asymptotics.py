@@ -16,6 +16,7 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .errors import DomainError, _require_at_least
 from .laurent import expand_variances
@@ -373,12 +374,14 @@ def _slope(xs: list[float], ys: list[float]) -> float:
     return math.fsum(d * (y - y_mean) for d, y in zip(dx, ys)) / math.fsum(d * d for d in dx)
 
 
-def _residual_fits(n: int, m: int) -> dict[str, ResidualFit]:
-    """The :class:`ResidualFit` of each of "varS", "varM" and "U" (see
-    :func:`residual_order_check`), from one S-path evaluation per rho."""
+@lru_cache(maxsize=64, typed=True)
+def _residual_fits(n: int, m: int) -> tuple[ResidualFit, ...]:
+    """The :class:`ResidualFit` of each of "varS", "varM" and "U", in that
+    order (see :func:`residual_order_check`), from one S-path evaluation
+    per rho; memoised, so every quantity of one (n, m) shares one build."""
     n, m = _check_nm(n, m)
     results = [poisson_uncertainty_via_s(poisson_wavelet_spec(n, m, rho)) for rho in _RESIDUAL_GRID]
-    fits = {}
+    fits = []
     for quantity, field, expansion in zip(
         _RESIDUAL_QUANTITIES, ("var_space", "var_momentum", "product"), expand_variances(n, m)
     ):
@@ -393,8 +396,8 @@ def _residual_fits(n: int, m: int) -> dict[str, ResidualFit]:
                 residual = floor
             residuals.append(residual)
         slope = _slope([math.log(rho) for rho in _RESIDUAL_GRID], [math.log(r) for r in residuals])
-        fits[quantity] = ResidualFit(quantity, slope, vacuous, _RESIDUAL_GRID, tuple(residuals))
-    return fits
+        fits.append(ResidualFit(quantity, slope, vacuous, _RESIDUAL_GRID, tuple(residuals)))
+    return tuple(fits)
 
 
 def residual_order_check(n: int, m: int, quantity: str) -> ResidualFit:
@@ -407,4 +410,4 @@ def residual_order_check(n: int, m: int, quantity: str) -> ResidualFit:
     """
     if quantity not in _RESIDUAL_QUANTITIES:
         raise DomainError("quantity must be one of varS, varM, U")
-    return _residual_fits(n, m)[quantity]
+    return _residual_fits(n, m)[_RESIDUAL_QUANTITIES.index(quantity)]

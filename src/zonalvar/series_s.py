@@ -40,12 +40,13 @@ range, so each block takes its weights relative to its first degree and
 that degree's weight enters through its logarithm; the last bits of
 :func:`s_m_sum` therefore do depend on the schedule.
 
-Rows that depend only on the dimension n come from three row functions
-of (n, l0, l1), :func:`_weight_rows`, :func:`_lift_rows` and
-:func:`_log_rows`, which serve the first block from one bounded memo and
-form every other request directly.  Memory stays one block per series
-apart from that memo.  Short series are summed in the first block, so for
-them the memo removes most of the work that does not depend on the rule.
+Rows that depend only on the dimension n come from row functions of
+(n, l0, l1) under :func:`_first_block_memoised`, which serve the first
+block from one bounded memo and form every other request directly:
+:func:`_weight_rows` here, and each coefficient rule's rows beside it in
+:mod:`zonalvar.zonal`.  Memory stays one block per series apart from that
+memo.  Short series are summed in the first block, so for them the memo
+removes most of the work that does not depend on the rule.
 """
 
 from __future__ import annotations
@@ -150,26 +151,6 @@ def _weight_rows(n: int, l0: int, l1: int) -> tuple:
     ls = np.arange(l0, l1, dtype=float)
     weight = _binomial_weights(n, ls)
     return ls, weight, (lam / (ls + lam)) * weight, ls * (ls + 2.0 * lam)
-
-
-@_first_block_memoised
-def _lift_rows(n: int, l0: int, l1: int) -> tuple:
-    """The degrees l as floats and the Poisson rule's factor (l + lambda)/lambda."""
-    lam = (n - 1) / 2
-    ls = np.arange(l0, l1, dtype=float)
-    return ls, (ls + lam) / lam
-
-
-@_first_block_memoised
-def _log_rows(n: int, l0: int, l1: int) -> tuple:
-    """log1p(lambda/(l + lambda)) and log1p(1/l), inf at l = 0."""
-    lam = (n - 1) / 2
-    ls = np.arange(l0, l1, dtype=float)
-    log_lift = np.log1p(lam / (ls + lam))
-    if l0:
-        return log_lift, np.log1p(1.0 / ls)
-    with np.errstate(divide="ignore"):
-        return log_lift, np.log1p(1.0 / ls)
 
 
 class _TermOutOfRange(DegenerateInputError):

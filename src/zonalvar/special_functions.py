@@ -1,8 +1,8 @@
 """Gegenbauer polynomials, binomial coefficients, and sphere surface areas.
 
-The ultraspherical index lambda is carried as an exact ``Fraction`` wherever
-it originates from a sphere dimension, because lambda = (n-1)/2 is a half
-integer.
+A sphere dimension is carried as n alone; each reader derives the
+ultraspherical index lambda = (n-1)/2, a half integer and so an exact
+float.
 """
 
 from __future__ import annotations
@@ -55,14 +55,13 @@ def sphere_surface(k: int) -> float:
 
 @dataclass(frozen=True)
 class SphereDim:
-    """Dimension bundle for S^n: n, lambda = (n-1)/2 kept exact, and sigma(S^n).
+    """The sphere S^n, given by n alone; lambda = (n-1)/2 is derived where read.
 
     sigma(S^n) is derived on access: it falls below the normal double
     range at large n, and only the kernel normalisation needs it.
     """
 
     n: int
-    lam: Fraction
 
     @property
     def surface(self) -> float:
@@ -72,7 +71,7 @@ class SphereDim:
 def sphere_dim(n: int) -> SphereDim:
     """Build the dimension bundle for S^n, n >= 2."""
     n = _require_at_least("n", n, 2)
-    return SphereDim(n=n, lam=Fraction(n - 1, 2))
+    return SphereDim(n)
 
 
 def _gegenbauer_recurrence(lam: float, t: float) -> Iterator[float]:

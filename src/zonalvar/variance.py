@@ -91,9 +91,9 @@ def _coefficient_sums(f: ZonalFunction) -> tuple[list[float], list[list[float]],
     budget :class:`TruncationError`.  The sums are the raw sums up to the
     stop degree L; :func:`uncertainty_product` adds their tails.
     """
-    lam = float(f.dim.lam)
-    two_lam = 2.0 * lam
     n = f.dim.n
+    lam = (n - 1) / 2
+    two_lam = 2.0 * lam
     fetch = _block_form(f.coeff)
     log_ratio = getattr(f.coeff, "log_ratio", None)
     ahead = 1 if log_ratio is None else 0  # the term at l reads f_hat(l + 1) too

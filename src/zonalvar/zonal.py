@@ -16,7 +16,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DegenerateInputError, DomainError, _require_at_least, _require_positive
-from .series_s import _TermOutOfRange, _lift_rows, _log_rows, _sum_blocks, _weight_rows
+from .series_s import _TermOutOfRange, _first_block_memoised, _sum_blocks, _weight_rows
 from .special_functions import SphereDim, _gegenbauer_recurrence, sphere_dim
 
 __all__ = [
@@ -97,21 +97,39 @@ def poisson_wavelet_spec(n: int, m: int, rho: float) -> PoissonWaveletSpec:
     return PoissonWaveletSpec(sphere_dim(n), m, float(rho))
 
 
+@_first_block_memoised
+def _lift_rows(n: int, l0: int, l1: int) -> tuple:
+    """The degrees l as floats and the Poisson rule's factor (l + lambda)/lambda."""
+    lam = (n - 1) / 2
+    ls = np.arange(l0, l1, dtype=float)
+    return ls, (ls + lam) / lam
+
+
+@_first_block_memoised
+def _log_rows(n: int, l0: int, l1: int) -> tuple:
+    """log1p(lambda/(l + lambda)) and log1p(1/l), inf at l = 0."""
+    lam = (n - 1) / 2
+    ls = np.arange(l0, l1, dtype=float)
+    log_lift = np.log1p(lam / (ls + lam))
+    if l0:
+        return log_lift, np.log1p(1.0 / ls)
+    with np.errstate(divide="ignore"):
+        return log_lift, np.log1p(1.0 / ls)
+
+
 @dataclass(frozen=True)
 class _PoissonRule:
     """The coefficient rule l -> scale ((l + lam) / lam) exp(-rho l) (rho l)^m
     on S^n, lam = (n - 1)/2.
 
-    The power is applied by repeated multiplication, so the value at l = 0
-    is exactly 0.0 for m >= 1 and the order recursion
-    rule_(m+1)(l) = (rho l) rule_m(l) holds bitwise.  :meth:`block` returns
-    the values for l0 <= l < l1 as an array through the same formula; both
-    forms take exp(-rho l) from ``np.exp``, so they agree bitwise.
+    :meth:`block` is its one value formula, for l0 <= l < l1, and a scalar
+    call is the block at one degree.  The power is applied by repeated
+    multiplication, so the value at l = 0 is exactly 0.0 for m >= 1 and the
+    order recursion rule_(m+1)(l) = (rho l) rule_m(l) holds bitwise.
     :meth:`log_ratio` gives the coefficient sums the log ratio of
-    consecutive degrees from its closed form.  Both take their rows that
-    depend only on n from :func:`zonalvar.series_s._lift_rows` and
-    :func:`zonalvar.series_s._log_rows`, which serve the engine's first
-    block from the one memo of rows per dimension.
+    consecutive degrees from its closed form.  The rows that depend only on
+    n come from :func:`_lift_rows` and :func:`_log_rows` above, which serve
+    the engine's first block from the one memo of rows per dimension.
     """
 
     n: int
@@ -119,19 +137,16 @@ class _PoissonRule:
     m: int
     scale: float = 1.0
 
-    def _values(self, l, lift):
-        x = self.rho * l
+    def __call__(self, l: int) -> float:
+        return float(self.block(l, l + 1)[0])
+
+    def block(self, l0: int, l1: int) -> np.ndarray:
+        ls, lift = _lift_rows(self.n, l0, l1)
+        x = self.rho * ls
         v = self.scale * lift * np.exp(-x)
         for _ in range(self.m):
             v *= x
         return v
-
-    def __call__(self, l: int) -> float:
-        lam = (self.n - 1) / 2
-        return float(self._values(l, (l + lam) / lam))
-
-    def block(self, l0: int, l1: int) -> np.ndarray:
-        return self._values(*_lift_rows(self.n, l0, l1))
 
     def log_ratio(self, l0: int, l1: int) -> np.ndarray:
         """log((l + 2 lam)/(l + lam + 1) f_hat(l+1)/f_hat(l)) for l0 <= l < l1,
@@ -236,7 +251,7 @@ def zonal_eval(f: ZonalFunction, theta: float, diagnostics: dict | None = None) 
     _check_theta(theta)
     n = f.dim.n
     fetch = _block_form(f.coeff)
-    gegenbauer = _gegenbauer_recurrence(float(f.dim.lam), math.cos(theta))
+    gegenbauer = _gegenbauer_recurrence((n - 1) / 2, math.cos(theta))
     env_last = 0.0  # the envelope value at the degree before the block
 
     def source(l0: int, l1: int):

@@ -306,7 +306,7 @@ def test_residual_slope_matches_polyfit():
     # rounding on every pair the verify residual section fits
     log_rho = np.log(np.asarray(asymptotics._RESIDUAL_GRID))
     for n, m in cli.RESIDUAL_GRID_NM:
-        for fit in asymptotics._residual_fits(n, m).values():
+        for fit in asymptotics._residual_fits(n, m):
             expected = np.polyfit(log_rho, np.log(np.asarray(fit.residuals)), 1)[0]
             assert abs(fit.slope - expected) <= 1e-12, (n, m, fit.quantity)
 

@@ -7,6 +7,7 @@ import itertools
 import json
 import math
 import os
+import runpy
 import subprocess
 import sys
 from fractions import Fraction
@@ -15,7 +16,7 @@ from pathlib import Path
 import pytest
 
 import zonalvar
-from zonalvar import laurent, poisson_uncertainty_via_s, poisson_wavelet_spec, series_s
+from zonalvar import asymptotics, cli, laurent, poisson_uncertainty_via_s, poisson_wavelet_spec, series_s
 from zonalvar.cli import build_verify_report, main
 
 
@@ -567,6 +568,90 @@ def test_verify_report_is_identical_when_repeated():
         cached.cache_clear()
     first, second = (json.dumps(build_verify_report()[0], sort_keys=True, default=str) for _ in range(2))
     assert first == second
+
+
+def _off_by_one(table):
+    return lambda n, m: [table(n, m)[0] + 1, *table(n, m)[1:]]
+
+
+def _failing_at(fn, failing):
+    def patched(n):
+        if n in failing:
+            raise RuntimeError(f"no minimum found for n={n}")
+        return fn(n)
+
+    return patched
+
+
+def _one_sign_flipped(n):
+    (x, sign), *rest = asymptotics.f_sign_probes(n)
+    return [(x, -sign), *rest]
+
+
+# Each case breaks the one name a mandatory section reads in zonalvar.cli.
+VERIFY_FAILURES = {
+    "appendix": ("appendix_ABC", "numerator_coefficient_table", _off_by_one(asymptotics.numerator_coefficient_table)),
+    "path": ("path_equivalence", "PATH_TOLERANCE", 0.0),
+    "bound": ("bound_check", "BOUND_TOLERANCE", -1.0),
+    "minimization-n7": (
+        "minimization", "minimize_limit_over_order", _failing_at(asymptotics.minimize_limit_over_order, {7})
+    ),
+    "minimization-n100": (
+        "minimization", "minimize_limit_over_order", _failing_at(asymptotics.minimize_limit_over_order, {100})
+    ),
+    "minimization-probes": ("minimization", "f_sign_probes", _one_sign_flipped),
+    "residual": ("residual_orders", "RESIDUAL_THRESHOLDS", {"varS": 99.0, "U": 1.9, "varM": -0.1}),
+}
+
+
+@pytest.mark.parametrize("case", VERIFY_FAILURES)
+def test_verify_exits_1_when_a_mandatory_section_fails(tmp_path, monkeypatch, capsys, case):
+    section, name, value = VERIFY_FAILURES[case]
+    monkeypatch.setattr(cli, name, value)
+    report, code = build_verify_report()
+    assert report[section]["pass"] is False
+    assert report["summary"]["mandatory_pass"] is False
+    assert code == 1
+    assert main(["verify", "-o", str(tmp_path / "report.json")]) == 1
+
+
+@pytest.fixture
+def fresh_residual_fits():
+    """Residual fits built under this test's settings only."""
+    asymptotics._residual_fits.cache_clear()
+    yield
+    asymptotics._residual_fits.cache_clear()
+
+
+def test_verify_residual_section_passes_when_every_fit_is_vacuous(monkeypatch, fresh_residual_fits):
+    # a residual at the rounding floor carries no slope, so it cannot fail
+    monkeypatch.setattr(asymptotics, "_RESIDUAL_FLOOR_ULPS", 2.0**600)
+    section = cli._verify_residual_section([])
+    assert section["entries"] and all(entry["vacuous"] for entry in section["entries"])
+    assert section["pass"] is True
+
+
+# sha256 of the stdout of `zonalvar verify` and of each demo, which print
+# every verdict and stated value they derive.  The verify report carries
+# meta.version, so a version bump needs a new verify digest.
+VERIFY_DIGEST = "92c0ef911e48019df8a1b4411b559d7bade56f095ac0866deda37dab072a1e13"
+DEMO_DIGESTS = {
+    "exact_expansions.py": "538b852a15c778c79e8f2987e478fe02d78d6e32e0bf569a14adc78b3751e783",
+    "kernel_series.py": "e9a5a5b0bf86b5fdb9c86b78228461d510d9d46a8fc7d8e79f3f50d450c2d9cb",
+    "uncertainty_sweep.py": "329c069e2e3150f89637581ae1e75ff40d50b07a99cfc2583f576961adb3ef66",
+}
+
+
+def test_verify_output_bytes_are_pinned(capsys):
+    code, out, _ = run(capsys, ["verify"])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_DIGEST
+
+
+@pytest.mark.parametrize("demo", DEMO_DIGESTS)
+def test_demo_output_bytes_are_pinned(capsys, demo):
+    runpy.run_path(str(Path(__file__).resolve().parents[1] / "demos" / demo), run_name="__main__")
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == DEMO_DIGESTS[demo]
 
 
 def test_output_file_and_env_dir(tmp_path, monkeypatch, capsys):

@@ -143,7 +143,6 @@ def test_sphere_surface_raises_below_the_normal_range():
 def test_sphere_dim_bundle():
     dim = sphere_dim(4)
     assert dim.n == 4
-    assert dim.lam == Fraction(3, 2)
     assert dim.surface == pytest.approx(sphere_surface(4), rel=0)
     with pytest.raises(DomainError):
         sphere_dim(1)

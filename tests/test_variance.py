@@ -365,8 +365,8 @@ def loop_sums(f):
     log_ratio where it has one, else 1 - ratio.  Returns the exactly
     rounded sums, the last two terms of each, the sums of |term| and the
     number of terms."""
-    lam = float(f.dim.lam)
     n = f.dim.n
+    lam = (n - 1) / 2
     log_ratio = getattr(f.coeff, "log_ratio", None)
     refs = [ReferenceSeries() for _ in range(3)]
     series = ([], [], [])
@@ -621,20 +621,20 @@ def test_fold_width_does_not_change_s_m_sum(monkeypatch):
         assert results() == expected, width
 
 
-ROW_FUNCTIONS = (series_s._weight_rows, series_s._lift_rows, series_s._log_rows)
+ROW_FUNCTIONS = (series_s._weight_rows, zonal._lift_rows, zonal._log_rows)
 
 
 def direct_rows(n, l0, k):
     """The independent reference for the row functions: each of their rows
     over the degrees l0 <= l < l0 + k, from the expression that defines it."""
-    lam = float(sphere_dim(n).lam)
+    lam = (n - 1) / 2
     ls = np.arange(l0, l0 + k, dtype=float)
     with np.errstate(over="ignore", divide="ignore"):
         weight = series_s._binomial_weights(n, ls)
         return {
             series_s._weight_rows: (ls, weight, (lam / (ls + lam)) * weight, ls * (ls + 2.0 * lam)),
-            series_s._lift_rows: (ls, (ls + lam) / lam),
-            series_s._log_rows: (np.log1p(lam / (ls + lam)), np.log1p(1.0 / ls)),
+            zonal._lift_rows: (ls, (ls + lam) / lam),
+            zonal._log_rows: (np.log1p(lam / (ls + lam)), np.log1p(1.0 / ls)),
         }
 
 
